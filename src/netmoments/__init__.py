@@ -10,7 +10,7 @@ simulation harnesses.
 """
 
 from .adjacency import AdjacencyMatrix, from_edges, load_edge_list
-from .bootstrap import EmpiricalCdf, cdf_eval, resample_distribution, subsample_distribution
+from .bootstrap import EmpiricalCdf, resample_distribution, subsample_distribution
 from .edgeworth import (DEFAULT_GRID, EdgeworthCoefficients, cornish_fisher_quantile,
                         expansion_cdf, rate_bound)
 from .errors import (CostCapError, DegeneracyError, DegenerateReplicatesError,
@@ -19,15 +19,15 @@ from .graphon import (Graphon, LatentSample, MomentEstimate, PopulationCoefficie
                       ProbabilityMatrix, block_model, builtin_graphon, custom_graphon,
                       graphon_from_config, nonsmooth_graphon, population_edgeworth_coefficients,
                       population_moment, probability_matrix, sample_adjacency, sample_graph,
-                      sample_latent, smooth_graphon)
+                      sample_graph_block, sample_latent, smooth_graphon)
 from .harness import (ExperimentConfig, ExperimentRecord, TrueCdf, monte_carlo_true_cdf,
                       population_mean, resolve_rho, run_accuracy_experiment,
                       run_coverage_experiment, run_power_experiment, run_sparsity_sweep,
                       sup_grid_error, write_records_csv)
 from .inference import ConfidenceInterval, TestResult, confidence_interval, one_sample_test
 from .moments import (MomentStats, compute_stats, edgeworth_coefficients, jackknife_variance,
-                      local_projection, motif_counts, pair_projection, sample_moment,
-                      variance_estimator)
+                      local_projection, motif_counts, motif_counts_block, pair_projection,
+                      sample_moment, studentize, variance_estimator)
 from .motif import (EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, builtin_motif,
                     conditional_expectation_h, contains, make_motif, motif_from_config)
 from .rng import stream, substream_seed

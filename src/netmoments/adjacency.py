@@ -29,6 +29,21 @@ class AdjacencyMatrix:
             raise ValueError("adjacency must be symmetric")
         if np.diagonal(a).any():
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
+        self._wrap(a)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "AdjacencyMatrix":
+        """Wrap an int8 matrix that is symmetric, hollow and 0/1 by construction.
+
+        Skips the O(n^2) checks of the public constructor; only code that
+        builds ``a`` from an already valid graph (or samples it that way)
+        may call this.
+        """
+        self = cls.__new__(cls)
+        self._wrap(a)
+        return self
+
+    def _wrap(self, a: np.ndarray) -> None:
         a.setflags(write=False)
         self.a = a
         self.n = a.shape[0]
@@ -48,16 +63,22 @@ class AdjacencyMatrix:
         return int(self.degrees.sum()) // 2
 
     def induced(self, nodes) -> "AdjacencyMatrix":
-        """Induced subgraph on the given node indices."""
+        """Induced subgraph on the given node indices.
+
+        A repeated index yields two non-adjacent copies of the node,
+        because ``a[i, i] == 0``, so the result is always a simple graph.
+        """
         idx = np.asarray(nodes, dtype=np.intp)
-        return AdjacencyMatrix(self.a[np.ix_(idx, idx)])
+        return AdjacencyMatrix._trusted(self.a[np.ix_(idx, idx)])
 
     def relabeled(self, perm) -> "AdjacencyMatrix":
         """Graph with node ``i`` renamed to ``perm[i]``."""
         perm = np.asarray(perm, dtype=np.intp)
+        if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
+            raise ValueError(f"perm must be a permutation of 0..{self.n - 1}")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.n)
-        return AdjacencyMatrix(self.a[np.ix_(inv, inv)])
+        return AdjacencyMatrix._trusted(self.a[np.ix_(inv, inv)])
 
     def __repr__(self) -> str:
         return f"AdjacencyMatrix(n={self.n}, edges={self.edge_count})"

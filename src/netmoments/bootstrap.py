@@ -15,11 +15,11 @@ import numpy as np
 
 from .adjacency import AdjacencyMatrix
 from .errors import DegenerateReplicatesError
-from .moments import jackknife_variance, motif_counts, sample_moment, variance_estimator
+from .moments import jackknife_variance, motif_counts, sample_moment, studentize
 from .motif import Motif
-from .rng import stream
+from .rng import KeyedStreams
 
-__all__ = ["EmpiricalCdf", "cdf_eval", "subsample_distribution", "resample_distribution"]
+__all__ = ["EmpiricalCdf", "subsample_distribution", "resample_distribution"]
 
 MAX_DROP_FRACTION = 0.10
 
@@ -54,25 +54,16 @@ class EmpiricalCdf:
         return float(self.samples[k])
 
 
-def cdf_eval(F: EmpiricalCdf, u):
-    """Right-continuous step evaluation of an empirical CDF."""
-    return F.evaluate(u)
-
-
 def _replicate_t(A_star: AdjacencyMatrix, motif: Motif, u_full: float,
                  use_jackknife: bool) -> float | None:
     """Studentized replicate value, or None when degenerate."""
     total, per = motif_counts(A_star, motif)
-    n_star, r = A_star.n, motif.r
-    u_star = total / math.comb(n_star, r)
+    u_star, _, s_sq, _ = studentize(total, per, A_star.n, motif.r)
     if use_jackknife:
         s_sq = jackknife_variance(A_star, motif)
-    else:
-        g1 = per / math.comb(n_star - 1, r - 1) - u_star
-        s_sq = variance_estimator(g1, r)
     if s_sq == 0.0:
         return None
-    return (u_star - u_full) / math.sqrt(s_sq)
+    return float((u_star - u_full) / math.sqrt(s_sq))
 
 
 def _collect(values: list[float], dropped: int, B: int) -> EmpiricalCdf:
@@ -99,10 +90,11 @@ def subsample_distribution(A: AdjacencyMatrix, motif: Motif, n_star: int,
     if B < 1:
         raise ValueError(f"need at least one replicate, got B={B}")
     u_full = sample_moment(A, motif)
+    streams = KeyedStreams()
     values: list[float] = []
     dropped = 0
     for b in range(B):
-        rng = stream(seed, "subsample", b)
+        rng = streams(seed, "subsample", b)
         idx = np.sort(rng.choice(n, size=n_star, replace=False))
         t = _replicate_t(A.induced(idx), motif, u_full, use_jackknife)
         if t is None:
@@ -117,21 +109,21 @@ def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
     """Node re-sampling: each replicate draws ``n`` node indices with replacement.
 
     The resampled adjacency takes entry ``A[i_a, i_b]`` for drawn indices,
-    with coincident draws (``i_a == i_b``) contributing no edge, so the
+    i.e. the induced subgraph on the drawn list.  Coincident draws
+    (``i_a == i_b``) read the zero diagonal and contribute no edge, so the
     result stays a simple graph.
     """
     if B < 1:
         raise ValueError(f"need at least one replicate, got B={B}")
     n = A.n
     u_full = sample_moment(A, motif)
+    streams = KeyedStreams()
     values: list[float] = []
     dropped = 0
     for b in range(B):
-        rng = stream(seed, "resample", b)
+        rng = streams(seed, "resample", b)
         idx = rng.integers(0, n, size=n)
-        a_star = A.a[np.ix_(idx, idx)].copy()
-        a_star[idx[:, None] == idx[None, :]] = 0
-        t = _replicate_t(AdjacencyMatrix(a_star), motif, u_full, use_jackknife)
+        t = _replicate_t(A.induced(idx), motif, u_full, use_jackknife)
         if t is None:
             dropped += 1
         else:

@@ -137,6 +137,9 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.kind == "coverage" and args.threads > 1:
+        raise SystemExit("--threads has no effect on coverage experiments, which run "
+                         "serially; drop --threads or pass --threads 1")
     cfg = ExperimentConfig.from_json(args.config)
     out = args.out or cfg.output
     if out is None:
@@ -149,9 +152,7 @@ def _cmd_experiment(args) -> int:
             cfg, threads=args.threads, cache_dir=args.cache_dir,
             max_degenerate_fraction=args.max_degenerate_fraction)
     elif args.kind == "coverage":
-        records = run_coverage_experiment(cfg, alpha=args.alpha,
-                                          threads=args.threads,
-                                          cache_dir=args.cache_dir)
+        records = run_coverage_experiment(cfg, alpha=args.alpha, cache_dir=args.cache_dir)
         _emit(summarize_coverage(records))
     else:
         records = run_sparsity_sweep(
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("accuracy", "coverage", "sparsity"))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="records CSV (overrides config output)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="Monte-Carlo truth workers (accuracy and sparsity only)")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--alpha", type=float, default=0.2, help="coverage level (coverage only)")
     p.add_argument("--max-degenerate-fraction", type=float, default=0.01)

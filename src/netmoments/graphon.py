@@ -11,6 +11,7 @@ enumeration) and by Monte Carlo integration otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from .adjacency import AdjacencyMatrix
 from .errors import DegeneracyError
 from .motif import Motif, _PAIRS, containment_probability
-from .rng import stream, substream_seed
+from .rng import KeyedStreams, stream, substream_seed
 
 __all__ = [
     "Graphon",
@@ -36,6 +37,7 @@ __all__ = [
     "probability_matrix",
     "sample_adjacency",
     "sample_graph",
+    "sample_graph_block",
     "population_moment",
     "population_edgeworth_coefficients",
     "MomentEstimate",
@@ -225,24 +227,66 @@ class ProbabilityMatrix:
         return self.W.shape[0]
 
 
-def sample_latent(n: int, seed: int) -> LatentSample:
-    """Draw ``n`` i.i.d. Uniform[0,1] latent positions, deterministically in the seed."""
+def _check_rho(rho: float) -> None:
+    if not (0.0 < rho <= 1.0):
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+
+
+def _check_nodes(n: int) -> None:
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
+
+
+def sample_latent(n: int, seed: int) -> LatentSample:
+    """Draw ``n`` i.i.d. Uniform[0,1] latent positions, deterministically in the seed."""
+    _check_nodes(n)
     positions = stream(seed, "latent").random(n)
     positions.setflags(write=False)
     return LatentSample(positions=positions, seed=seed)
 
 
-def probability_matrix(g: Graphon, x: LatentSample, rho: float) -> ProbabilityMatrix:
-    """Edge probabilities ``W_ij = rho * f(X_i, X_j)`` with a zero diagonal."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    pos = x.positions
-    W = rho * np.asarray(g.evaluate(pos[:, None], pos[None, :]), dtype=np.float64)
+def _edge_probabilities(g: Graphon, pos: np.ndarray, rho: float) -> np.ndarray:
+    """``rho * f(X_i, X_j)`` on every pair of each row of ``pos`` (..., n)."""
+    W = rho * np.asarray(g.evaluate(pos[..., :, None], pos[..., None, :]), dtype=np.float64)
     if (W < 0).any() or (W > 1).any():
         raise ValueError("edge probabilities leave [0, 1]; graphon must map into [0, 1]")
-    W = np.triu(W, 1)
+    return W
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_offsets(n: int) -> np.ndarray:
+    """Row-major flat offsets of the strict upper triangle of an n x n matrix.
+
+    One-axis takes at flat offsets are faster than ``(i, j)`` fancy
+    indexing; the array is cached (read-only) per ``n``.
+    """
+    iu = np.triu_indices(n, 1)
+    upper = iu[0] * n + iu[1]
+    upper.setflags(write=False)
+    return upper
+
+
+def _bernoulli_adjacency(W: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Read-only int8 adjacency (..., n, n): edge ``i < j`` iff ``u < W_ij``, mirrored.
+
+    ``u`` holds one uniform per upper-triangle pair, in row-major order.
+    Only the strict upper triangle of ``W`` is read.
+    """
+    n = W.shape[-1]
+    upper = _upper_offsets(n)
+    flat = W.shape[:-2] + (n * n,)
+    a = np.zeros(flat, dtype=np.int8)
+    a[..., upper] = u < np.take(W.reshape(flat), upper, axis=-1)
+    a = a.reshape(W.shape)
+    a |= np.swapaxes(a, -1, -2)
+    a.setflags(write=False)
+    return a
+
+
+def probability_matrix(g: Graphon, x: LatentSample, rho: float) -> ProbabilityMatrix:
+    """Edge probabilities ``W_ij = rho * f(X_i, X_j)`` with a zero diagonal."""
+    _check_rho(rho)
+    W = np.triu(_edge_probabilities(g, x.positions, rho), 1)
     W = W + W.T
     W.setflags(write=False)
     return ProbabilityMatrix(W=W, rho=float(rho))
@@ -251,12 +295,28 @@ def probability_matrix(g: Graphon, x: LatentSample, rho: float) -> ProbabilityMa
 def sample_adjacency(W: ProbabilityMatrix, seed: int) -> AdjacencyMatrix:
     """Independent Bernoulli(W_ij) edges for i < j, mirrored below the diagonal."""
     n = W.n
-    iu = np.triu_indices(n, 1)
-    u = stream(seed, "edges").random(iu[0].size)
-    a = np.zeros((n, n), dtype=np.int8)
-    a[iu] = u < W.W[iu]
-    a |= a.T
-    return AdjacencyMatrix(a)
+    u = stream(seed, "edges").random(n * (n - 1) // 2)
+    return AdjacencyMatrix._trusted(_bernoulli_adjacency(W.W, u))
+
+
+def sample_graph_block(g: Graphon, n: int, rho: float, seeds) -> np.ndarray:
+    """Adjacency stack ``(b, n, n)`` of ``sample_graph(g, n, rho, s)`` for ``s`` in ``seeds``.
+
+    Each network draws its latents and edge uniforms from its own
+    seed's labeled streams, exactly as :func:`sample_graph` does, so
+    row ``k`` is byte-identical to ``sample_graph(g, n, rho, seeds[k]).a``
+    whatever the block it is drawn in.  The graphon is evaluated once
+    for the whole block.  The stack is int8 and read-only.
+    """
+    _check_nodes(n)
+    _check_rho(rho)
+    streams = KeyedStreams()
+    x = np.empty((len(seeds), n))
+    u = np.empty((len(seeds), n * (n - 1) // 2))
+    for k, seed in enumerate(seeds):
+        streams(seed, "latent").random(out=x[k])
+        streams(seed, "edges").random(out=u[k])
+    return _bernoulli_adjacency(_edge_probabilities(g, x, rho), u)
 
 
 def sample_graph(g: Graphon, n: int, rho: float, seed: int) -> AdjacencyMatrix:
@@ -264,10 +324,10 @@ def sample_graph(g: Graphon, n: int, rho: float, seed: int) -> AdjacencyMatrix:
 
     The latent and edge draws use independent labeled substreams of the
     same seed, so this equals composing the three sampling operations
-    with that seed.
+    with that seed.  It is the one-network case of
+    :func:`sample_graph_block`.
     """
-    x = sample_latent(n, seed)
-    return sample_adjacency(probability_matrix(g, x, rho), seed)
+    return AdjacencyMatrix._trusted(sample_graph_block(g, n, rho, [seed])[0])
 
 
 @dataclass(frozen=True)
@@ -325,8 +385,7 @@ def population_moment(g: Graphon, rho: float, motif: Motif, method: str = "exact
     probability over ``m`` i.i.d. latent r-tuples and reports the
     standard error of that average.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    _check_rho(rho)
     if method == "exact":
         if not g.is_block_model:
             raise ValueError("exact population moments require a block model")
@@ -398,8 +457,7 @@ def population_edgeworth_coefficients(g: Graphon, rho: float, motif: Motif,
         When ``xi_1`` falls below ``1e-10 * rho**s`` (degenerate linear
         projection, e.g. any Erdos-Renyi graphon).
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    _check_rho(rho)
     if g.is_block_model:
         out = _population_coefficients_block(g, rho, motif)
     else:

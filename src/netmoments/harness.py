@@ -13,6 +13,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,9 +28,9 @@ from .bootstrap import resample_distribution, subsample_distribution
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
 from .errors import DegeneracyError, DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
-                      population_moment, sample_graph)
-from .inference import confidence_interval, one_sample_test
-from .moments import compute_stats, motif_counts, variance_estimator
+                      population_moment, sample_graph, sample_graph_block)
+from .inference import ConfidenceInterval, confidence_interval, one_sample_test
+from .moments import compute_stats, motif_counts_block, studentize
 from .motif import Motif, motif_from_config
 from .rng import substream_seed
 
@@ -229,10 +231,26 @@ def population_mean(g: Graphon, rho: float, motif: Motif, n_mc: int = 100_000,
     est = population_moment(g, rho, motif, method="monte-carlo", m=m,
                             seed=substream_seed(seed, "population-mean"))
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(json.dumps(
+        _write_atomic(cache_path, json.dumps(
             {"value": est.value, "standard_error": est.standard_error}))
     return est
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    Readers (including concurrent runs sharing a cache) see either no
+    file or the complete one, never a partial write.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -247,12 +265,24 @@ class TrueCdf:
     t_sd: float
 
 
+# Monte-Carlo truths sample and count networks in blocks of about this
+# many adjacency entries (b * n^2), which keeps a block's float64
+# temporaries within a few hundred kB per thread.
+_TRUTH_BLOCK_ELEMENTS = 1 << 15
+
+
 def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
                          n_mc: int, seed: int, grid=None,
                          mu: float | None = None,
                          max_degenerate_fraction: float = 0.01,
                          threads: int = 1, cache_dir=None) -> TrueCdf:
     """Sample ``n_mc`` networks and tabulate the studentized moment's CDF.
+
+    Replicate ``k`` is the network ``sample_graph(g, n, rho,
+    substream_seed(seed, "mc-truth", k))``.  Networks are sampled and
+    counted in blocks, and ``threads`` workers take whole blocks; since
+    every network keeps its own stream, the result is byte-identical
+    whatever the thread count or block size.
 
     Replicates whose variance estimate is exactly zero cannot be
     studentized; they are skipped and counted.  More than
@@ -263,31 +293,26 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     if mu is None:
         mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed,
                              cache_dir=cache_dir).value
-    r = motif.r
-    c_nr = math.comb(n, r)
-    c_n1r1 = math.comb(n - 1, r - 1)
     t_vals = np.empty(n_mc, dtype=np.float64)
     degenerate = np.zeros(n_mc, dtype=bool)
+    block = max(1, _TRUTH_BLOCK_ELEMENTS // (n * n))
 
-    def run_range(k0: int, k1: int) -> None:
-        for k in range(k0, k1):
-            A = sample_graph(g, n, rho, substream_seed(seed, "mc-truth", k))
-            total, per = motif_counts(A, motif)
-            u_hat = total / c_nr
-            g1 = per / c_n1r1 - u_hat
-            s_sq = variance_estimator(g1, r)
-            if s_sq == 0.0:
-                degenerate[k] = True
-            else:
-                t_vals[k] = (u_hat - mu) / math.sqrt(s_sq)
+    def run_block(k0: int) -> None:
+        k1 = min(k0 + block, n_mc)
+        seeds = [substream_seed(seed, "mc-truth", k) for k in range(k0, k1)]
+        total, per = motif_counts_block(sample_graph_block(g, n, rho, seeds), motif)
+        u_hat, _, s_sq, degen = studentize(total, per, n, motif.r)
+        keep = ~degen
+        degenerate[k0:k1] = degen
+        t_vals[k0:k1][keep] = (u_hat[keep] - mu) / np.sqrt(s_sq[keep])
 
+    starts = range(0, n_mc, block)
     if threads > 1:
-        chunk = max(1, -(-n_mc // threads))
-        bounds = [(k, min(k + chunk, n_mc)) for k in range(0, n_mc, chunk)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_range(*b), bounds))
+            list(pool.map(run_block, starts))
     else:
-        run_range(0, n_mc)
+        for k0 in starts:
+            run_block(k0)
 
     n_degen = int(degenerate.sum())
     if n_degen > max_degenerate_fraction * n_mc:
@@ -378,7 +403,7 @@ def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
 
 
 def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
-                            threads: int = 1, cache_dir=None) -> list[ExperimentRecord]:
+                            cache_dir=None) -> list[ExperimentRecord]:
     """Simulation 2: confidence-interval coverage, length, and time.
 
     Each repetition samples one network, builds each method's two-sided
@@ -418,7 +443,8 @@ def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
                                                       seed=boot_seed)
                         lo = stats.u_hat - F.quantile(1.0 - alpha / 2.0) * stats.s_hat
                         hi = stats.u_hat - F.quantile(alpha / 2.0) * stats.s_hat
-                        ci = _BootCi(lo=min(lo, hi), hi=max(lo, hi))
+                        ci = ConfidenceInterval(lo=min(lo, hi), hi=max(lo, hi),
+                                                alpha=alpha, method=method)
                     except DegenerateReplicatesError:
                         ci = None
                 elapsed = time.perf_counter() - t0
@@ -426,17 +452,10 @@ def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
                     records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
                     continue
                 records.append(ExperimentRecord(
-                    metric="coverage", value=float(ci.lo <= mu <= ci.hi), **base))
-                records.append(ExperimentRecord(
-                    metric="length", value=ci.hi - ci.lo, **base))
+                    metric="coverage", value=float(ci.covers(mu)), **base))
+                records.append(ExperimentRecord(metric="length", value=ci.length, **base))
                 records.append(ExperimentRecord(metric="time_seconds", value=elapsed, **base))
     return records
-
-
-@dataclass(frozen=True)
-class _BootCi:
-    lo: float
-    hi: float
 
 
 def summarize_coverage(records) -> dict:

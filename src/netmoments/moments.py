@@ -32,6 +32,8 @@ __all__ = [
     "edgeworth_coefficients",
     "compute_stats",
     "motif_counts",
+    "motif_counts_block",
+    "studentize",
     "MAX_GENERIC_SUBSETS",
     "MAX_PAIRWISE_NODES",
 ]
@@ -53,18 +55,38 @@ def _structural_kind(motif: Motif) -> str:
     return "generic"
 
 
+_CLOSED_FORM = ("edge", "triangle", "vshape")
+
+
 def _round_int(x: np.ndarray | float):
     return np.rint(x).astype(np.int64)
 
 
-def _triangles_per_node(A: AdjacencyMatrix) -> np.ndarray:
-    Af = A.afloat
-    codeg = Af @ Af
-    return _round_int((codeg * Af).sum(axis=1) / 2.0)
-
-
 def _choose2(d: np.ndarray) -> np.ndarray:
     return d * (d - 1) // 2
+
+
+def _closed_form_counts(af: np.ndarray, degrees: np.ndarray,
+                        kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Edge, triangle or V-shape counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
+
+    ``af`` is the 0/1 adjacency in float64 (BLAS products stay exactly
+    integer-valued) and ``degrees`` its int64 row sums.  Returns
+    ``(total, per_node)`` with shapes ``(...)`` and ``(..., n)``.
+    """
+    if kind == "edge":
+        per = degrees.copy()
+        return per.sum(axis=-1) // 2, per
+    tri = _round_int((af @ af * af).sum(axis=-1) / 2.0)
+    if kind == "triangle":
+        return tri.sum(axis=-1) // 3, tri
+    d = degrees
+    # Subsets {i,j,k} with >= 2 edges, per node: wedge patterns centered
+    # at i plus patterns through a neighbor, minus 2 per triangle.
+    through = _round_int((af @ (d - 1).astype(np.float64)[..., None])[..., 0])
+    per = _choose2(d) + through - 2 * tri
+    total = _choose2(d).sum(axis=-1) - 2 * (tri.sum(axis=-1) // 3)
+    return total, per
 
 
 def motif_counts(A: AdjacencyMatrix, motif: Motif,
@@ -77,25 +99,36 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif,
     ``r`` per-node counts, so ``per_node.sum() == r * total``.
     """
     kind = _structural_kind(motif)
-    n = A.n
+    if A.n < motif.r:
+        raise ValueError(f"graph has {A.n} nodes but motif needs {motif.r}")
+    if kind in _CLOSED_FORM:
+        af = A.afloat if kind != "edge" else None
+        total, per = _closed_form_counts(af, A.degrees, kind)
+        return int(total), per
+    return _generic_counts(A, motif, max_subsets)
+
+
+def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`motif_counts` of every graph in an int8 adjacency stack ``(b, n, n)``.
+
+    The stack must hold valid simple graphs (as the graphon block
+    sampler makes them); it is not re-validated.  Edge, triangle and
+    V-shape counts use batched matrix products; other motifs count
+    row by row through :func:`motif_counts`.  Returns int64 arrays
+    ``total`` ``(b,)`` and ``per_node`` ``(b, n)``.
+    """
+    b, n = a.shape[0], a.shape[-1]
     if n < motif.r:
         raise ValueError(f"graph has {n} nodes but motif needs {motif.r}")
-    if kind == "edge":
-        per = A.degrees.copy()
-        return int(per.sum()) // 2, per
-    if kind == "triangle":
-        per = _triangles_per_node(A)
-        return int(per.sum()) // 3, per
-    if kind == "vshape":
-        tri = _triangles_per_node(A)
-        d = A.degrees
-        # Subsets {i,j,k} with >= 2 edges, per node: wedge patterns centered
-        # at i plus patterns through a neighbor, minus 2 per triangle.
-        through = _round_int(A.afloat @ (d - 1).astype(np.float64))
-        per = _choose2(d) + through - 2 * tri
-        total = int(_choose2(d).sum()) - 2 * (int(tri.sum()) // 3)
-        return total, per
-    return _generic_counts(A, motif, max_subsets)
+    kind = _structural_kind(motif)
+    if kind in _CLOSED_FORM:
+        af = a.astype(np.float64) if kind != "edge" else None
+        return _closed_form_counts(af, a.sum(axis=-1, dtype=np.int64), kind)
+    total = np.empty(b, dtype=np.int64)
+    per = np.empty((b, n), dtype=np.int64)
+    for k in range(b):
+        total[k], per[k] = motif_counts(AdjacencyMatrix._trusted(a[k]), motif)
+    return total, per
 
 
 def _generic_counts(A: AdjacencyMatrix, motif: Motif,
@@ -146,9 +179,7 @@ def local_projection(A: AdjacencyMatrix, motif: Motif,
     exactly r nodes and ``n * C(n-1, r-1) = r * C(n, r)``.
     """
     total, per = motif_counts(A, motif, max_subsets)
-    n, r = A.n, motif.r
-    u_hat = total / math.comb(n, r)
-    return per / math.comb(n - 1, r - 1) - u_hat
+    return studentize(total, per, A.n, motif.r)[1]
 
 
 def _pairwise_inner_counts(A: AdjacencyMatrix, motif: Motif,
@@ -261,13 +292,35 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif,
     return g2
 
 
-def variance_estimator(g1: np.ndarray, r: int) -> float:
-    """Moment-based variance estimate ``S_hat^2 = (r^2/n^2) * sum(g1^2)``."""
+def variance_estimator(g1: np.ndarray, r: int):
+    """Moment-based variance estimate ``S_hat^2 = (r^2/n^2) * sum(g1^2)``.
+
+    ``g1`` is one projection vector ``(n,)`` (returns a float) or a
+    stack ``(b, n)`` (returns one estimate per row).
+    """
     g1 = np.asarray(g1, dtype=np.float64)
     if g1.size == 0:
         raise ValueError("empty projection vector")
-    n = g1.size
-    return float(r * r * np.sum(g1 * g1) / (n * n))
+    n = g1.shape[-1]
+    s_sq = r * r * np.sum(g1 * g1, axis=-1) / (n * n)
+    return float(s_sq) if s_sq.ndim == 0 else s_sq
+
+
+def studentize(total, per_node, n: int, r: int):
+    """Moment, projections and variance from subset counts.
+
+    Maps ``(total, per_node, n, r)`` to ``(u_hat, g1, s_hat_sq,
+    degenerate)``: the sample moment, the per-node projections
+    ``g1_hat``, the moment-based variance estimate, and whether that
+    estimate is exactly zero (the statistic cannot be studentized).
+    ``total`` may be a scalar with ``per_node`` of shape ``(n,)``, or an
+    array ``(b,)`` with ``per_node`` ``(b, n)``, computed row by row
+    with the same arithmetic either way.
+    """
+    u_hat = np.asarray(total) / math.comb(n, r)
+    g1 = np.asarray(per_node) / math.comb(n - 1, r - 1) - u_hat[..., None]
+    s_hat_sq = variance_estimator(g1, r)
+    return u_hat, g1, s_hat_sq, np.equal(s_hat_sq, 0.0)
 
 
 def jackknife_variance(A: AdjacencyMatrix, motif: Motif,
@@ -339,9 +392,8 @@ def compute_stats(A: AdjacencyMatrix, motif: Motif,
     if n < r:
         raise ValueError(f"graph has {n} nodes but motif needs {r}")
     total, per = motif_counts(A, motif, max_subsets)
-    u_hat = total / math.comb(n, r)
-    g1 = per / math.comb(n - 1, r - 1) - u_hat
-    s_hat_sq = variance_estimator(g1, r)
+    u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
+    u_hat = float(u_hat)
     g2 = pair_projection(A, motif, g1=g1, u_hat=u_hat,
                          node_cap=node_cap, max_subsets=max_subsets)
     xi1_sq, e3, e112 = edgeworth_coefficients(g1, g2)
@@ -349,5 +401,5 @@ def compute_stats(A: AdjacencyMatrix, motif: Motif,
         n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq,
         g1_hat=g1, g2_hat=g2, xi1_hat_sq=xi1_sq,
         e_g1_cubed=e3, e_g1g1g2=e112,
-        degenerate=(s_hat_sq == 0.0),
+        degenerate=bool(degenerate),
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netmoments import (EDGE, TRIANGLE, DegenerateReplicatesError, EmpiricalCdf,
-                        cdf_eval, from_edges, resample_distribution, sample_graph,
+                        from_edges, resample_distribution, sample_graph,
                         subsample_distribution)
 from conftest import paper_block_model
 
@@ -23,7 +23,7 @@ class TestEmpiricalCdf:
         assert F.evaluate(1.0) == 0.75
         assert F.evaluate(2.0) == 1.0
         assert F.evaluate(5.0) == 1.0
-        assert cdf_eval(F, 0.0) == 0.75
+        assert F.evaluate([0.0, 2.0]).tolist() == [0.75, 1.0]
 
     def test_nondecreasing_on_grid(self):
         rng = np.random.default_rng(0)

@@ -168,6 +168,15 @@ class TestExperimentCommand:
         summary = msgs[0]
         assert "edgeworth_empirical" in summary
 
+    def test_coverage_rejects_threads(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, n=[16], repetitions=2)
+        out = tmp_path / "cov.csv"
+        with pytest.raises(SystemExit, match="--threads") as exc:
+            main(["experiment", "coverage", "--config", str(cfg), "--out", str(out),
+                  "--threads", "2"])
+        assert exc.value.code != 0
+        assert not out.exists()
+
     def test_missing_output_path(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         with pytest.raises(SystemExit, match="no output path"):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -9,7 +10,9 @@ from netmoments import (EDGE, TRIANGLE, DegeneracyError, LatentSample,
                         builtin_graphon, custom_graphon, graphon_from_config,
                         nonsmooth_graphon, population_edgeworth_coefficients,
                         population_moment, probability_matrix, sample_adjacency,
-                        sample_graph, sample_latent, smooth_graphon)
+                        sample_graph, sample_graph_block, sample_latent, smooth_graphon,
+                        stream)
+from netmoments.rng import KeyedStreams
 from netmoments.motif import conditional_expectation_h
 
 from conftest import paper_block_model
@@ -83,6 +86,65 @@ class TestSampling:
         x = sample_latent(12, seed=21)
         composed = sample_adjacency(probability_matrix(bm, x, 0.7), seed=21)
         assert np.array_equal(direct.a, composed.a)
+
+    # sha256 of sample_graph(...).a as drawn by the one-network-at-a-time
+    # sampler; the block sampler must not move a single edge.
+    PINNED = (
+        ("blockmodel", 15, 1.0, 7,
+         "53f349a3104cbde81b22d45abec8b2cf7163d1cd67cbcac1667034d7c9bea0f8"),
+        ("smoothgraphon", 12, 1.0, 3,
+         "e5c11052fd3d1908a5ea0cb1fbd2961840e8816c857fd819dd13fbf6dfd098f9"),
+        ("nonsmoothgraphon", 20, 0.5, 11,
+         "dcb7ac29eff9021a6a6a5c8e1bd942d0c2ef0dcfe8d6880a3910994fcecc35b7"),
+        ("blockmodel", 40, 40 ** -0.5, 2024,
+         "df90265b797b570a4f10adc3e538f199ec87cf5006b06192cd0094266f696ec6"),
+    )
+
+    @pytest.mark.parametrize("name,n,rho,seed,digest", PINNED)
+    def test_sample_graph_pinned_bytes(self, name, n, rho, seed, digest):
+        A = sample_graph(builtin_graphon(name), n, rho, seed)
+        assert A.a.dtype == np.int8
+        assert hashlib.sha256(A.a.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["blockmodel", "smoothgraphon", "nonsmoothgraphon"])
+    def test_block_rows_equal_single_samples(self, name):
+        g = builtin_graphon(name)
+        seeds = [3, 99, 2 ** 62 + 5, 0, 17]
+        block = sample_graph_block(g, 13, 0.6, seeds)
+        assert block.shape == (5, 13, 13) and not block.flags.writeable
+        for k, seed in enumerate(seeds):
+            assert block[k].tobytes() == sample_graph(g, 13, 0.6, seed).a.tobytes()
+
+    def test_block_range_check(self):
+        bad = custom_graphon(lambda u, v: 0.5 + 0.0 * u * v + 2.0 * (u > 0.9) * (v > 0.9),
+                             check=False)
+        with pytest.raises(ValueError, match="leave"):
+            sample_graph_block(bad, 60, 1.0, [1, 2])
+        with pytest.raises(ValueError, match="rho"):
+            sample_graph_block(paper_block_model(), 10, 0.0, [1])
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            sample_graph(paper_block_model(), 1, 1.0, 1)
+
+
+class TestKeyedStreams:
+    def test_matches_fresh_streams(self):
+        streams = KeyedStreams()
+        for seed, labels in ((0, ("latent",)), (2 ** 62 + 1, ("edges",)), (-7, ("x", 3))):
+            fresh = stream(seed, *labels)
+            # Draw odd sizes and mixed kinds so the buffered state matters.
+            expect = (fresh.random(7), fresh.integers(0, 10, size=3), fresh.random(2))
+            keyed = streams(seed, *labels)
+            got = (keyed.random(7), keyed.integers(0, 10, size=3), keyed.random(2))
+            for e, g in zip(expect, got):
+                assert e.tobytes() == g.tobytes()
+
+    def test_rekey_resets_state(self):
+        streams = KeyedStreams()
+        first = streams(5, "edges").random(3)
+        streams(5, "edges").random(1)
+        out = np.empty(3)
+        streams(5, "edges").random(out=out)
+        assert out.tobytes() == first.tobytes()
 
 
 class TestGraphonValidation:

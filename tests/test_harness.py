@@ -1,18 +1,20 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from netmoments import (EDGE, TRIANGLE, DegenerateReplicatesError,
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesError,
                         ExperimentConfig, monte_carlo_true_cdf, population_mean,
                         resolve_rho, run_accuracy_experiment, run_coverage_experiment,
                         run_power_experiment, run_sparsity_sweep, substream_seed,
                         sup_grid_error, write_records_csv)
-from netmoments.harness import (ExperimentRecord, effective_sample_size_check,
-                                summarize_coverage)
+from netmoments import builtin_graphon, motif_counts, sample_graph
+from netmoments.harness import (_TRUTH_BLOCK_ELEMENTS, ExperimentRecord,
+                                effective_sample_size_check, summarize_coverage)
 from conftest import paper_block_model
 
 
@@ -133,10 +135,48 @@ class TestTrueCdf:
         assert abs(diffs.mean()) <= 5.0 * diffs.std(ddof=1) / math.sqrt(n_mc)
 
     def test_threads_reproduce_serial(self, bm):
-        t1 = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=15, n_mc=1_500, seed=4, threads=1)
-        t2 = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=15, n_mc=1_500, seed=4, threads=3)
-        assert np.array_equal(t1.values, t2.values)
-        assert t1.n_degenerate == t2.n_degenerate
+        # Two and three workers, on fast thread switching, take blocks in
+        # any order; a lost or misplaced block would change the bytes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            truths = [monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=15, n_mc=1_500, seed=4,
+                                           threads=k) for k in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        fields = [(t.values.tobytes(), t.n_degenerate, repr(t.t_mean), repr(t.t_sd))
+                  for t in truths]
+        assert fields[0] == fields[1] == fields[2]
+
+    @pytest.mark.parametrize("graphon", ["blockmodel", "smoothgraphon", "nonsmoothgraphon"])
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE, THREESTAR], ids=lambda m: m.name)
+    def test_blocks_equal_per_network_oracle(self, graphon, motif):
+        # The truth, network by network: sample_graph on each replicate's
+        # seed, count, studentize, tabulate.  The blocked truth must give
+        # the same bytes, with n_mc spanning a partial last block.
+        g = builtin_graphon(graphon)
+        n, rho, seed, mu = 9, 0.8, 13, 0.25
+        n_mc = 2 * (_TRUTH_BLOCK_ELEMENTS // (n * n)) + 37
+        r = motif.r
+        t_vals, degenerate = [], 0
+        for k in range(n_mc):
+            A = sample_graph(g, n, rho, substream_seed(seed, "mc-truth", k))
+            total, per = motif_counts(A, motif)
+            u_hat = total / math.comb(n, r)
+            g1 = per / math.comb(n - 1, r - 1) - u_hat
+            s_sq = float(r * r * np.sum(g1 * g1) / (n * n))
+            if s_sq == 0.0:
+                degenerate += 1
+            else:
+                t_vals.append((u_hat - mu) / math.sqrt(s_sq))
+        kept = np.sort(np.asarray(t_vals))
+        truth = monte_carlo_true_cdf(g, rho, motif, n, n_mc, seed=seed, mu=mu,
+                                     max_degenerate_fraction=1.0, threads=2)
+        expect = np.searchsorted(kept, truth.grid, side="right") / kept.size
+        assert truth.values.tobytes() == expect.tobytes()
+        assert truth.n_degenerate == degenerate
+        assert repr(truth.t_mean) == repr(float(kept.mean()))
+        assert repr(truth.t_sd) == repr(float(kept.std(ddof=1)))
 
     def test_degenerate_guard(self, bm):
         # Triangles at n=10 are absent in over 1% of draws.
@@ -145,6 +185,22 @@ class TestTrueCdf:
         truth = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=10, n_mc=1_500, seed=2,
                                      max_degenerate_fraction=0.25)
         assert truth.n_degenerate > 0.01 * truth.n_total
+
+
+class TestPopulationMeanCache:
+    def test_round_trip_leaves_no_temp_file(self, tmp_path):
+        g = builtin_graphon("smoothgraphon")
+        cache = tmp_path / "cache"
+        first = population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache)
+        files = list(cache.iterdir())
+        assert len(files) == 1 and files[0].name.startswith("mu-")
+        assert files[0].suffix == ".json"
+        second = population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache)
+        assert (second.value, second.standard_error) == (first.value, first.standard_error)
+        assert list(cache.iterdir()) == files
+        # A cache hit reads the file instead of recomputing.
+        files[0].write_text(json.dumps({"value": 0.125, "standard_error": 0.0}))
+        assert population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache).value == 0.125
 
 
 class TestAccuracyExperiment:

@@ -6,8 +6,8 @@ import pytest
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, CostCapError,
                         compute_stats, edgeworth_coefficients, from_edges,
                         jackknife_variance, load_edge_list, local_projection,
-                        motif_counts, pair_projection, sample_moment,
-                        variance_estimator)
+                        motif_counts, motif_counts_block, pair_projection,
+                        sample_moment, studentize, variance_estimator)
 from conftest import Oracle, random_graph
 
 PATH3 = from_edges(3, [(0, 1), (1, 2)])
@@ -185,6 +185,37 @@ class TestOracleEquivalence:
                 assert np.array_equal(per_fast, per_slow)
                 assert np.allclose(pair_projection(A, motif), oracle.g2(A), atol=1e-12)
 
+    def test_block_counts_equal_brute_force(self):
+        # Stacked graphs of one size, with an empty and a complete graph
+        # among them, through the batched kernel and row by row.
+        rng = np.random.default_rng(10)
+        for n in (4, 7, 10):
+            graphs = [random_graph(rng, n) for _ in range(5)]
+            graphs += [random_graph(rng, n, p=0.0), random_graph(rng, n, p=1.0)]
+            stack = np.stack([A.a for A in graphs])
+            for motif in MOTIFS:
+                oracle = Oracle(motif)
+                totals, per = motif_counts_block(stack, motif)
+                assert totals.shape == (len(graphs),) and per.shape == (len(graphs), n)
+                for k, A in enumerate(graphs):
+                    t_slow, per_slow = oracle.counts(A)
+                    assert totals[k] == t_slow
+                    assert np.array_equal(per[k], per_slow)
+
+    def test_studentize_rows_equal_single(self):
+        rng = np.random.default_rng(11)
+        graphs = [random_graph(rng, 12) for _ in range(6)] + [K4.induced([0, 1, 2, 3] * 3)]
+        stack = np.stack([A.a for A in graphs])
+        for motif in (EDGE, TRIANGLE, VSHAPE):
+            totals, per = motif_counts_block(stack, motif)
+            rows = studentize(totals, per, 12, motif.r)
+            for k, A in enumerate(graphs):
+                stats = compute_stats(A, motif)
+                assert rows[0][k] == stats.u_hat
+                assert rows[1][k].tobytes() == stats.g1_hat.tobytes()
+                assert rows[2][k] == stats.s_hat_sq
+                assert rows[3][k] == stats.degenerate
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -199,6 +230,11 @@ class TestOracleEquivalence:
                 assert sb.s_hat_sq == pytest.approx(sa.s_hat_sq, abs=1e-12)
                 assert sb.e_g1g1g2 == pytest.approx(sa.e_g1g1g2, abs=1e-12)
                 assert np.allclose(sb.g1_hat[perm], sa.g1_hat, atol=1e-12)
+
+    def test_relabeled_rejects_non_permutation(self):
+        for bad in ([0, 0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 5]):
+            with pytest.raises(ValueError, match="permutation"):
+                C5.relabeled(bad)
 
     def test_monotone_under_edge_addition(self):
         rng = np.random.default_rng(10)
