@@ -3,11 +3,16 @@
 Everything here is driven by exact integer subset counts: the number of
 r-node subsets whose induced subgraph contains the motif, in total and
 per node (and, for the pairwise projection, per node pair).  Counts are
-accumulated exactly and divided once at the end.  Edge, triangle and
-V-shape statistics use closed counting formulas evaluated with matrix
-products (0/1 matrices in float64 keep every intermediate value exactly
-integer); other motifs fall back to explicit subset enumeration, guarded
-by cost caps.
+accumulated exactly and divided once at the end.  Edge, triangle,
+V-shape and three-star statistics use closed counting formulas evaluated
+with matrix products (0/1 matrices in float64 keep every intermediate
+value exactly integer); other motifs fall back to explicit subset
+enumeration, guarded by the cost caps ``max_subsets`` and ``node_cap``.
+
+Every containing r-set through node ``i`` pairs ``i`` with its other
+r - 1 members, so the pair counts fix the per-node counts:
+``per_node = inner.sum(1) // (r - 1)``.  :func:`compute_stats` uses this
+to count each graph once.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ __all__ = [
 ]
 
 # Generic enumeration is allowed up to this many subsets; the O(n^4)
-# pairwise projections are capped at this many nodes.  Both overridable.
+# pairwise projections of generic 4- and 5-node motifs are capped at this
+# many nodes.  Both overridable; the closed-form motifs ignore them.
 MAX_GENERIC_SUBSETS = 100_000_000
 MAX_PAIRWISE_NODES = 256
 
@@ -105,7 +111,15 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif,
         af = A.afloat if kind != "edge" else None
         total, per = _closed_form_counts(af, A.degrees, kind)
         return int(total), per
+    if kind == "threestar":
+        return _counts_from_inner(_threestar_inner_counts(A), motif.r)
     return _generic_counts(A, motif, max_subsets)
+
+
+def _counts_from_inner(inner: np.ndarray, r: int) -> tuple[int, np.ndarray]:
+    """``(total, per_node)`` from the pair completion counts of an r-node motif."""
+    per = inner.sum(axis=1) // (r - 1)
+    return int(per.sum()) // r, per
 
 
 def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndarray]:
@@ -205,38 +219,73 @@ def _pairwise_inner_counts(A: AdjacencyMatrix, motif: Motif,
         counts = np.where(A.a == 1, union, codeg)
         np.fill_diagonal(counts, 0)
         return counts
-    if r >= 4 and n > node_cap:
+    if kind == "threestar":
+        return _threestar_inner_counts(A)
+    if n > node_cap:
         raise CostCapError(
             f"pairwise projection for r={r} motifs is O(n^4); n={n} exceeds the "
             f"cap of {node_cap}; raise node_cap to override")
-    if kind == "threestar":
-        return _threestar_pair_counts(A)
     return _generic_pair_counts(A, motif, max_subsets)
 
 
-def _threestar_pair_counts(A: AdjacencyMatrix) -> np.ndarray:
-    """Three-star completion counts by the (vectorized) double loop over pairs."""
-    n = A.n
-    a = A.a.astype(bool)
-    counts = np.zeros((n, n), dtype=np.int64)
-    iu = np.triu_indices(n, 1)
-    for i, j in zip(*iu):
-        bi = a[i]
-        bj = a[j]
-        both = bi & bj
-        if a[i, j]:
-            # Star centered at i needs k,l in N(i); at j needs k,l in N(j).
-            centered = np.outer(bi, bi) | np.outer(bj, bj)
-        else:
-            centered = np.zeros((n, n), dtype=bool)
-        # Star centered at k (or l) needs that node adjacent to i, j and
-        # the remaining node.
-        outer_center = (both[:, None] | both[None, :]) & a
-        good = centered | outer_center
-        good[i, :] = good[j, :] = good[:, i] = good[:, j] = False
-        c = int(np.triu(good, 1).sum())
-        counts[i, j] = counts[j, i] = c
-    return counts
+# Rows of the edge-product matrix W in _common_neighbour_edges are built
+# and multiplied in chunks of at most this many float64 elements.
+_EDGE_PRODUCT_ELEMENTS = 1 << 18
+
+
+def _threestar_inner_counts(A: AdjacencyMatrix) -> np.ndarray:
+    """Three-star pair completion counts in closed form.
+
+    ``inner[i, j]`` is the number of pairs {k, l} for which {i, j, k, l}
+    contains a three-star.  Let c(S) be the number of nodes of a 4-set S
+    adjacent to the other three.  c is 0, 1, 2 or 4 (c = 4 exactly when
+    S is a K4), so S contains a three-star iff
+    ``c - C(c, 2) + 3*[c = 4]`` is 1, and it is 0 otherwise.  Summing
+    the three terms over {k, l}, with ``d`` the degrees, ``C = A@A``
+    with a zero diagonal (codegrees), ``M = (A*(C - 1))@A`` and ``E[i, j]``
+    the number of edges among the common neighbours of i and j:
+
+        inner = A*(C(d_i-1, 2) + C(d_j-1, 2)) + (A*(d - 2))@A
+                - A*(C(C, 2) + M + M^T) - E + 3*A*E
+
+    with a zero diagonal.  Sum c: centre i or j (needs edge ij), then
+    centre k or l.  Sum C(c, 2), pairs of centres: {i, j}, {i or j, k or
+    l} (the M terms) and {k, l} (the E term).  K4s: 3*A*E.  Every value
+    is an exact integer in float64.  Per-node counts follow as
+    ``inner.sum(1) // 3``.
+    """
+    af = A.afloat
+    d = A.degrees.astype(np.float64)
+    codeg = af @ af
+    np.fill_diagonal(codeg, 0.0)
+    m = (af * (codeg - 1.0)) @ af
+    e = _common_neighbour_edges(A.a, codeg)
+    c2 = (d - 1.0) * (d - 2.0) * 0.5
+    on_edge = c2[:, None] + c2[None, :] - codeg * (codeg - 1.0) * 0.5 - m - m.T + 3.0 * e
+    inner = af * on_edge + (af * (d - 2.0)) @ af - e
+    np.fill_diagonal(inner, 0.0)
+    return _round_int(inner)
+
+
+def _common_neighbour_edges(a: np.ndarray, codeg: np.ndarray) -> np.ndarray:
+    """``E[i, j]``: edges among the common neighbours of i and j (off-diagonal).
+
+    Each edge {k, l} adds ``w w^T`` with ``w = A[k] * A[l]``, the
+    indicator of the common neighbours of k and l, so ``E = W^T W`` for
+    the matrix W of those rows.  An edge with fewer than two common
+    neighbours adds only to the diagonal, which is not needed, so only
+    edges in two or more triangles become rows: with m2 of them this
+    costs O(m2 n^2) flops.  W is multiplied in row chunks, so memory
+    stays O(n^2).  The diagonal is left unspecified.
+    """
+    n = a.shape[0]
+    k, l = np.nonzero(np.triu(codeg >= 2.0) & (a == 1))
+    e = np.zeros((n, n))
+    step = max(1, _EDGE_PRODUCT_ELEMENTS // n)
+    for s in range(0, k.size, step):
+        w = (a[k[s:s + step]] & a[l[s:s + step]]).astype(np.float64)
+        e += w.T @ w
+    return e
 
 
 def _generic_pair_counts(A: AdjacencyMatrix, motif: Motif,
@@ -273,19 +322,30 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif,
                     max_subsets: int = MAX_GENERIC_SUBSETS) -> np.ndarray:
     """Pairwise projection estimates ``g2_hat`` (symmetric, zero diagonal).
 
+    ``g2_hat[i, j]`` is the fraction of (r-2)-subsets that complete the
+    pair {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``.
     For ``r = 2`` the inner average is the adjacency entry itself (the
-    remaining subset is empty).  The three-star path runs the double
-    loop over the remaining pair and is cost-capped via ``node_cap``.
+    remaining subset is empty).  Edge, triangle, V-shape and three-star
+    completion counts are closed-form matrix expressions (see
+    :func:`_threestar_inner_counts`); other 4- and 5-node motifs are
+    enumerated per pair, refused above ``node_cap`` nodes or
+    ``max_subsets`` subsets.  ``g1`` and ``u_hat`` default to the values
+    implied by the same completion counts.
     """
     n, r = A.n, motif.r
     if n < r:
         raise ValueError(f"graph has {n} nodes but motif needs {r}")
-    if g1 is None:
-        g1 = local_projection(A, motif, max_subsets)
-    if u_hat is None:
-        u_hat = sample_moment(A, motif, max_subsets)
     inner = _pairwise_inner_counts(A, motif, node_cap, max_subsets)
-    h2 = inner / math.comb(n - 2, r - 2)
+    if g1 is None or u_hat is None:
+        u, g, _, _ = studentize(*_counts_from_inner(inner, r), n, r)
+        g1 = g if g1 is None else g1
+        u_hat = float(u) if u_hat is None else u_hat
+    return _pair_projection_from_inner(inner, g1, u_hat, r)
+
+
+def _pair_projection_from_inner(inner: np.ndarray, g1: np.ndarray,
+                                u_hat: float, r: int) -> np.ndarray:
+    h2 = inner / math.comb(inner.shape[0] - 2, r - 2)
     # Grouping the pair sum keeps the result bitwise symmetric.
     g2 = (h2 - u_hat) - (g1[:, None] + g1[None, :])
     np.fill_diagonal(g2, 0.0)
@@ -384,18 +444,20 @@ def compute_stats(A: AdjacencyMatrix, motif: Motif,
                   max_subsets: int = MAX_GENERIC_SUBSETS) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
-    Sets ``degenerate`` when the variance estimate is exactly zero
-    (e.g. empty or complete graphs); downstream studentization must
-    check the flag rather than divide.
+    The pair completion counts are computed once and give the per-node
+    counts too (see the module docstring), so ``node_cap`` and
+    ``max_subsets`` apply as in :func:`pair_projection`.  Sets
+    ``degenerate`` when the variance estimate is exactly zero (e.g.
+    empty or complete graphs); downstream studentization must check the
+    flag rather than divide.
     """
     n, r = A.n, motif.r
     if n < r:
         raise ValueError(f"graph has {n} nodes but motif needs {r}")
-    total, per = motif_counts(A, motif, max_subsets)
-    u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
+    inner = _pairwise_inner_counts(A, motif, node_cap, max_subsets)
+    u_hat, g1, s_hat_sq, degenerate = studentize(*_counts_from_inner(inner, r), n, r)
     u_hat = float(u_hat)
-    g2 = pair_projection(A, motif, g1=g1, u_hat=u_hat,
-                         node_cap=node_cap, max_subsets=max_subsets)
+    g2 = _pair_projection_from_inner(inner, g1, u_hat, r)
     xi1_sq, e3, e112 = edgeworth_coefficients(g1, g2)
     return MomentStats(
         n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq,

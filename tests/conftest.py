@@ -91,18 +91,27 @@ class Oracle:
             out[i] = acc / math.comb(n - 1, r - 1) - u
         return out
 
-    def g2(self, A: AdjacencyMatrix) -> np.ndarray:
+    def inner(self, A: AdjacencyMatrix) -> np.ndarray:
+        """Per pair, the (r-2)-subsets completing it to a containing r-set."""
         n, r = A.n, self.r
-        u = self.u_hat(A)
-        g1 = self.g1(A)
-        out = np.zeros((n, n))
+        out = np.zeros((n, n), dtype=np.int64)
         for i, j in itertools.combinations(range(n), 2):
             others = [v for v in range(n) if v not in (i, j)]
             acc = 0
             for rest in itertools.combinations(others, r - 2):
                 subset = (i, j) + rest
                 acc += self.h(A.a[np.ix_(subset, subset)])
-            val = acc / math.comb(n - 2, r - 2) - u - g1[i] - g1[j]
+            out[i, j] = out[j, i] = acc
+        return out
+
+    def g2(self, A: AdjacencyMatrix) -> np.ndarray:
+        n, r = A.n, self.r
+        u = self.u_hat(A)
+        g1 = self.g1(A)
+        inner = self.inner(A)
+        out = np.zeros((n, n))
+        for i, j in itertools.combinations(range(n), 2):
+            val = inner[i, j] / math.comb(n - 2, r - 2) - u - g1[i] - g1[j]
             out[i, j] = out[j, i] = val
         return out
 

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, CostCapError,
-                        compute_stats, edgeworth_coefficients, from_edges,
-                        jackknife_variance, load_edge_list, local_projection,
-                        motif_counts, motif_counts_block, pair_projection,
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
+                        CostCapError, compute_stats, edgeworth_coefficients,
+                        from_edges, jackknife_variance, load_edge_list,
+                        local_projection, make_motif, motif_counts,
+                        motif_counts_block, pair_projection, sample_graph,
                         sample_moment, studentize, variance_estimator)
-from conftest import Oracle, random_graph
+from netmoments.moments import _threestar_inner_counts
+from conftest import Oracle, paper_block_model, random_graph
 
 PATH3 = from_edges(3, [(0, 1), (1, 2)])
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 MOTIFS = (EDGE, TRIANGLE, VSHAPE, THREESTAR)
+# A generic (enumerated) 4-node motif: the cost caps apply to it.
+FOUR_PATH = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a)
 
 
 class TestSampleMoment:
@@ -72,8 +76,13 @@ class TestPairProjection:
     def test_node_cap(self):
         A = random_graph(np.random.default_rng(3), 12, 0.5)
         with pytest.raises(CostCapError, match="node_cap"):
-            pair_projection(A, THREESTAR, node_cap=10)
-        pair_projection(A, THREESTAR, node_cap=12)  # override works
+            pair_projection(A, FOUR_PATH, node_cap=10)
+        pair_projection(A, FOUR_PATH, node_cap=12)  # override works
+
+    def test_threestar_ignores_node_cap(self):
+        A = random_graph(np.random.default_rng(3), 12, 0.5)
+        g2 = pair_projection(A, THREESTAR, node_cap=10)
+        assert np.array_equal(g2, pair_projection(A, THREESTAR))
 
 
 class TestVariance:
@@ -128,7 +137,7 @@ class TestEdgeworthCoefficients:
         rng = np.random.default_rng(5)
         for _ in range(10):
             A = random_graph(rng, int(rng.integers(5, 11)))
-            for motif in (EDGE, TRIANGLE, VSHAPE):
+            for motif in MOTIFS:
                 oracle = Oracle(motif)
                 stats = compute_stats(A, motif)
                 assert stats.e_g1g1g2 == pytest.approx(oracle.e_g1g1g2(A), abs=1e-12)
@@ -253,19 +262,138 @@ class TestOracleEquivalence:
                 assert sample_moment(B, motif) >= sample_moment(A, motif)
 
 
+def _star(n):
+    return from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def _k4_with_pendant():
+    return from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(3, 4)])
+
+
+def _with_isolated(A, extra):
+    a = np.zeros((A.n + extra, A.n + extra), dtype=np.int8)
+    a[:A.n, :A.n] = A.a
+    return AdjacencyMatrix(a)
+
+
+def _edges_among_common_neighbours(A):
+    """Per pair, edges among its common neighbours, node by node over N(i)."""
+    n = A.n
+    af = A.a.astype(np.float64)
+    e = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        nb = np.flatnonzero(A.a[i])
+        p = af[:, nb]
+        e[i] = np.rint(((p @ af[np.ix_(nb, nb)]) * p).sum(axis=1) / 2)
+    return e
+
+
+def _threestar_total(A):
+    """sum_v C(d_v, 3) - sum_{uv in E} C(codeg_uv, 2) + 3 * #K4."""
+    d = A.degrees
+    codeg = A.a.astype(np.int64) @ A.a.astype(np.int64)
+    upper = np.triu(A.a, 1) == 1
+    n_k4 = int((_edges_among_common_neighbours(A)[upper]).sum()) // 6
+    return (int((d * (d - 1) * (d - 2) // 6).sum())
+            - int((codeg[upper] * (codeg[upper] - 1) // 2).sum()) + 3 * n_k4)
+
+
+class TestThreestarKernel:
+    """The closed-form three-star counts against enumeration."""
+
+    ORACLE = Oracle(THREESTAR)
+
+    def assert_exact(self, A):
+        inner = _threestar_inner_counts(A)
+        total, per = motif_counts(A, THREESTAR)
+        o_total, o_per = self.ORACLE.counts(A)
+        assert inner.dtype == np.int64
+        assert np.array_equal(inner, self.ORACLE.inner(A))
+        assert total == o_total and isinstance(total, int)
+        assert np.array_equal(per, o_per)
+        assert total == _threestar_total(A)
+
+    def test_random_graphs_across_densities(self):
+        rng = np.random.default_rng(40)
+        for p in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            for n in range(4, 13):
+                self.assert_exact(random_graph(rng, n, p))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 11])
+    def test_edge_cases(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_exact(random_graph(rng, n, p=0.0))
+        self.assert_exact(random_graph(rng, n, p=1.0))
+        self.assert_exact(_star(n))
+        self.assert_exact(_with_isolated(random_graph(rng, n, 0.6), 3))
+
+    def test_known_values(self):
+        # K_n: every 4-set; star: every 4-set through the centre;
+        # K4 plus a pendant at node 3: the K4 and the sets {3, 4, x, y}.
+        assert motif_counts(K4, THREESTAR)[0] == 1
+        assert motif_counts(_star(9), THREESTAR)[0] == math.comb(8, 3)
+        total, per = motif_counts(_k4_with_pendant(), THREESTAR)
+        assert total == 4
+        assert per.tolist() == [3, 3, 3, 4, 3]
+        self.assert_exact(_k4_with_pendant())
+
+    def test_pair_projection_matches_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            A = random_graph(rng, int(rng.integers(4, 11)))
+            assert np.allclose(pair_projection(A, THREESTAR),
+                               self.ORACLE.g2(A), atol=1e-12)
+
+    def test_compute_stats_counts_once(self):
+        # compute_stats derives the counts from the pair counts; both
+        # routes must give the same bytes.
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            A = random_graph(rng, int(rng.integers(4, 14)))
+            stats = compute_stats(A, THREESTAR)
+            u, g1, s_sq, _ = studentize(*motif_counts(A, THREESTAR), A.n, 4)
+            assert stats.u_hat == float(u) and stats.s_hat_sq == s_sq
+            assert stats.g1_hat.tobytes() == g1.tobytes()
+            g2 = pair_projection(A, THREESTAR, g1=g1, u_hat=float(u))
+            assert stats.g2_hat.tobytes() == g2.tobytes()
+            assert pair_projection(A, THREESTAR).tobytes() == g2.tobytes()
+
+    def test_default_caps_at_300_nodes(self):
+        n = 300
+        A = sample_graph(paper_block_model(), n, 1.0, seed=3)
+        stats = compute_stats(A, THREESTAR)  # no CostCapError
+        inner = _threestar_inner_counts(A)
+        total, per = motif_counts(A, THREESTAR)
+        assert np.array_equal(inner.sum(axis=1), 3 * per)
+        assert int(per.sum()) == 4 * total
+        assert total == _threestar_total(A)
+        # Deleting a node removes exactly the sets through it.
+        for v in (0, 150, 299):
+            keep = [u for u in range(n) if u != v]
+            assert total - per[v] == _threestar_total(A.induced(keep))
+        assert stats.u_hat == total / math.comb(n, 4)
+        perm = np.random.default_rng(43).permutation(n)
+        sb = compute_stats(A.relabeled(perm), THREESTAR)
+        assert sb.u_hat == stats.u_hat
+        assert sb.s_hat_sq == pytest.approx(stats.s_hat_sq, rel=1e-12)
+        assert np.array_equal(sb.g1_hat[perm], stats.g1_hat)
+        assert np.array_equal(sb.g2_hat[np.ix_(perm, perm)], stats.g2_hat)
+
+
 class TestCostCaps:
     def test_generic_subset_cap(self):
         A = random_graph(np.random.default_rng(11), 12, 0.5)
         with pytest.raises(CostCapError, match="max_subsets"):
-            sample_moment(A, THREESTAR, max_subsets=10)
+            sample_moment(A, FOUR_PATH, max_subsets=10)
 
     def test_pairwise_generic_cap(self):
         A = random_graph(np.random.default_rng(12), 10, 0.5)
-        four_path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        from netmoments import make_motif
-        motif = make_motif(four_path.a)
         with pytest.raises(CostCapError, match="max_subsets"):
-            pair_projection(A, motif, max_subsets=10)
+            pair_projection(A, FOUR_PATH, max_subsets=10)
+
+    def test_threestar_ignores_subset_cap(self):
+        A = random_graph(np.random.default_rng(11), 12, 0.5)
+        assert sample_moment(A, THREESTAR, max_subsets=10) == sample_moment(A, THREESTAR)
 
 
 class TestEdgeListIO:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         compute_stats, conditional_expectation_h, contains,
-                        local_projection, pair_projection, sample_moment)
+                        local_projection, motif_counts, pair_projection, sample_moment)
+from netmoments.moments import _threestar_inner_counts
 
 MOTIFS = (EDGE, TRIANGLE, VSHAPE, THREESTAR)
 
@@ -49,6 +50,18 @@ def test_pair_projection_symmetric_hollow(A, motif):
     g2 = pair_projection(A, motif)
     assert np.array_equal(g2, g2.T)
     assert (np.diag(g2) == 0.0).all()
+
+
+@SETTINGS
+@given(graphs(max_n=14))
+def test_threestar_count_identities(A):
+    # Each containing 4-set through i pairs i with its other three
+    # members, and hits four nodes.
+    inner = _threestar_inner_counts(A)
+    total, per = motif_counts(A, THREESTAR)
+    assert np.array_equal(inner, inner.T) and (np.diag(inner) == 0).all()
+    assert np.array_equal(inner.sum(axis=1), 3 * per)
+    assert int(per.sum()) == 4 * total
 
 
 @SETTINGS
