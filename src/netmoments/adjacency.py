@@ -14,8 +14,8 @@ class AdjacencyMatrix:
     """Adjacency matrix of a simple undirected graph.
 
     Wraps a symmetric, hollow 0/1 matrix and caches the derived views
-    the counting code needs (degrees, sorted neighbor lists, a float64
-    copy for exact integer-valued BLAS products).
+    the counting code needs (degrees, and a float64 copy for exact
+    integer-valued BLAS products).
     """
 
     def __init__(self, a):
@@ -48,10 +48,6 @@ class AdjacencyMatrix:
         self.a = a
         self.n = a.shape[0]
         self.degrees = a.sum(axis=1, dtype=np.int64)
-
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.flatnonzero(self.a[i]) for i in range(self.n))
 
     @cached_property
     def afloat(self) -> np.ndarray:
@@ -88,6 +84,8 @@ def from_edges(n: int, edges) -> AdjacencyMatrix:
     """Build a graph on ``n`` nodes from 0-based edge pairs."""
     a = np.zeros((n, n), dtype=np.int8)
     for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) has a node id outside [0, {n})")
         if i == j:
             raise ValueError(f"self-loop ({i}, {j}) not allowed")
         a[i, j] = a[j, i] = 1

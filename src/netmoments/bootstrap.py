@@ -66,7 +66,24 @@ def _replicate_t(A_star: AdjacencyMatrix, motif: Motif, u_full: float,
     return float((u_star - u_full) / math.sqrt(s_sq))
 
 
-def _collect(values: list[float], dropped: int, B: int) -> EmpiricalCdf:
+def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
+                draw, use_jackknife: bool) -> EmpiricalCdf:
+    """Studentize ``B`` induced subgraphs, replicate ``b`` on the nodes ``draw(rng)``.
+
+    ``rng`` is replicate ``b``'s own stream ``(seed, label, b)``.
+    Degenerate replicates are dropped and counted.
+    """
+    if B < 1:
+        raise ValueError(f"need at least one replicate, got B={B}")
+    u_full = sample_moment(A, motif)
+    streams = KeyedStreams()
+    values = []
+    for b in range(B):
+        t = _replicate_t(A.induced(draw(streams(seed, label, b))), motif, u_full,
+                         use_jackknife)
+        if t is not None:
+            values.append(t)
+    dropped = B - len(values)
     if dropped > MAX_DROP_FRACTION * B:
         raise DegenerateReplicatesError(
             f"{dropped} of {B} bootstrap replicates were degenerate "
@@ -87,21 +104,9 @@ def subsample_distribution(A: AdjacencyMatrix, motif: Motif, n_star: int,
     n = A.n
     if not (motif.r <= n_star < n):
         raise ValueError(f"need r <= n_star < n, got n_star={n_star}, n={n}")
-    if B < 1:
-        raise ValueError(f"need at least one replicate, got B={B}")
-    u_full = sample_moment(A, motif)
-    streams = KeyedStreams()
-    values: list[float] = []
-    dropped = 0
-    for b in range(B):
-        rng = streams(seed, "subsample", b)
-        idx = np.sort(rng.choice(n, size=n_star, replace=False))
-        t = _replicate_t(A.induced(idx), motif, u_full, use_jackknife)
-        if t is None:
-            dropped += 1
-        else:
-            values.append(t)
-    return _collect(values, dropped, B)
+    return _replicates(A, motif, B, seed, "subsample",
+                       lambda rng: np.sort(rng.choice(n, size=n_star, replace=False)),
+                       use_jackknife)
 
 
 def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
@@ -113,19 +118,6 @@ def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
     (``i_a == i_b``) read the zero diagonal and contribute no edge, so the
     result stays a simple graph.
     """
-    if B < 1:
-        raise ValueError(f"need at least one replicate, got B={B}")
     n = A.n
-    u_full = sample_moment(A, motif)
-    streams = KeyedStreams()
-    values: list[float] = []
-    dropped = 0
-    for b in range(B):
-        rng = streams(seed, "resample", b)
-        idx = rng.integers(0, n, size=n)
-        t = _replicate_t(A.induced(idx), motif, u_full, use_jackknife)
-        if t is None:
-            dropped += 1
-        else:
-            values.append(t)
-    return _collect(values, dropped, B)
+    return _replicates(A, motif, B, seed, "resample",
+                       lambda rng: rng.integers(0, n, size=n), use_jackknife)

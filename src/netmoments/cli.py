@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from .adjacency import load_edge_list
 from .bootstrap import resample_distribution, subsample_distribution
 from .graphon import graphon_from_config, sample_graph
 from .harness import (ExperimentConfig, resolve_rho, run_accuracy_experiment,
-                      run_coverage_experiment, run_sparsity_sweep,
-                      summarize_coverage, write_records_csv)
+                      run_coverage_experiment, summarize_coverage, write_records_csv)
 from .inference import confidence_interval, one_sample_test
 from .moments import compute_stats
 from .motif import motif_from_config
@@ -30,7 +30,7 @@ def _graphon_arg(value: str):
     if value.strip().startswith("{"):
         return graphon_from_config(json.loads(value))
     if value.endswith(".json"):
-        return graphon_from_config(json.loads(open(value).read()))
+        return graphon_from_config(json.loads(Path(value).read_text()))
     return graphon_from_config(value)
 
 
@@ -137,9 +137,15 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.kind == "coverage" and args.threads > 1:
-        raise SystemExit("--threads has no effect on coverage experiments, which run "
-                         "serially; drop --threads or pass --threads 1")
+    # A flag that this kind of run would ignore is rejected.
+    for flag, given, kinds in (
+            ("--threads", args.threads > 1, ("accuracy", "sparsity")),
+            ("--max-degenerate-fraction", args.max_degenerate_fraction is not None,
+             ("accuracy", "sparsity")),
+            ("--alpha", args.alpha is not None, ("coverage",))):
+        if given and args.kind not in kinds:
+            raise SystemExit(f"{flag} has no effect on {args.kind} experiments, only "
+                             f"on {' and '.join(kinds)}; drop {flag}")
     cfg = ExperimentConfig.from_json(args.config)
     out = args.out or cfg.output
     if out is None:
@@ -147,17 +153,16 @@ def _cmd_experiment(args) -> int:
     for n in cfg.n_list:
         for rho in cfg.rho_values(n):
             ew.check_expansion_applicability(rho, n)
-    if args.kind == "accuracy":
-        records = run_accuracy_experiment(
-            cfg, threads=args.threads, cache_dir=args.cache_dir,
-            max_degenerate_fraction=args.max_degenerate_fraction)
-    elif args.kind == "coverage":
-        records = run_coverage_experiment(cfg, alpha=args.alpha, cache_dir=args.cache_dir)
+    # Flags left unset keep the library defaults.
+    options = {name: value for name, value in (
+        ("alpha", args.alpha), ("max_degenerate_fraction", args.max_degenerate_fraction))
+        if value is not None}
+    if args.kind == "coverage":
+        records = run_coverage_experiment(cfg, cache_dir=args.cache_dir, **options)
         _emit(summarize_coverage(records))
     else:
-        records = run_sparsity_sweep(
-            cfg, threads=args.threads, cache_dir=args.cache_dir,
-            max_degenerate_fraction=args.max_degenerate_fraction)
+        records = run_accuracy_experiment(cfg, threads=args.threads,
+                                          cache_dir=args.cache_dir, **options)
     write_records_csv(records, out)
     _emit({"experiment": args.kind, "records": len(records), "out": out})
     return 0
@@ -218,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="Monte-Carlo truth workers (accuracy and sparsity only)")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--alpha", type=float, default=0.2, help="coverage level (coverage only)")
-    p.add_argument("--max-degenerate-fraction", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=None,
+                   help="coverage level (coverage only; default 0.2)")
+    p.add_argument("--max-degenerate-fraction", type=float, default=None,
+                   help="truth degeneracy cap (accuracy and sparsity only; default 0.01)")
     p.set_defaults(func=_cmd_experiment)
     return parser
 

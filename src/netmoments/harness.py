@@ -26,7 +26,7 @@ from scipy.special import ndtr
 from .adjacency import AdjacencyMatrix
 from .bootstrap import resample_distribution, subsample_distribution
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
-from .errors import DegeneracyError, DegenerateReplicatesError
+from .errors import DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
                       population_moment, sample_graph, sample_graph_block)
 from .inference import ConfidenceInterval, confidence_interval, one_sample_test
@@ -326,80 +326,88 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
                    t_mean=float(kept.mean()), t_sd=float(kept.std(ddof=1)))
 
 
-def _method_grid_cdf(method: str, A: AdjacencyMatrix, motif: Motif, grid,
-                     n_boot: int, boot_seed: int):
-    """One method's grid CDF approximation, or None for a degenerate sample."""
-    if method == "normal":
-        return ndtr(grid)
-    if method == "edgeworth_empirical":
-        stats = compute_stats(A, motif)
-        if stats.degenerate:
-            return None
-        return expansion_cdf(EdgeworthCoefficients.from_moment_stats(stats), grid)
+def _bootstrap(method: str, A: AdjacencyMatrix, cfg: ExperimentConfig, seed: int):
+    """The named bootstrap's replicate distribution; sub-samples take n/2 nodes."""
     if method == "subsample":
-        F = subsample_distribution(A, motif, n_star=A.n // 2, B=n_boot, seed=boot_seed)
-        return F.evaluate(grid)
-    if method == "resample":
-        F = resample_distribution(A, motif, B=n_boot, seed=boot_seed)
-        return F.evaluate(grid)
-    raise ValueError(f"unknown method {method!r}")
+        return subsample_distribution(A, cfg.motif, n_star=A.n // 2, B=cfg.n_boot, seed=seed)
+    return resample_distribution(A, cfg.motif, B=cfg.n_boot, seed=seed)
 
 
-def _accuracy_records(cfg: ExperimentConfig, n: int, rho: float,
-                      records: list, threads: int, cache_dir,
-                      max_degenerate_fraction: float,
-                      on_degenerate: str) -> None:
-    g_name, m_name = cfg.graphon.name, cfg.motif.name or "custom"
-    mu = population_mean(cfg.graphon, rho, cfg.motif, n_mc=cfg.n_mc,
-                         seed=cfg.seed, cache_dir=cache_dir).value
-    truth = monte_carlo_true_cdf(
-        cfg.graphon, rho, cfg.motif, n, cfg.n_mc,
-        seed=substream_seed(cfg.seed, "truth", n, repr(rho)),
-        grid=cfg.grid, mu=mu,
-        max_degenerate_fraction=max_degenerate_fraction, threads=threads)
-    for rep in range(cfg.repetitions):
-        A = sample_graph(cfg.graphon, n, rho,
-                         substream_seed(cfg.seed, "accuracy-rep", n, repr(rho), rep))
-        for method in cfg.methods:
-            boot_seed = substream_seed(cfg.seed, "accuracy-boot", n, repr(rho),
-                                       rep, method)
-            t0 = time.perf_counter()
-            try:
-                approx = _method_grid_cdf(method, A, cfg.motif, cfg.grid,
-                                          cfg.n_boot, boot_seed)
-            except DegenerateReplicatesError:
-                approx = None
-            elapsed = time.perf_counter() - t0
-            base = dict(method=method, graphon=g_name, motif=m_name,
-                        n=n, rho=rho, rep=rep)
-            if approx is None:
-                if on_degenerate == "raise":
-                    raise DegeneracyError(
-                        f"degenerate replicate: rep={rep}, n={n}, rho={rho}")
-                records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
-                continue
-            records.append(ExperimentRecord(
-                metric="sup_error", value=sup_grid_error(approx, truth.values), **base))
-            records.append(ExperimentRecord(metric="time_seconds", value=elapsed, **base))
+def _experiment(cfg: ExperimentConfig, label: str, points, evaluator,
+                cache_dir) -> list[ExperimentRecord]:
+    """The one loop of Simulations 1-3, over (n, rho, rep, method).
+
+    ``points(n)`` lists the ``(rho, key)`` pairs run at ``n``; their
+    streams are keyed ``(label-rep, *key, rep)`` and ``(label-boot, *key,
+    rep, method)``.  ``evaluator(n, rho, mu)`` does the per-(n, rho)
+    set-up and returns ``evaluate(A, method, boot_seed)``: the method's
+    metrics for sample ``A``, or None when it is degenerate (as is a
+    bootstrap that drops too many replicates).  Metrics are recorded with
+    the method's wall-clock time.
+    """
+    records: list[ExperimentRecord] = []
+    for n in cfg.n_list:
+        for rho, key in points(n):
+            mu = population_mean(cfg.graphon, rho, cfg.motif, n_mc=cfg.n_mc,
+                                 seed=cfg.seed, cache_dir=cache_dir).value
+            evaluate = evaluator(n, rho, mu)
+            for rep in range(cfg.repetitions):
+                A = sample_graph(cfg.graphon, n, rho,
+                                 substream_seed(cfg.seed, f"{label}-rep", *key, rep))
+                for method in cfg.methods:
+                    boot_seed = substream_seed(cfg.seed, f"{label}-boot", *key, rep, method)
+                    base = dict(method=method, graphon=cfg.graphon.name,
+                                motif=cfg.motif.name or "custom", n=n, rho=rho, rep=rep)
+                    t0 = time.perf_counter()
+                    try:
+                        metrics = evaluate(A, method, boot_seed)
+                    except DegenerateReplicatesError:
+                        metrics = None
+                    elapsed = time.perf_counter() - t0
+                    if metrics is None:
+                        records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
+                        continue
+                    for metric, value in (*metrics.items(), ("time_seconds", elapsed)):
+                        records.append(ExperimentRecord(metric=metric, value=value, **base))
+    return records
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
                             cache_dir=None,
-                            max_degenerate_fraction: float = 0.01,
-                            on_degenerate: str = "record") -> list[ExperimentRecord]:
-    """Simulation 1: sup-grid CDF approximation error per method.
+                            max_degenerate_fraction: float = 0.01) -> list[ExperimentRecord]:
+    """Simulations 1 and 3: sup-grid CDF approximation error per method.
 
-    For each ``n``: build the Monte-Carlo truth, then per repetition
-    sample one network and record every method's sup-grid error and
-    wall-clock time.  Replicates whose sample is degenerate are recorded
-    as such (``on_degenerate="raise"`` propagates instead).
+    For each ``n`` and each rho of the config (one value, or a sparsity
+    sweep's list): build the Monte-Carlo truth, then per repetition sample
+    one network and record every method's sup-grid error and wall-clock
+    time, or ``degenerate`` (for example, too sparse for the motif).
     """
-    records: list[ExperimentRecord] = []
-    for n in cfg.n_list:
-        rho = cfg.single_rho(n)
-        _accuracy_records(cfg, n, rho, records, threads, cache_dir,
-                          max_degenerate_fraction, on_degenerate)
-    return records
+    def evaluator(n, rho, mu):
+        truth = monte_carlo_true_cdf(
+            cfg.graphon, rho, cfg.motif, n, cfg.n_mc,
+            seed=substream_seed(cfg.seed, "truth", n, repr(rho)),
+            grid=cfg.grid, mu=mu,
+            max_degenerate_fraction=max_degenerate_fraction, threads=threads)
+
+        def evaluate(A, method, boot_seed):
+            if method == "normal":
+                approx = ndtr(cfg.grid)
+            elif method == "edgeworth_empirical":
+                stats = compute_stats(A, cfg.motif)
+                if stats.degenerate:
+                    return None
+                approx = expansion_cdf(EdgeworthCoefficients.from_moment_stats(stats),
+                                       cfg.grid)
+            else:
+                approx = _bootstrap(method, A, cfg, boot_seed).evaluate(cfg.grid)
+            return {"sup_error": sup_grid_error(approx, truth.values)}
+        return evaluate
+    return _experiment(cfg, "accuracy",
+                       lambda n: [(rho, (n, repr(rho))) for rho in cfg.rho_values(n)],
+                       evaluator, cache_dir)
+
+
+run_sparsity_sweep = run_accuracy_experiment
 
 
 def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
@@ -409,53 +417,27 @@ def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
     Each repetition samples one network, builds each method's two-sided
     ``1 - alpha`` interval, and records whether it covers the population
     moment.  Bootstrap intervals studentize with the full-sample
-    variance estimate and empirical replicate quantiles.
+    variance estimate and empirical replicate quantiles.  A method's time
+    covers all it computes from the sample, moment statistics included.
     """
-    records: list[ExperimentRecord] = []
-    g_name, m_name = cfg.graphon.name, cfg.motif.name or "custom"
-    for n in cfg.n_list:
-        rho = cfg.single_rho(n)
-        mu = population_mean(cfg.graphon, rho, cfg.motif, n_mc=cfg.n_mc,
-                             seed=cfg.seed, cache_dir=cache_dir).value
-        for rep in range(cfg.repetitions):
-            A = sample_graph(cfg.graphon, n, rho,
-                             substream_seed(cfg.seed, "coverage-rep", n, rep))
+    def evaluator(n, rho, mu):
+        def evaluate(A, method, boot_seed):
             stats = compute_stats(A, cfg.motif)
-            for method in cfg.methods:
-                base = dict(method=method, graphon=g_name, motif=m_name,
-                            n=n, rho=rho, rep=rep)
-                t0 = time.perf_counter()
-                ci = None
-                if stats.degenerate:
-                    pass
-                elif method == "edgeworth_empirical":
-                    ci = confidence_interval(stats, alpha, method="edgeworth")
-                elif method == "normal":
-                    ci = confidence_interval(stats, alpha, method="normal")
-                else:
-                    boot_seed = substream_seed(cfg.seed, "coverage-boot", n, rep, method)
-                    try:
-                        if method == "subsample":
-                            F = subsample_distribution(A, cfg.motif, n_star=n // 2,
-                                                       B=cfg.n_boot, seed=boot_seed)
-                        else:
-                            F = resample_distribution(A, cfg.motif, B=cfg.n_boot,
-                                                      seed=boot_seed)
-                        lo = stats.u_hat - F.quantile(1.0 - alpha / 2.0) * stats.s_hat
-                        hi = stats.u_hat - F.quantile(alpha / 2.0) * stats.s_hat
-                        ci = ConfidenceInterval(lo=min(lo, hi), hi=max(lo, hi),
-                                                alpha=alpha, method=method)
-                    except DegenerateReplicatesError:
-                        ci = None
-                elapsed = time.perf_counter() - t0
-                if ci is None:
-                    records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
-                    continue
-                records.append(ExperimentRecord(
-                    metric="coverage", value=float(ci.covers(mu)), **base))
-                records.append(ExperimentRecord(metric="length", value=ci.length, **base))
-                records.append(ExperimentRecord(metric="time_seconds", value=elapsed, **base))
-    return records
+            if stats.degenerate:
+                return None
+            if method in ("subsample", "resample"):
+                F = _bootstrap(method, A, cfg, boot_seed)
+                lo = stats.u_hat - F.quantile(1.0 - alpha / 2.0) * stats.s_hat
+                hi = stats.u_hat - F.quantile(alpha / 2.0) * stats.s_hat
+                ci = ConfidenceInterval(lo=min(lo, hi), hi=max(lo, hi),
+                                        alpha=alpha, method=method)
+            else:
+                ci = confidence_interval(
+                    stats, alpha, method="normal" if method == "normal" else "edgeworth")
+            return {"coverage": float(ci.covers(mu)), "length": ci.length}
+        return evaluate
+    return _experiment(cfg, "coverage", lambda n: [(cfg.single_rho(n), (n,))],
+                       evaluator, cache_dir)
 
 
 def summarize_coverage(records) -> dict:
@@ -474,22 +456,6 @@ def summarize_coverage(records) -> dict:
             summary[method][metric] = (float(arr.mean()),
                                        float(arr.std(ddof=1)) if arr.size > 1 else 0.0)
     return summary
-
-
-def run_sparsity_sweep(cfg: ExperimentConfig, threads: int = 1, cache_dir=None,
-                       max_degenerate_fraction: float = 0.01) -> list[ExperimentRecord]:
-    """Simulation 3: the accuracy experiment repeated across a rho list.
-
-    Records are tagged with each resolved rho.  Configurations that
-    degenerate (for example, too sparse for the motif to occur) are
-    recorded as degenerate rather than crashing.
-    """
-    records: list[ExperimentRecord] = []
-    for n in cfg.n_list:
-        for rho in cfg.rho_values(n):
-            _accuracy_records(cfg, n, rho, records, threads, cache_dir,
-                              max_degenerate_fraction, on_degenerate="record")
-    return records
 
 
 def run_power_experiment(cfg: ExperimentConfig, offsets, alpha: float = 0.2,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,10 +43,6 @@ class ConfidenceInterval:
         return self.lo <= value <= self.hi
 
 
-def _coefficients(stats: MomentStats) -> EdgeworthCoefficients:
-    return EdgeworthCoefficients.from_moment_stats(stats)
-
-
 def one_sample_test(stats: MomentStats, c_n: float,
                     alternative: str = "two-sided") -> TestResult:
     """Test ``H0: mu_n = c_n`` using the empirical expansion of the CDF.
@@ -59,7 +54,7 @@ def one_sample_test(stats: MomentStats, c_n: float,
     """
     if stats.degenerate:
         raise DegeneracyError("degenerate sample (zero variance); cannot studentize")
-    coeffs = _coefficients(stats)
+    coeffs = EdgeworthCoefficients.from_moment_stats(stats)
     t_obs = (stats.u_hat - c_n) / stats.s_hat
     g = float(expansion_cdf(coeffs, t_obs))
     if alternative == "two-sided":
@@ -92,7 +87,7 @@ def confidence_interval(stats: MomentStats, alpha: float,
     if stats.degenerate:
         raise DegeneracyError("degenerate sample (zero variance); cannot studentize")
     if method == "edgeworth":
-        coeffs = _coefficients(stats)
+        coeffs = EdgeworthCoefficients.from_moment_stats(stats)
         q_lo = cornish_fisher_quantile(coeffs, alpha / 2.0)
         q_hi = cornish_fisher_quantile(coeffs, 1.0 - alpha / 2.0)
     elif method == "normal":

@@ -3,6 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines live.
 The simulation-backed criteria are stochastic by nature; they follow the
 stated protocol of retrying once with a second seed before failing.
+Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """
 
 import itertools
@@ -22,6 +24,8 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         run_coverage_experiment, run_sparsity_sweep, sample_graph,
                         substream_seed)
 from conftest import Oracle, paper_block_model, random_graph
+
+pytestmark = pytest.mark.acceptance
 
 MOTIFS = (EDGE, TRIANGLE, VSHAPE, THREESTAR)
 THREADS = 2

@@ -177,6 +177,41 @@ class TestExperimentCommand:
         assert exc.value.code != 0
         assert not out.exists()
 
+    def test_coverage_rejects_max_degenerate_fraction(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, n=[16], repetitions=2)
+        out = tmp_path / "cov.csv"
+        with pytest.raises(SystemExit, match="--max-degenerate-fraction") as exc:
+            main(["experiment", "coverage", "--config", str(cfg), "--out", str(out),
+                  "--max-degenerate-fraction", "0.5"])
+        assert exc.value.code != 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["accuracy", "sparsity"])
+    def test_truth_experiments_reject_alpha(self, tmp_path, capsys, kind):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit, match="--alpha") as exc:
+            main(["experiment", kind, "--config", str(cfg), "--out", str(out),
+                  "--alpha", "0.01"])
+        assert exc.value.code != 0
+        assert not out.exists()
+
+    def test_accuracy_runs_a_rho_list_as_the_sweep(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, rho=[1, "n^-1/2"])
+        outputs = {}
+        for kind in ("accuracy", "sparsity"):
+            outputs[kind] = tmp_path / f"{kind}.csv"
+            with pytest.warns(UserWarning):
+                code, _ = run_cli(capsys, [
+                    "experiment", kind, "--config", str(cfg), "--out", str(outputs[kind]),
+                    "--max-degenerate-fraction", "0.5"])
+            assert code == 0
+        rows = {kind: [row for row in csv.DictReader(open(path))
+                       if row["metric"] != "time_seconds"]
+                for kind, path in outputs.items()}
+        assert {row["rho"] for row in rows["accuracy"]} == {"1.0", repr(12 ** -0.5)}
+        assert rows["accuracy"] == rows["sparsity"]
+
     def test_missing_output_path(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         with pytest.raises(SystemExit, match="no output path"):

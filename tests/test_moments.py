@@ -415,3 +415,10 @@ class TestEdgeListIO:
         p.write_text("0 1\n")
         with pytest.raises(ValueError, match="1-based"):
             load_edge_list(p)
+
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 3), (-1, 2), (3, 0)])
+    def test_from_edges_rejects_ids_outside_range(self, pair):
+        # (0, -1) would otherwise wrap to the edge 0-2 through numpy's
+        # negative indexing; (0, 3) would be a bare IndexError.
+        with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\).*\[0, 3\)"):
+            from_edges(3, [pair])
