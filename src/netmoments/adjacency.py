@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -10,26 +9,29 @@ import numpy as np
 __all__ = ["AdjacencyMatrix", "from_edges", "load_edge_list"]
 
 
+def _check_square_binary(m, what: str) -> np.ndarray:
+    """``m`` as int8, after checking it is square, 0/1, symmetric and hollow."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
+    if not np.isin(m, (0, 1)).all():
+        raise ValueError(f"{what} must be binary (0/1 entries)")
+    m = m.astype(np.int8)
+    if (m != m.T).any():
+        raise ValueError(f"{what} must be symmetric")
+    if np.diagonal(m).any():
+        raise ValueError(f"{what} must have a zero diagonal (no self-loops)")
+    return m
+
+
 class AdjacencyMatrix:
     """Adjacency matrix of a simple undirected graph.
 
-    Wraps a symmetric, hollow 0/1 matrix and caches the derived views
-    the counting code needs (degrees, and a float64 copy for exact
-    integer-valued BLAS products).
+    Wraps a symmetric, hollow 0/1 int8 matrix and its degrees.
     """
 
     def __init__(self, a):
-        a = np.asarray(a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("adjacency must be binary (0/1 entries)")
-        a = a.astype(np.int8)
-        if (a != a.T).any():
-            raise ValueError("adjacency must be symmetric")
-        if np.diagonal(a).any():
-            raise ValueError("adjacency must have a zero diagonal (no self-loops)")
-        self._wrap(a)
+        self._wrap(_check_square_binary(a, "adjacency"))
 
     @classmethod
     def _trusted(cls, a: np.ndarray) -> "AdjacencyMatrix":
@@ -48,11 +50,6 @@ class AdjacencyMatrix:
         self.a = a
         self.n = a.shape[0]
         self.degrees = a.sum(axis=1, dtype=np.int64)
-
-    @cached_property
-    def afloat(self) -> np.ndarray:
-        # 0/1 in float64: BLAS products of these stay exactly integer-valued.
-        return self.a.astype(np.float64)
 
     @property
     def edge_count(self) -> int:

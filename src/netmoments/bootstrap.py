@@ -15,7 +15,7 @@ import numpy as np
 
 from .adjacency import AdjacencyMatrix
 from .errors import DegenerateReplicatesError
-from .moments import jackknife_variance, motif_counts, sample_moment, studentize
+from .moments import _jackknife_from_counts, motif_counts, sample_moment, studentize
 from .motif import Motif
 from .rng import KeyedStreams
 
@@ -60,7 +60,7 @@ def _replicate_t(A_star: AdjacencyMatrix, motif: Motif, u_full: float,
     total, per = motif_counts(A_star, motif)
     u_star, _, s_sq, _ = studentize(total, per, A_star.n, motif.r)
     if use_jackknife:
-        s_sq = jackknife_variance(A_star, motif)
+        s_sq = _jackknife_from_counts(total, per, A_star.n, motif.r)
     if s_sq == 0.0:
         return None
     return float((u_star - u_full) / math.sqrt(s_sq))

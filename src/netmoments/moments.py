@@ -1,18 +1,17 @@
 """Sample network moments and their projection/variance estimators.
 
-Everything here is driven by exact integer subset counts: the number of
-r-node subsets whose induced subgraph contains the motif, in total and
-per node (and, for the pairwise projection, per node pair).  Counts are
-accumulated exactly and divided once at the end.  Edge, triangle,
-V-shape and three-star statistics use closed counting formulas evaluated
-with matrix products (0/1 matrices in float64 keep every intermediate
-value exactly integer); other motifs fall back to explicit subset
-enumeration, guarded by the cost caps ``max_subsets`` and ``node_cap``.
-
-Every containing r-set through node ``i`` pairs ``i`` with its other
-r - 1 members, so the pair counts fix the per-node counts:
-``per_node = inner.sum(1) // (r - 1)``.  :func:`compute_stats` uses this
-to count each graph once.
+Everything here is driven by one table of exact integer counts, the pair
+completion counts: ``inner[i, j]`` is the number of (r-2)-subsets that
+complete the pair {i, j} to an r-node subset whose induced subgraph
+contains the motif.  Every containing r-set through node ``i`` pairs
+``i`` with its other r - 1 members, so the table fixes the per-node
+counts, ``per_node = inner.sum(1) / (r - 1)``, and the total,
+``per_node.sum() / r``; ``g2`` follows from the table itself.  One
+kernel, :func:`_inner_counts`, builds it for one graph or a stack of
+graphs.  Edge, triangle, V-shape and three-star tables use closed
+counting formulas evaluated with matrix products (0/1 matrices in
+float64 keep every intermediate value exactly integer); other motifs
+enumerate the r-subsets once, guarded by the cost cap ``max_subsets``.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ __all__ = [
     "motif_counts_block",
     "studentize",
     "MAX_GENERIC_SUBSETS",
-    "MAX_PAIRWISE_NODES",
 ]
 
-# Generic enumeration is allowed up to this many subsets; the O(n^4)
-# pairwise projections of generic 4- and 5-node motifs are capped at this
-# many nodes.  Both overridable; the closed-form motifs ignore them.
+# Generic enumeration is allowed up to this many subsets (overridable);
+# the closed-form motifs ignore it.
 MAX_GENERIC_SUBSETS = 100_000_000
-MAX_PAIRWISE_NODES = 256
 
 
 def _structural_kind(motif: Motif) -> str:
@@ -61,38 +57,62 @@ def _structural_kind(motif: Motif) -> str:
     return "generic"
 
 
-_CLOSED_FORM = ("edge", "triangle", "vshape")
-
-
 def _round_int(x: np.ndarray | float):
     return np.rint(x).astype(np.int64)
 
 
-def _choose2(d: np.ndarray) -> np.ndarray:
-    return d * (d - 1) // 2
+def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int) -> np.ndarray:
+    """Pair completion counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
 
-
-def _closed_form_counts(af: np.ndarray, degrees: np.ndarray,
-                        kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Edge, triangle or V-shape counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
-
-    ``af`` is the 0/1 adjacency in float64 (BLAS products stay exactly
-    integer-valued) and ``degrees`` its int64 row sums.  Returns
-    ``(total, per_node)`` with shapes ``(...)`` and ``(..., n)``.
+    ``a`` is the int8 adjacency of valid simple graphs.  The table has
+    ``a``'s shape and holds exact integers: ``a`` itself for the edge,
+    float64 for the triangle and V-shape (rounded once, at the row sums,
+    by :func:`_counts_from_inner`) and int64 for the three-star and
+    generic motifs, which are counted one graph at a time.  Raises
+    ``CostCapError`` when a generic enumeration would visit more than
+    ``max_subsets`` subsets.
     """
+    n = a.shape[-1]
+    if n < motif.r:
+        raise ValueError(f"graph has {n} nodes but motif needs {motif.r}")
+    kind = _structural_kind(motif)
     if kind == "edge":
-        per = degrees.copy()
-        return per.sum(axis=-1) // 2, per
-    tri = _round_int((af @ af * af).sum(axis=-1) / 2.0)
+        return a
+    if kind in ("threestar", "generic") and a.ndim == 3:
+        # No batched form; reshape keeps the shape of an empty stack.
+        return np.array([_inner_counts(g, motif, max_subsets) for g in a]).reshape(a.shape)
+    if kind == "threestar":
+        return _threestar_inner_counts(a)
+    if kind == "generic":
+        return _enumerated_inner_counts(a, motif, max_subsets)
+    af = a.astype(np.float64)
+    codeg = af @ af
     if kind == "triangle":
-        return tri.sum(axis=-1) // 3, tri
-    d = degrees
-    # Subsets {i,j,k} with >= 2 edges, per node: wedge patterns centered
-    # at i plus patterns through a neighbor, minus 2 per triangle.
-    through = _round_int((af @ (d - 1).astype(np.float64)[..., None])[..., 0])
-    per = _choose2(d) + through - 2 * tri
-    total = _choose2(d).sum(axis=-1) - 2 * (tri.sum(axis=-1) // 3)
-    return total, per
+        return codeg * af
+    # V-shape.  With the pair edge present any third node adjacent to
+    # either end works (d_i + d_j - 2 - codeg of them); without it the
+    # third node must close both edges (codeg).  The diagonal of the
+    # codegree matrix holds the degrees.
+    d = np.diagonal(codeg, axis1=-2, axis2=-1)
+    inner = d[..., :, None] + d[..., None, :]
+    inner -= 2.0
+    inner -= 2.0 * codeg
+    inner *= af
+    inner += codeg
+    diag = np.arange(n)
+    inner[..., diag, diag] = 0.0
+    return inner
+
+
+def _counts_from_inner(inner: np.ndarray, r: int):
+    """``(total, per_node)`` from the pair completion counts of an r-node motif.
+
+    For one graph ``total`` is an int and ``per_node`` an int64 array
+    ``(n,)``; for a stack they are int64 arrays ``(b,)`` and ``(b, n)``.
+    """
+    per = _round_int(inner.sum(axis=-1)) // (r - 1)
+    total = per.sum(axis=-1) // r
+    return (int(total) if per.ndim == 1 else total), per
 
 
 def motif_counts(A: AdjacencyMatrix, motif: Motif,
@@ -104,76 +124,20 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif,
     subsets that include node ``i``.  Every subset contributes to exactly
     ``r`` per-node counts, so ``per_node.sum() == r * total``.
     """
-    kind = _structural_kind(motif)
-    if A.n < motif.r:
-        raise ValueError(f"graph has {A.n} nodes but motif needs {motif.r}")
-    if kind in _CLOSED_FORM:
-        af = A.afloat if kind != "edge" else None
-        total, per = _closed_form_counts(af, A.degrees, kind)
-        return int(total), per
-    if kind == "threestar":
-        return _counts_from_inner(_threestar_inner_counts(A), motif.r)
-    return _generic_counts(A, motif, max_subsets)
-
-
-def _counts_from_inner(inner: np.ndarray, r: int) -> tuple[int, np.ndarray]:
-    """``(total, per_node)`` from the pair completion counts of an r-node motif."""
-    per = inner.sum(axis=1) // (r - 1)
-    return int(per.sum()) // r, per
+    return _counts_from_inner(_inner_counts(A.a, motif, max_subsets), motif.r)
 
 
 def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndarray]:
     """:func:`motif_counts` of every graph in an int8 adjacency stack ``(b, n, n)``.
 
     The stack must hold valid simple graphs (as the graphon block
-    sampler makes them); it is not re-validated.  Edge, triangle and
-    V-shape counts use batched matrix products; other motifs count
-    row by row through :func:`motif_counts`.  Returns int64 arrays
-    ``total`` ``(b,)`` and ``per_node`` ``(b, n)``.
+    sampler makes them); it is not re-validated.  It goes through the
+    same pair-count kernel as a single graph: edge, triangle and V-shape
+    tables are batched matrix products, three-star and generic tables
+    are built one graph at a time.  Returns int64 arrays ``total``
+    ``(b,)`` and ``per_node`` ``(b, n)``.
     """
-    b, n = a.shape[0], a.shape[-1]
-    if n < motif.r:
-        raise ValueError(f"graph has {n} nodes but motif needs {motif.r}")
-    kind = _structural_kind(motif)
-    if kind in _CLOSED_FORM:
-        af = a.astype(np.float64) if kind != "edge" else None
-        return _closed_form_counts(af, a.sum(axis=-1, dtype=np.int64), kind)
-    total = np.empty(b, dtype=np.int64)
-    per = np.empty((b, n), dtype=np.int64)
-    for k in range(b):
-        total[k], per[k] = motif_counts(AdjacencyMatrix._trusted(a[k]), motif)
-    return total, per
-
-
-def _generic_counts(A: AdjacencyMatrix, motif: Motif,
-                    max_subsets: int) -> tuple[int, np.ndarray]:
-    n, r = A.n, motif.r
-    # A node whose graph degree is below the motif's minimum degree can
-    # never occupy any position, so subsets containing it never match.
-    min_deg = int(motif.degrees.min())
-    keep = np.flatnonzero(A.degrees >= min_deg)
-    per = np.zeros(n, dtype=np.int64)
-    if keep.size < r:
-        return 0, per
-    work = math.comb(keep.size, r)
-    if work > max_subsets:
-        raise CostCapError(
-            f"generic enumeration needs {work:.3g} subsets (cap {max_subsets:.3g}); "
-            "raise max_subsets to override")
-    rows = A.a.tolist()
-    h_table = motif.h_table
-    pairs = _PAIRS[r]
-    total = 0
-    for subset in itertools.combinations(keep.tolist(), r):
-        mask = 0
-        for idx, (a, b) in enumerate(pairs):
-            if rows[subset[a]][subset[b]]:
-                mask |= 1 << idx
-        if h_table[mask]:
-            total += 1
-            for v in subset:
-                per[v] += 1
-    return total, per
+    return _counts_from_inner(_inner_counts(a, motif, MAX_GENERIC_SUBSETS), motif.r)
 
 
 def sample_moment(A: AdjacencyMatrix, motif: Motif,
@@ -196,36 +160,35 @@ def local_projection(A: AdjacencyMatrix, motif: Motif,
     return studentize(total, per, A.n, motif.r)[1]
 
 
-def _pairwise_inner_counts(A: AdjacencyMatrix, motif: Motif,
-                           node_cap: int, max_subsets: int) -> np.ndarray:
-    """Counts of (r-2)-subsets completing each pair to a containing r-set."""
-    n, r = A.n, motif.r
-    kind = _structural_kind(motif)
-    if kind == "edge":
-        return A.a.astype(np.int64)
-    if kind == "triangle":
-        Af = A.afloat
-        codeg = _round_int(Af @ Af)
-        np.fill_diagonal(codeg, 0)
-        return A.a * codeg
-    if kind == "vshape":
-        Af = A.afloat
-        codeg = _round_int(Af @ Af)
-        np.fill_diagonal(codeg, 0)
-        d = A.degrees
-        # With the pair edge present any third node adjacent to either end
-        # works; without it the third node must close both edges.
-        union = d[:, None] + d[None, :] - 2 - codeg
-        counts = np.where(A.a == 1, union, codeg)
-        np.fill_diagonal(counts, 0)
-        return counts
-    if kind == "threestar":
-        return _threestar_inner_counts(A)
-    if n > node_cap:
+def _enumerated_inner_counts(a: np.ndarray, motif: Motif, max_subsets: int) -> np.ndarray:
+    """Pair completion counts of any motif from one pass over the r-subsets.
+
+    A node whose graph degree is below the motif's minimum degree can
+    never occupy any position, so only subsets of the other nodes are
+    visited; each containing subset adds 1 to each of its C(r, 2) pairs.
+    """
+    n, r = a.shape[0], motif.r
+    keep = np.flatnonzero(a.sum(axis=1) >= motif.degrees.min())
+    work = math.comb(keep.size, r)
+    if work > max_subsets:
         raise CostCapError(
-            f"pairwise projection for r={r} motifs is O(n^4); n={n} exceeds the "
-            f"cap of {node_cap}; raise node_cap to override")
-    return _generic_pair_counts(A, motif, max_subsets)
+            f"generic enumeration needs {work:.3g} subsets (cap {max_subsets:.3g}); "
+            "raise max_subsets to override")
+    rows = a.tolist()
+    h_table = motif.h_table.tolist()
+    pairs = _PAIRS[r]
+    # Flat upper-triangle counts: subsets are increasing, so x < y.
+    upper = [0] * (n * n)
+    for subset in itertools.combinations(keep.tolist(), r):
+        mask = 0
+        for idx, (x, y) in enumerate(pairs):
+            if rows[subset[x]][subset[y]]:
+                mask |= 1 << idx
+        if h_table[mask]:
+            for x, y in pairs:
+                upper[subset[x] * n + subset[y]] += 1
+    inner = np.array(upper, dtype=np.int64).reshape(n, n)
+    return inner + inner.T
 
 
 # Rows of the edge-product matrix W in _common_neighbour_edges are built
@@ -233,7 +196,7 @@ def _pairwise_inner_counts(A: AdjacencyMatrix, motif: Motif,
 _EDGE_PRODUCT_ELEMENTS = 1 << 18
 
 
-def _threestar_inner_counts(A: AdjacencyMatrix) -> np.ndarray:
+def _threestar_inner_counts(a: np.ndarray) -> np.ndarray:
     """Three-star pair completion counts in closed form.
 
     ``inner[i, j]`` is the number of pairs {k, l} for which {i, j, k, l}
@@ -252,14 +215,14 @@ def _threestar_inner_counts(A: AdjacencyMatrix) -> np.ndarray:
     centre k or l.  Sum C(c, 2), pairs of centres: {i, j}, {i or j, k or
     l} (the M terms) and {k, l} (the E term).  K4s: 3*A*E.  Every value
     is an exact integer in float64.  Per-node counts follow as
-    ``inner.sum(1) // 3``.
+    ``inner.sum(1) // 3``.  ``a`` is one int8 adjacency ``(n, n)``.
     """
-    af = A.afloat
-    d = A.degrees.astype(np.float64)
+    af = a.astype(np.float64)
+    d = af.sum(axis=1)
     codeg = af @ af
     np.fill_diagonal(codeg, 0.0)
     m = (af * (codeg - 1.0)) @ af
-    e = _common_neighbour_edges(A.a, codeg)
+    e = _common_neighbour_edges(a, codeg)
     c2 = (d - 1.0) * (d - 2.0) * 0.5
     on_edge = c2[:, None] + c2[None, :] - codeg * (codeg - 1.0) * 0.5 - m - m.T + 3.0 * e
     inner = af * on_edge + (af * (d - 2.0)) @ af - e
@@ -288,54 +251,22 @@ def _common_neighbour_edges(a: np.ndarray, codeg: np.ndarray) -> np.ndarray:
     return e
 
 
-def _generic_pair_counts(A: AdjacencyMatrix, motif: Motif,
-                         max_subsets: int) -> np.ndarray:
-    n, r = A.n, motif.r
-    work = math.comb(n, 2) * math.comb(n - 2, r - 2)
-    if work > max_subsets:
-        raise CostCapError(
-            f"generic pairwise enumeration needs {work:.3g} subsets "
-            f"(cap {max_subsets:.3g}); raise max_subsets to override")
-    rows = A.a.tolist()
-    h_table = motif.h_table
-    pairs = _PAIRS[r]
-    counts = np.zeros((n, n), dtype=np.int64)
-    all_nodes = list(range(n))
-    for i, j in itertools.combinations(all_nodes, 2):
-        others = [v for v in all_nodes if v != i and v != j]
-        c = 0
-        for rest in itertools.combinations(others, r - 2):
-            subset = (i, j) + rest
-            mask = 0
-            for idx, (a, b) in enumerate(pairs):
-                if rows[subset[a]][subset[b]]:
-                    mask |= 1 << idx
-            if h_table[mask]:
-                c += 1
-        counts[i, j] = counts[j, i] = c
-    return counts
-
-
 def pair_projection(A: AdjacencyMatrix, motif: Motif,
                     g1: np.ndarray | None = None, u_hat: float | None = None,
-                    node_cap: int = MAX_PAIRWISE_NODES,
                     max_subsets: int = MAX_GENERIC_SUBSETS) -> np.ndarray:
     """Pairwise projection estimates ``g2_hat`` (symmetric, zero diagonal).
 
     ``g2_hat[i, j]`` is the fraction of (r-2)-subsets that complete the
     pair {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``.
     For ``r = 2`` the inner average is the adjacency entry itself (the
-    remaining subset is empty).  Edge, triangle, V-shape and three-star
-    completion counts are closed-form matrix expressions (see
-    :func:`_threestar_inner_counts`); other 4- and 5-node motifs are
-    enumerated per pair, refused above ``node_cap`` nodes or
-    ``max_subsets`` subsets.  ``g1`` and ``u_hat`` default to the values
-    implied by the same completion counts.
+    remaining subset is empty).  The completion counts come from the
+    pair-count kernel (closed forms for edge, triangle, V-shape and
+    three-star; one enumeration of the r-subsets, refused above
+    ``max_subsets`` subsets, for other motifs).  ``g1`` and ``u_hat``
+    default to the values implied by the same completion counts.
     """
     n, r = A.n, motif.r
-    if n < r:
-        raise ValueError(f"graph has {n} nodes but motif needs {r}")
-    inner = _pairwise_inner_counts(A, motif, node_cap, max_subsets)
+    inner = _inner_counts(A.a, motif, max_subsets)
     if g1 is None or u_hat is None:
         u, g, _, _ = studentize(*_counts_from_inner(inner, r), n, r)
         g1 = g if g1 is None else g1
@@ -391,10 +322,13 @@ def jackknife_variance(A: AdjacencyMatrix, motif: Motif,
     by ``per_node[i]``, so each leave-one-out moment comes from the same
     single counting pass as the full moment.
     """
-    n, r = A.n, motif.r
+    return _jackknife_from_counts(*motif_counts(A, motif, max_subsets), A.n, motif.r)
+
+
+def _jackknife_from_counts(total: int, per: np.ndarray, n: int, r: int) -> float:
+    """:func:`jackknife_variance` from the :func:`motif_counts` of one graph."""
     if n < r + 1:
         raise ValueError(f"jackknife needs at least r+1 = {r + 1} nodes, got {n}")
-    total, per = motif_counts(A, motif, max_subsets)
     u_hat = total / math.comb(n, r)
     u_loo = (total - per) / math.comb(n - 1, r)
     dev = u_loo - u_hat
@@ -440,21 +374,18 @@ class MomentStats:
 
 
 def compute_stats(A: AdjacencyMatrix, motif: Motif,
-                  node_cap: int = MAX_PAIRWISE_NODES,
                   max_subsets: int = MAX_GENERIC_SUBSETS) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
     The pair completion counts are computed once and give the per-node
-    counts too (see the module docstring), so ``node_cap`` and
-    ``max_subsets`` apply as in :func:`pair_projection`.  Sets
+    counts too (see the module docstring); ``max_subsets`` caps the
+    subsets a generic motif's enumeration may visit.  Sets
     ``degenerate`` when the variance estimate is exactly zero (e.g.
     empty or complete graphs); downstream studentization must check the
     flag rather than divide.
     """
     n, r = A.n, motif.r
-    if n < r:
-        raise ValueError(f"graph has {n} nodes but motif needs {r}")
-    inner = _pairwise_inner_counts(A, motif, node_cap, max_subsets)
+    inner = _inner_counts(A.a, motif, max_subsets)
     u_hat, g1, s_hat_sq, degenerate = studentize(*_counts_from_inner(inner, r), n, r)
     u_hat = float(u_hat)
     g2 = _pair_projection_from_inner(inner, g1, u_hat, r)

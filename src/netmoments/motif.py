@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .adjacency import _check_square_binary
 from .errors import NotConnectedError
 
 __all__ = [
@@ -37,20 +38,6 @@ MAX_MOTIF_NODES = 5
 # Unordered node pairs of an r-node graph, in lexicographic order.  The
 # position of a pair in this list is its bit index in edge-set masks.
 _PAIRS = {r: tuple(itertools.combinations(range(r), 2)) for r in range(2, MAX_MOTIF_NODES + 1)}
-
-
-def _check_square_binary(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.isin(m, (0, 1)).all():
-        raise ValueError(f"{what} must be binary (0/1 entries)")
-    m = m.astype(np.int8)
-    if (m != m.T).any():
-        raise ValueError(f"{what} must be symmetric")
-    if np.diagonal(m).any():
-        raise ValueError(f"{what} must have a zero diagonal (no self-loops)")
-    return m
 
 
 def _is_connected(adj: np.ndarray) -> bool:

@@ -16,8 +16,12 @@ PATH3 = from_edges(3, [(0, 1), (1, 2)])
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 MOTIFS = (EDGE, TRIANGLE, VSHAPE, THREESTAR)
-# A generic (enumerated) 4-node motif: the cost caps apply to it.
+# Generic (enumerated) motifs: no closed form, and the cost cap applies.
 FOUR_PATH = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a)
+FOUR_CYCLE = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).a)
+PAW = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]).a)
+BULL = make_motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a)
+GENERIC = (FOUR_PATH, FOUR_CYCLE, PAW, BULL)
 
 
 class TestSampleMoment:
@@ -72,17 +76,6 @@ class TestPairProjection:
                 g2 = pair_projection(A, motif)
                 assert np.array_equal(g2, g2.T)
                 assert (np.diag(g2) == 0.0).all()
-
-    def test_node_cap(self):
-        A = random_graph(np.random.default_rng(3), 12, 0.5)
-        with pytest.raises(CostCapError, match="node_cap"):
-            pair_projection(A, FOUR_PATH, node_cap=10)
-        pair_projection(A, FOUR_PATH, node_cap=12)  # override works
-
-    def test_threestar_ignores_node_cap(self):
-        A = random_graph(np.random.default_rng(3), 12, 0.5)
-        g2 = pair_projection(A, THREESTAR, node_cap=10)
-        assert np.array_equal(g2, pair_projection(A, THREESTAR))
 
 
 class TestVariance:
@@ -184,7 +177,7 @@ class TestOracleEquivalence:
         for _ in range(12):
             n = int(rng.integers(5, 13))
             A = random_graph(rng, n)
-            for motif in MOTIFS:
+            for motif in MOTIFS + GENERIC:
                 if n < motif.r:
                     continue
                 oracle = Oracle(motif)
@@ -202,10 +195,14 @@ class TestOracleEquivalence:
             graphs = [random_graph(rng, n) for _ in range(5)]
             graphs += [random_graph(rng, n, p=0.0), random_graph(rng, n, p=1.0)]
             stack = np.stack([A.a for A in graphs])
-            for motif in MOTIFS:
+            for motif in MOTIFS + GENERIC:
+                if n < motif.r:
+                    continue
                 oracle = Oracle(motif)
                 totals, per = motif_counts_block(stack, motif)
                 assert totals.shape == (len(graphs),) and per.shape == (len(graphs), n)
+                empty = motif_counts_block(stack[:0], motif)
+                assert empty[0].shape == (0,) and empty[1].shape == (0, n)
                 for k, A in enumerate(graphs):
                     t_slow, per_slow = oracle.counts(A)
                     assert totals[k] == t_slow
@@ -304,7 +301,7 @@ class TestThreestarKernel:
     ORACLE = Oracle(THREESTAR)
 
     def assert_exact(self, A):
-        inner = _threestar_inner_counts(A)
+        inner = _threestar_inner_counts(A.a)
         total, per = motif_counts(A, THREESTAR)
         o_total, o_per = self.ORACLE.counts(A)
         assert inner.dtype == np.int64
@@ -362,7 +359,7 @@ class TestThreestarKernel:
         n = 300
         A = sample_graph(paper_block_model(), n, 1.0, seed=3)
         stats = compute_stats(A, THREESTAR)  # no CostCapError
-        inner = _threestar_inner_counts(A)
+        inner = _threestar_inner_counts(A.a)
         total, per = motif_counts(A, THREESTAR)
         assert np.array_equal(inner.sum(axis=1), 3 * per)
         assert int(per.sum()) == 4 * total

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, NotConnectedError,
-                        conditional_expectation_h, contains, make_motif,
-                        motif_from_config)
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
+                        NotConnectedError, conditional_expectation_h, contains,
+                        make_motif, motif_from_config)
 
 TRI = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 PATH3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -51,6 +51,18 @@ class TestMakeMotif:
         assert (TRIANGLE.r, TRIANGLE.s, TRIANGLE.shape_class) == (3, 3, "cyclic")
         assert (VSHAPE.r, VSHAPE.s, VSHAPE.shape_class) == (3, 2, "acyclic")
         assert (THREESTAR.r, THREESTAR.s, THREESTAR.shape_class) == (4, 3, "acyclic")
+
+
+@pytest.mark.parametrize("build", [AdjacencyMatrix, make_motif])
+@pytest.mark.parametrize("bad, match", [
+    ([[0, 1, 0], [1, 0, 1]], "square"),
+    ([[0, 2], [2, 0]], "binary"),
+    ([[0, 1], [0, 0]], "symmetric"),
+    ([[1, 1], [1, 0]], "zero diagonal"),
+], ids=["not_square", "not_binary", "asymmetric", "self_loop"])
+def test_adjacency_validation(build, bad, match):
+    with pytest.raises(ValueError, match=match):
+        build(bad)
 
 
 class TestContains:

@@ -57,7 +57,7 @@ def test_pair_projection_symmetric_hollow(A, motif):
 def test_threestar_count_identities(A):
     # Each containing 4-set through i pairs i with its other three
     # members, and hits four nodes.
-    inner = _threestar_inner_counts(A)
+    inner = _threestar_inner_counts(A.a)
     total, per = motif_counts(A, THREESTAR)
     assert np.array_equal(inner, inner.T) and (np.diag(inner) == 0).all()
     assert np.array_equal(inner.sum(axis=1), 3 * per)
