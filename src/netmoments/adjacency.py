@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -78,23 +79,69 @@ class AdjacencyMatrix:
 
 
 def from_edges(n: int, edges) -> AdjacencyMatrix:
-    """Build a graph on ``n`` nodes from 0-based edge pairs."""
+    """Build a graph on ``n`` nodes from 0-based edge pairs.
+
+    ``edges`` is an iterable of integer pairs or an ``(m, 2)`` integer
+    array.  Duplicates collapse.  A ``ValueError`` names the first pair,
+    in input order, that has a non-integer id, an id outside
+    ``[0, n)`` or equal ids.  Both triangles are set from the checked
+    pairs, so the matrix is symmetric, hollow and 0/1 by construction
+    and is not validated again.
+    """
+    pairs = _checked_pairs(n, edges)
     a = np.zeros((n, n), dtype=np.int8)
+    a[pairs[:, 0], pairs[:, 1]] = 1
+    a[pairs[:, 1], pairs[:, 0]] = 1
+    return AdjacencyMatrix._trusted(a)
+
+
+def _checked_pairs(n: int, edges) -> np.ndarray:
+    """``edges`` as an ``(m, 2)`` integer array of valid edges on ``n`` nodes.
+
+    Integer arrays are checked in one vectorised pass; anything else
+    (floats, ids beyond int64, ragged input) pair by pair, so that no
+    id is truncated or wrapped before it is checked.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:  # ragged
+        pairs = None
+    if pairs is not None and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+        bad = ~((pairs >= 0) & (pairs < n)).all(axis=1) | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            raise ValueError(_pair_error(n, *pairs[np.argmax(bad)].tolist()))
+        return pairs
     for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) has a node id outside [0, {n})")
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) not allowed")
-        a[i, j] = a[j, i] = 1
-    return AdjacencyMatrix(a)
+        error = _pair_error(n, i, j)
+        if error:
+            raise ValueError(error)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _pair_error(n: int, i, j) -> str | None:
+    """Why ``(i, j)`` is not an edge of a simple graph on ``n`` nodes, or None."""
+    try:
+        operator.index(i), operator.index(j)
+    except TypeError:
+        return f"edge ({i}, {j}) has a non-integer node id"
+    if not (0 <= i < n and 0 <= j < n):
+        return f"edge ({i}, {j}) has a node id outside [0, {n})"
+    if i == j:
+        return f"self-loop ({i}, {j}) not allowed"
+    return None
 
 
 def load_edge_list(path) -> AdjacencyMatrix:
     """Read an undirected edge list with 1-based node ids.
 
     Each non-empty line holds one edge as two ids separated by
-    whitespace or a comma.  Duplicate edges are ignored; self-loops are
-    rejected.  The node count is the largest id seen.
+    whitespace or a comma; lines starting with ``#`` are comments.
+    Duplicate edges are ignored; self-loops are rejected.  The node
+    count is the largest id seen.  Errors name the file and line.  The
+    checked pairs go to :func:`from_edges`, whose scatter makes a valid
+    matrix by construction, so the n x n matrix is never re-validated.
     """
     edges = []
     max_id = 0

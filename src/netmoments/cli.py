@@ -48,11 +48,10 @@ def _cmd_sample(args) -> int:
     g = _graphon_arg(args.graphon)
     rho = resolve_rho(_maybe_number(args.rho), args.n)
     A = sample_graph(g, args.n, rho, args.seed)
+    # Row-major nonzeros of the upper triangle: edges ordered by (i, j).
+    i, j = np.nonzero(np.triu(A.a, 1))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(A.n):
-            for j in range(i + 1, A.n):
-                if A.a[i, j]:
-                    fh.write(f"{i + 1} {j + 1}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in zip((i + 1).tolist(), (j + 1).tolist()))
     _emit({"n": A.n, "edges": A.edge_count, "rho": rho, "out": args.out})
     return 0
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from netmoments import graphon_from_config, load_edge_list, sample_graph
 from netmoments.cli import main
 
 
@@ -36,6 +37,21 @@ class TestSample:
         assert len(lines) == msgs[-1]["edges"]
         i, j = lines[0].split()
         assert int(i) >= 1 and int(j) >= 1
+
+    def test_round_trip_matches_sampled_graph(self, tmp_path, capsys):
+        # The file lists each edge once, ordered by (i, j), as a double
+        # loop over the upper triangle writes it.
+        path = tmp_path / "g.edges"
+        code, _ = run_cli(capsys, [
+            "sample", "--graphon", "blockmodel", "--n", "60", "--rho", "1",
+            "--seed", "5", "--out", str(path)])
+        assert code == 0
+        A = sample_graph(graphon_from_config("blockmodel"), 60, 1.0, 5)
+        assert A.a[-1].any()  # the last node sets the node count on reload
+        assert np.array_equal(load_edge_list(path).a, A.a)
+        reference = "".join(f"{i + 1} {j + 1}\n" for i in range(A.n)
+                            for j in range(i + 1, A.n) if A.a[i, j])
+        assert path.read_bytes() == reference.encode("utf-8")
 
     def test_inline_json_graphon(self, tmp_path, capsys):
         path = tmp_path / "g.edges"

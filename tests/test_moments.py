@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         CostCapError, compute_stats, edgeworth_coefficients,
@@ -9,7 +10,8 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         local_projection, make_motif, motif_counts,
                         motif_counts_block, pair_projection, sample_graph,
                         sample_moment, studentize, variance_estimator)
-from netmoments.moments import _threestar_inner_counts
+from netmoments import moments
+from netmoments.moments import _codegrees, _threestar_inner_counts
 from conftest import Oracle, paper_block_model, random_graph
 
 PATH3 = from_edges(3, [(0, 1), (1, 2)])
@@ -171,21 +173,25 @@ class TestComputeStats:
                 r * r * stats.xi1_hat_sq / n, abs=1e-15)
 
 
+def assert_fast_paths_equal_brute_force(motifs):
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        n = int(rng.integers(5, 13))
+        A = random_graph(rng, n)
+        for motif in motifs:
+            if n < motif.r:
+                continue
+            oracle = Oracle(motif)
+            t_fast, per_fast = motif_counts(A, motif)
+            t_slow, per_slow = oracle.counts(A)
+            assert t_fast == t_slow
+            assert np.array_equal(per_fast, per_slow)
+            assert np.allclose(pair_projection(A, motif), oracle.g2(A), atol=1e-12)
+
+
 class TestOracleEquivalence:
     def test_fast_paths_equal_brute_force(self):
-        rng = np.random.default_rng(8)
-        for _ in range(12):
-            n = int(rng.integers(5, 13))
-            A = random_graph(rng, n)
-            for motif in MOTIFS + GENERIC:
-                if n < motif.r:
-                    continue
-                oracle = Oracle(motif)
-                t_fast, per_fast = motif_counts(A, motif)
-                t_slow, per_slow = oracle.counts(A)
-                assert t_fast == t_slow
-                assert np.array_equal(per_fast, per_slow)
-                assert np.allclose(pair_projection(A, motif), oracle.g2(A), atol=1e-12)
+        assert_fast_paths_equal_brute_force(MOTIFS + GENERIC)
 
     def test_block_counts_equal_brute_force(self):
         # Stacked graphs of one size, with an empty and a complete graph
@@ -377,6 +383,63 @@ class TestThreestarKernel:
         assert np.array_equal(sb.g2_hat[np.ix_(perm, perm)], stats.g2_hat)
 
 
+@pytest.fixture
+def sparse_route(monkeypatch):
+    """Send every single graph, however small or dense, through the CSR product."""
+    monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 0)
+    monkeypatch.setattr(moments, "_SPARSE_MAX_DENSITY", 1.0)
+
+
+class TestCodegreeRoute:
+    """The sparse and dense codegree products give the same bytes."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        # Records which route each _codegrees call takes.
+        taken = []
+        csr_array = scipy.sparse.csr_array
+
+        def spy(*args, **kwargs):
+            taken.append("csr")
+            return csr_array(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", spy)
+        return taken
+
+    def assert_route(self, a, route, taken):
+        taken.clear()
+        af = a.astype(np.float64)
+        codeg = _codegrees(a, af)
+        assert codeg.dtype == np.float64 and codeg.shape == a.shape
+        assert codeg.tobytes() == (af @ af).tobytes()
+        assert taken == (["csr"] if route == "csr" else [])
+
+    def test_both_sides_of_the_threshold(self, routes):
+        rng = np.random.default_rng(60)
+        n_min, density = moments._SPARSE_MIN_NODES, moments._SPARSE_MAX_DENSITY
+        self.assert_route(random_graph(rng, 2 * n_min, density / 2).a, "csr", routes)
+        self.assert_route(random_graph(rng, 600, 0.01).a, "csr", routes)
+        self.assert_route(np.zeros((n_min, n_min), dtype=np.int8), "csr", routes)
+        self.assert_route(_with_isolated(random_graph(rng, n_min, 0.01), 50).a,
+                          "csr", routes)
+        self.assert_route(_star(n_min + 1).a, "csr", routes)
+        # Dense, small, or a stack: BLAS.
+        self.assert_route(random_graph(rng, 300, 0.3).a, "blas", routes)
+        self.assert_route(random_graph(rng, 300, 2 * density).a, "blas", routes)
+        self.assert_route(random_graph(rng, n_min - 1, density / 2).a, "blas", routes)
+        stack = np.stack([random_graph(rng, n_min, density / 2).a for _ in range(2)])
+        self.assert_route(stack, "blas", routes)
+
+    def test_forced_route_on_small_graphs(self, sparse_route, routes):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 5, 12):
+            for p in (0.0, 0.4, 1.0):
+                self.assert_route(random_graph(rng, n, p).a, "csr", routes)
+
+    def test_forced_route_equals_brute_force(self, sparse_route):
+        assert_fast_paths_equal_brute_force((TRIANGLE, VSHAPE, THREESTAR))
+
+
 class TestCostCaps:
     def test_generic_subset_cap(self):
         A = random_graph(np.random.default_rng(11), 12, 0.5)
@@ -419,3 +482,37 @@ class TestEdgeListIO:
         # negative indexing; (0, 3) would be a bare IndexError.
         with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\).*\[0, 3\)"):
             from_edges(3, [pair])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 0), (0, 5)], r"self-loop \(0, 0\)"),
+        ([(0, 5), (0, 0)], r"edge \(0, 5\).*\[0, 3\)"),
+        ([(0, 1), (1, 2), (2, 2), (7, 1)], r"self-loop \(2, 2\)"),
+        ([(0, 1), (0.5, 1), (0, 9)], r"edge \(0.5, 1\) has a non-integer node id"),
+        ([(0, 2 ** 63)], rf"edge \(0, {2 ** 63}\).*\[0, 3\)"),
+        ([(2 ** 70, 1)], rf"edge \({2 ** 70}, 1\).*\[0, 3\)"),
+        ([(-1, 2 ** 63)], rf"edge \(-1, {2 ** 63}\).*\[0, 3\)"),
+    ])
+    def test_from_edges_names_first_bad_pair(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            from_edges(3, edges)
+        if all(isinstance(v, int) and abs(v) < 2 ** 62 for pair in edges for v in pair):
+            with pytest.raises(ValueError, match=message):
+                from_edges(3, np.array(edges))
+
+    def test_from_edges_rejects_non_integer_arrays(self):
+        for edges in (np.array([[0.0, 1.0]]), np.array([[True, False]]), [(1.0, 2)]):
+            with pytest.raises(ValueError, match="non-integer"):
+                from_edges(3, edges)
+
+    def test_from_edges_accepted_inputs(self):
+        assert from_edges(6, []).n == 6 and from_edges(6, []).edge_count == 0
+        pairs = [(0, 1), (1, 0), (2, 4), (0, 1), (4, 2)]
+        A = from_edges(5, pairs)
+        assert A.edge_count == 2  # duplicates and reversed pairs collapse
+        assert A.a.dtype == np.int8
+        assert np.array_equal(A.a, AdjacencyMatrix(A.a).a)  # valid as built
+        for same in (np.array(pairs), np.array(pairs, dtype=np.uint16), iter(pairs),
+                     tuple(pairs)):
+            assert np.array_equal(from_edges(5, same).a, A.a)
+        assert from_edges(4, np.empty((0, 2), dtype=np.int64)).edge_count == 0
+

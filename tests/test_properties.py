@@ -1,5 +1,7 @@
 """Property-based tests of the algebraic invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         compute_stats, conditional_expectation_h, contains,
                         local_projection, motif_counts, pair_projection, sample_moment)
+from netmoments import moments
 from netmoments.moments import _threestar_inner_counts
 
 MOTIFS = (EDGE, TRIANGLE, VSHAPE, THREESTAR)
@@ -62,6 +65,20 @@ def test_threestar_count_identities(A):
     assert np.array_equal(inner, inner.T) and (np.diag(inner) == 0).all()
     assert np.array_equal(inner.sum(axis=1), 3 * per)
     assert int(per.sum()) == 4 * total
+
+
+@SETTINGS
+@given(graphs(min_n=3, max_n=14), st.sampled_from((TRIANGLE, VSHAPE, THREESTAR)))
+def test_sparse_codegree_route_keeps_stats_bytes(A, motif):
+    if A.n < motif.r:
+        return
+    with mock.patch.object(moments, "_SPARSE_MIN_NODES", 10 ** 9):
+        dense = compute_stats(A, motif)
+    with mock.patch.multiple(moments, _SPARSE_MIN_NODES=0, _SPARSE_MAX_DENSITY=1.0):
+        forced = compute_stats(A, motif)
+    assert repr(forced) == repr(dense)
+    assert forced.g1_hat.tobytes() == dense.g1_hat.tobytes()
+    assert forced.g2_hat.tobytes() == dense.g2_hat.tobytes()
 
 
 @SETTINGS
