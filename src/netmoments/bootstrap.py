@@ -4,24 +4,32 @@ Both schemes approximate the sampling distribution of the studentized
 moment by replicating ``T* = (U*_b - U_hat_n) / S*_b`` over random node
 draws.  Replicates with a zero variance estimate cannot be studentized;
 they are dropped and counted, and the run fails if more than 10% drop.
+:func:`_studentized` counts and studentizes replicate graphs in blocks,
+for these bootstraps and for the harness's Monte-Carlo truths alike.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjacency import AdjacencyMatrix
 from .errors import DegenerateReplicatesError
-from .moments import _jackknife_from_counts, motif_counts, sample_moment, studentize
+from .moments import _jackknife_from_counts, motif_counts_block, sample_moment, studentize
 from .motif import Motif
 from .rng import KeyedStreams
 
 __all__ = ["EmpiricalCdf", "subsample_distribution", "resample_distribution"]
 
 MAX_DROP_FRACTION = 0.10
+
+# Replicates are counted in blocks of about this many adjacency entries
+# (b * n^2), which keeps a block's float64 temporaries within a few
+# hundred kB per thread.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,42 +62,58 @@ class EmpiricalCdf:
         return float(self.samples[k])
 
 
-def _replicate_t(A_star: AdjacencyMatrix, motif: Motif, u_full: float,
-                 use_jackknife: bool) -> float | None:
-    """Studentized replicate value, or None when degenerate."""
-    total, per = motif_counts(A_star, motif)
-    u_star, _, s_sq, _ = studentize(total, per, A_star.n, motif.r)
-    if use_jackknife:
-        s_sq = _jackknife_from_counts(total, per, A_star.n, motif.r)
-    if s_sq == 0.0:
-        return None
-    return float((u_star - u_full) / math.sqrt(s_sq))
+def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
+                 max_fraction: float, what: str, use_jackknife: bool = False,
+                 threads: int = 1) -> EmpiricalCdf:
+    """Sorted ``(U_hat - center) / S_hat`` of ``count`` replicate graphs on ``n`` nodes.
+
+    ``graphs(k0, k1)`` returns the int8 stack of replicates ``k0 .. k1-1``
+    (thread-safe if ``threads > 1`` workers take the blocks).  ``S_hat^2``
+    is the moment-based variance estimate, or the jackknife's.  Replicates
+    where it is exactly zero are dropped and counted; more than
+    ``max_fraction`` of them, or all, raise ``DegenerateReplicatesError``.
+    """
+    if count < 1:
+        raise ValueError(f"need at least one replicate, got {count}")
+    r = motif.r
+    block = max(1, _BLOCK_ELEMENTS // (n * n))
+
+    def run_block(k0: int) -> np.ndarray:
+        total, per = motif_counts_block(graphs(k0, min(k0 + block, count)), motif)
+        u_hat, _, s_sq, degenerate = studentize(total, per, n, r)
+        if use_jackknife:
+            s_sq = _jackknife_from_counts(total, per, n, r)
+            degenerate = s_sq == 0.0
+        keep = ~degenerate
+        return (u_hat[keep] - center) / np.sqrt(s_sq[keep])
+
+    starts = range(0, count, block)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            kept = np.sort(np.concatenate(list(pool.map(run_block, starts))))
+    else:
+        kept = np.sort(np.concatenate([run_block(k0) for k0 in starts]))
+    dropped = count - kept.size
+    if dropped > max_fraction * count or dropped == count:
+        why = "all" if dropped == count else f"> {max_fraction:.1%}"
+        raise DegenerateReplicatesError(
+            f"{dropped} of {count} {what} replicates were degenerate ({why}); "
+            "near-degenerate configuration", n_dropped=dropped, n_total=count)
+    return EmpiricalCdf(samples=kept, B=kept.size, n_dropped=dropped)
 
 
 def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
-                draw, use_jackknife: bool) -> EmpiricalCdf:
-    """Studentize ``B`` induced subgraphs, replicate ``b`` on the nodes ``draw(rng)``.
-
-    ``rng`` is replicate ``b``'s own stream ``(seed, label, b)``.
-    Degenerate replicates are dropped and counted.
-    """
-    if B < 1:
-        raise ValueError(f"need at least one replicate, got B={B}")
-    u_full = sample_moment(A, motif)
+                draw, size: int, use_jackknife: bool) -> EmpiricalCdf:
+    """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
+    takes the nodes ``draw(rng)``, with ``rng`` its own stream ``(seed, label, b)``."""
     streams = KeyedStreams()
-    values = []
-    for b in range(B):
-        t = _replicate_t(A.induced(draw(streams(seed, label, b))), motif, u_full,
-                         use_jackknife)
-        if t is not None:
-            values.append(t)
-    dropped = B - len(values)
-    if dropped > MAX_DROP_FRACTION * B:
-        raise DegenerateReplicatesError(
-            f"{dropped} of {B} bootstrap replicates were degenerate "
-            f"(> {MAX_DROP_FRACTION:.0%})", n_dropped=dropped, n_total=B)
-    return EmpiricalCdf(samples=np.sort(np.asarray(values)), B=len(values),
-                        n_dropped=dropped)
+
+    def graphs(k0: int, k1: int) -> np.ndarray:
+        idx = np.array([draw(streams(seed, label, b)) for b in range(k0, k1)])
+        return A.a[idx[:, :, None], idx[:, None, :]]
+
+    return _studentized(B, size, graphs, motif, sample_moment(A, motif),
+                        MAX_DROP_FRACTION, "bootstrap", use_jackknife)
 
 
 def subsample_distribution(A: AdjacencyMatrix, motif: Motif, n_star: int,
@@ -106,7 +130,7 @@ def subsample_distribution(A: AdjacencyMatrix, motif: Motif, n_star: int,
         raise ValueError(f"need r <= n_star < n, got n_star={n_star}, n={n}")
     return _replicates(A, motif, B, seed, "subsample",
                        lambda rng: np.sort(rng.choice(n, size=n_star, replace=False)),
-                       use_jackknife)
+                       n_star, use_jackknife)
 
 
 def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
@@ -120,4 +144,4 @@ def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
     """
     n = A.n
     return _replicates(A, motif, B, seed, "resample",
-                       lambda rng: rng.integers(0, n, size=n), use_jackknife)
+                       lambda rng: rng.integers(0, n, size=n), n, use_jackknife)

@@ -16,7 +16,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,13 +23,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .adjacency import AdjacencyMatrix
-from .bootstrap import resample_distribution, subsample_distribution
+from .bootstrap import (MAX_DROP_FRACTION, _studentized, resample_distribution,
+                        subsample_distribution)
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
 from .errors import DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
                       population_moment, sample_graph, sample_graph_block)
 from .inference import ConfidenceInterval, confidence_interval, one_sample_test
-from .moments import compute_stats, motif_counts_block, studentize
+from .moments import compute_stats
 from .motif import Motif, motif_from_config
 from .rng import substream_seed
 
@@ -265,65 +265,36 @@ class TrueCdf:
     t_sd: float
 
 
-# Monte-Carlo truths sample and count networks in blocks of about this
-# many adjacency entries (b * n^2), which keeps a block's float64
-# temporaries within a few hundred kB per thread.
-_TRUTH_BLOCK_ELEMENTS = 1 << 15
-
-
 def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
                          n_mc: int, seed: int, grid=None,
                          mu: float | None = None,
                          max_degenerate_fraction: float = 0.01,
-                         threads: int = 1, cache_dir=None) -> TrueCdf:
+                         threads: int = 1) -> TrueCdf:
     """Sample ``n_mc`` networks and tabulate the studentized moment's CDF.
 
     Replicate ``k`` is the network ``sample_graph(g, n, rho,
-    substream_seed(seed, "mc-truth", k))``.  Networks are sampled and
-    counted in blocks, and ``threads`` workers take whole blocks; since
-    every network keeps its own stream, the result is byte-identical
-    whatever the thread count or block size.
-
-    Replicates whose variance estimate is exactly zero cannot be
-    studentized; they are skipped and counted.  More than
-    ``max_degenerate_fraction`` of them aborts the run (a near-degenerate
-    configuration; the fraction can be raised deliberately).
+    substream_seed(seed, "mc-truth", k))``, centred at ``mu`` (default:
+    :func:`population_mean`).  The bootstraps' replicate engine samples,
+    counts and studentizes the networks in blocks, ``threads`` workers
+    taking whole blocks; every network keeps its own stream, so the
+    bytes do not depend on the thread count or block size.  Replicates
+    with a zero variance estimate are skipped and counted; more than
+    ``max_degenerate_fraction`` of them (which can be raised), or all
+    of them, raise ``DegenerateReplicatesError``.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     if mu is None:
-        mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed,
-                             cache_dir=cache_dir).value
-    t_vals = np.empty(n_mc, dtype=np.float64)
-    degenerate = np.zeros(n_mc, dtype=bool)
-    block = max(1, _TRUTH_BLOCK_ELEMENTS // (n * n))
+        mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
 
-    def run_block(k0: int) -> None:
-        k1 = min(k0 + block, n_mc)
-        seeds = [substream_seed(seed, "mc-truth", k) for k in range(k0, k1)]
-        total, per = motif_counts_block(sample_graph_block(g, n, rho, seeds), motif)
-        u_hat, _, s_sq, degen = studentize(total, per, n, motif.r)
-        keep = ~degen
-        degenerate[k0:k1] = degen
-        t_vals[k0:k1][keep] = (u_hat[keep] - mu) / np.sqrt(s_sq[keep])
+    def graphs(k0: int, k1: int) -> np.ndarray:
+        return sample_graph_block(g, n, rho, [substream_seed(seed, "mc-truth", k)
+                                              for k in range(k0, k1)])
 
-    starts = range(0, n_mc, block)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for k0 in starts:
-            run_block(k0)
-
-    n_degen = int(degenerate.sum())
-    if n_degen > max_degenerate_fraction * n_mc:
-        raise DegenerateReplicatesError(
-            f"{n_degen} of {n_mc} truth replicates were degenerate "
-            f"(> {max_degenerate_fraction:.1%}); near-degenerate configuration",
-            n_dropped=n_degen, n_total=n_mc)
-    kept = np.sort(t_vals[~degenerate])
-    values = np.searchsorted(kept, grid, side="right") / kept.size
-    return TrueCdf(grid=grid, values=values, n_total=n_mc, n_degenerate=n_degen,
-                   t_mean=float(kept.mean()), t_sd=float(kept.std(ddof=1)))
+    F = _studentized(n_mc, n, graphs, motif, mu, max_degenerate_fraction, "truth",
+                     threads=threads)
+    return TrueCdf(grid=grid, values=F.evaluate(grid), n_total=n_mc,
+                   n_degenerate=F.n_dropped, t_mean=float(F.samples.mean()),
+                   t_sd=float(F.samples.std(ddof=1)))
 
 
 def _bootstrap(method: str, A: AdjacencyMatrix, cfg: ExperimentConfig, seed: int):
@@ -489,31 +460,31 @@ def run_power_experiment(cfg: ExperimentConfig, offsets, alpha: float = 0.2,
 
 def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
                                 n_mc: int, n_boot: int, repetitions: int,
-                                seed: int, grid=None, threads: int = 1) -> tuple[int, int]:
+                                seed: int, threads: int = 1) -> tuple[int, int]:
     """Count repetitions where sub-sampling tracks the reduced-size truth.
 
     With ``n_star = n/2``, the sub-sampling bootstrap approximates the
     distribution of the statistic at effective size
     ``m = n_star * (1 - n_star/n)``; this returns how many of the
     repetitions put the bootstrap CDF strictly closer (sup-grid) to the
-    truth at ``m`` than to the truth at ``n_star``.
+    truth at ``m`` than to the truth at ``n_star``, on ``DEFAULT_GRID``.
+    Both truths take the bootstrap's own degenerate cap,
+    ``MAX_DROP_FRACTION``.
     """
-    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     n_star = n // 2
     m_eff = round(n_star * (1.0 - n_star / n))
     mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
-    truth_eff = monte_carlo_true_cdf(g, rho, motif, m_eff, n_mc,
-                                     seed=substream_seed(seed, "ess-true-eff"),
-                                     grid=grid, mu=mu, threads=threads)
-    truth_star = monte_carlo_true_cdf(g, rho, motif, n_star, n_mc,
-                                      seed=substream_seed(seed, "ess-true-star"),
-                                      grid=grid, mu=mu, threads=threads)
+    truth_eff, truth_star = (
+        monte_carlo_true_cdf(g, rho, motif, m, n_mc, seed=substream_seed(seed, label),
+                             mu=mu, max_degenerate_fraction=MAX_DROP_FRACTION,
+                             threads=threads)
+        for m, label in ((m_eff, "ess-true-eff"), (n_star, "ess-true-star")))
     closer = 0
     for rep in range(repetitions):
         A = sample_graph(g, n, rho, substream_seed(seed, "ess-rep", rep))
         F = subsample_distribution(A, motif, n_star=n_star, B=n_boot,
                                    seed=substream_seed(seed, "ess-boot", rep))
-        vals = F.evaluate(grid)
+        vals = F.evaluate(DEFAULT_GRID)
         d_eff = sup_grid_error(vals, truth_eff.values)
         d_star = sup_grid_error(vals, truth_star.values)
         closer += d_eff < d_star

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from netmoments import (EDGE, TRIANGLE, DegenerateReplicatesError, EmpiricalCdf,
-                        from_edges, resample_distribution, sample_graph,
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesError,
+                        EmpiricalCdf, from_edges, jackknife_variance, motif_counts,
+                        resample_distribution, sample_graph, sample_moment, stream,
                         subsample_distribution)
+from netmoments import bootstrap
+from netmoments.bootstrap import _BLOCK_ELEMENTS, MAX_DROP_FRACTION
+from netmoments.harness import monte_carlo_true_cdf
 from conftest import paper_block_model
 
 K5 = from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
@@ -119,3 +125,84 @@ class TestResample:
     def test_b_validation(self, graph80):
         with pytest.raises(ValueError, match="replicate"):
             resample_distribution(graph80, EDGE, B=0, seed=1)
+
+
+# Replicate b's nodes, drawn from its own (seed, scheme, b) stream.
+DRAWS = {
+    "subsample": lambda rng, n: np.sort(rng.choice(n, size=n // 2, replace=False)),
+    "resample": lambda rng, n: rng.integers(0, n, size=n),
+}
+
+
+def run_bootstrap(scheme, A, motif, B, seed, use_jackknife):
+    if scheme == "subsample":
+        return subsample_distribution(A, motif, n_star=A.n // 2, B=B, seed=seed,
+                                      use_jackknife=use_jackknife)
+    return resample_distribution(A, motif, B=B, seed=seed, use_jackknife=use_jackknife)
+
+
+def oracle_replicates(scheme, A, motif, B, seed, use_jackknife):
+    """The bootstrap one replicate at a time: sorted values and the number dropped.
+
+    Each replicate is the induced subgraph on its drawn nodes, counted
+    and studentized on its own.
+    """
+    r = motif.r
+    u_full = sample_moment(A, motif)
+    values, dropped = [], 0
+    for b in range(B):
+        A_star = A.induced(DRAWS[scheme](stream(seed, scheme, b), A.n))
+        m = A_star.n
+        total, per = motif_counts(A_star, motif)
+        u_hat = total / math.comb(m, r)
+        g1 = per / math.comb(m - 1, r - 1) - u_hat
+        s_sq = float(r * r * np.sum(g1 * g1) / (m * m))
+        if use_jackknife:
+            s_sq = jackknife_variance(A_star, motif)
+        if s_sq == 0.0:
+            dropped += 1
+        else:
+            values.append((u_hat - u_full) / math.sqrt(s_sq))
+    return np.sort(np.asarray(values)), dropped
+
+
+class TestReplicateEngine:
+    @pytest.mark.parametrize("use_jackknife", [False, True], ids=["moment", "jackknife"])
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE, THREESTAR], ids=lambda m: m.name)
+    @pytest.mark.parametrize("rho", [1.0, 0.3])
+    @pytest.mark.parametrize("scheme", ["subsample", "resample"])
+    def test_equals_per_replicate_oracle(self, scheme, rho, motif, use_jackknife):
+        # B spans two full blocks and a partial one.  At rho = 0.3 some
+        # replicates are degenerate: the three-star drops a few, and the
+        # triangle drops enough to trip the cap.
+        A = sample_graph(paper_block_model(), 40, rho, seed=40)
+        m = A.n // 2 if scheme == "subsample" else A.n
+        B = 2 * max(1, _BLOCK_ELEMENTS // (m * m)) + 7
+        values, dropped = oracle_replicates(scheme, A, motif, B, 3, use_jackknife)
+        if dropped > MAX_DROP_FRACTION * B:
+            with pytest.raises(DegenerateReplicatesError) as exc:
+                run_bootstrap(scheme, A, motif, B, 3, use_jackknife)
+            assert (exc.value.n_dropped, exc.value.n_total) == (dropped, B)
+        else:
+            F = run_bootstrap(scheme, A, motif, B, 3, use_jackknife)
+            assert F.samples.tobytes() == values.tobytes()
+            assert (F.B, F.n_dropped) == (B - dropped, dropped)
+
+    @pytest.mark.parametrize("elements", [1, 1 << 30])
+    def test_block_size_invariance(self, monkeypatch, elements):
+        # One replicate per block, and every replicate in one block.
+        bm = paper_block_model()
+        A = sample_graph(bm, 40, 1.0, seed=40)
+
+        def fingerprint():
+            truth = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=12, n_mc=1_000, seed=3,
+                                         mu=0.1, max_degenerate_fraction=1.0, threads=2)
+            boots = [subsample_distribution(A, TRIANGLE, n_star=20, B=60, seed=4,
+                                            use_jackknife=True),
+                     resample_distribution(A, THREESTAR, B=60, seed=4)]
+            return (truth.values.tobytes(), truth.n_degenerate, repr(truth.t_mean),
+                    repr(truth.t_sd), [(F.samples.tobytes(), F.n_dropped) for F in boots])
+
+        expected = fingerprint()
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMENTS", elements)
+        assert fingerprint() == expected

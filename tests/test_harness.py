@@ -13,7 +13,8 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesE
                         run_power_experiment, run_sparsity_sweep, substream_seed,
                         sup_grid_error, write_records_csv)
 from netmoments import builtin_graphon, motif_counts, sample_graph
-from netmoments.harness import (_TRUTH_BLOCK_ELEMENTS, ExperimentRecord,
+from netmoments.bootstrap import _BLOCK_ELEMENTS
+from netmoments.harness import (ExperimentRecord,
                                 effective_sample_size_check, summarize_coverage)
 from conftest import paper_block_model
 
@@ -156,7 +157,7 @@ class TestTrueCdf:
         # the same bytes, with n_mc spanning a partial last block.
         g = builtin_graphon(graphon)
         n, rho, seed, mu = 9, 0.8, 13, 0.25
-        n_mc = 2 * (_TRUTH_BLOCK_ELEMENTS // (n * n)) + 37
+        n_mc = 2 * (_BLOCK_ELEMENTS // (n * n)) + 37
         r = motif.r
         t_vals, degenerate = [], 0
         for k in range(n_mc):
@@ -185,6 +186,15 @@ class TestTrueCdf:
         truth = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=10, n_mc=1_500, seed=2,
                                      max_degenerate_fraction=0.25)
         assert truth.n_degenerate > 0.01 * truth.n_total
+
+    def test_all_degenerate_raises(self, bm):
+        # At rho = 0.01 and n = 5 no draw holds a triangle: with the cap
+        # lifted there is still nothing to tabulate.
+        with pytest.raises(DegenerateReplicatesError,
+                           match=r"1000 of 1000 truth replicates were degenerate \(all\)") as exc:
+            monte_carlo_true_cdf(bm, 0.01, TRIANGLE, n=5, n_mc=1_000, seed=1,
+                                 max_degenerate_fraction=1.0)
+        assert (exc.value.n_dropped, exc.value.n_total) == (1_000, 1_000)
 
 
 class TestPopulationMeanCache:
@@ -327,3 +337,11 @@ class TestEffectiveSampleSize:
         assert a == b
         closer, reps = a
         assert reps == 5 and 0 <= closer <= reps
+
+    def test_small_n_truths_take_the_bootstrap_cap(self):
+        # At n = 20 the truth at m = 5 has 40 of 1000 degenerate edge
+        # replicates: above the truth default of 1%, within the 10% the
+        # compared bootstrap allows.
+        assert effective_sample_size_check(
+            paper_block_model(), 1.0, EDGE, n=20, n_mc=1_000, n_boot=30,
+            repetitions=4, seed=5) == (2, 4)
