@@ -42,7 +42,7 @@ print("S_hat^2 =", nm.variance_estimator(g1, 3))
 print("jackknife S^2 =", nm.jackknife_variance(A, nm.TRIANGLE), "(nearly the same)")
 
 # Population counterparts, exact for the block model.
-mu = nm.population_moment(bm, 1.0, nm.TRIANGLE, method="exact")
+mu = nm.population_moment(bm, 1.0, nm.TRIANGLE)
 pc = nm.population_edgeworth_coefficients(bm, 1.0, nm.TRIANGLE)
 print(f"\nPopulation triangle moment mu = {mu.value:.4f}; "
       f"xi1^2 = {pc.xi1_sq:.3e}, E[g1^3] = {pc.e_g1_cubed:+.3e}, "

@@ -152,7 +152,10 @@ def load_edge_list(path) -> AdjacencyMatrix:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected two node ids, got {raw!r}")
-        i, j = int(parts[0]), int(parts[1])
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: node ids must be integers, got {raw!r}") from None
         if i < 1 or j < 1:
             raise ValueError(f"{path}:{lineno}: node ids are 1-based, got {raw!r}")
         if i == j:

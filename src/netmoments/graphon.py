@@ -5,14 +5,16 @@ with a sparsity factor ``rho`` it generates random graphs: latent node
 positions are i.i.d. Uniform[0,1], edge probabilities are
 ``W_ij = rho * f(X_i, X_j)``, and edges are independent Bernoulli draws
 given ``W``.  Population moments and the population expansion
-coefficients are computed exactly for block models (finite latent
-enumeration) and by Monte Carlo integration otherwise.
+coefficients follow one policy: exact for block models, Monte Carlo
+integration for every other graphon.  The exact values come from one
+table of containment probabilities over all block assignments, whose
+conditional means give ``mu``, ``g1`` and ``h2``; both paths map node
+values to containment through one helper.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -175,8 +177,9 @@ def builtin_graphon(name: str) -> Graphon:
 def graphon_from_config(spec) -> Graphon:
     """Build a graphon from a config value (name or mapping).
 
-    Mappings use ``{"kind": "BlockModel", "pi": [...], "B": [[...]]}``;
-    the Smooth/NonSmooth built-ins need only their kind.  Custom
+    Mappings use ``{"kind": "BlockModel", "pi": [...], "B": [[...]]}``
+    (``pi`` and ``B`` together; neither gives the paper default); the
+    Smooth/NonSmooth built-ins need only their kind.  Custom
     graphons hold arbitrary callables and cannot be described in JSON.
     """
     if isinstance(spec, str):
@@ -190,8 +193,11 @@ def graphon_from_config(spec) -> Graphon:
         unknown = set(spec) - {"kind", "pi", "B", "name"}
         if unknown:
             raise ValueError(f"unknown graphon config keys: {sorted(unknown)}")
-        if "pi" not in spec or "B" not in spec:
+        missing = {"pi", "B"} - set(spec)
+        if missing == {"pi", "B"}:
             return _default_block_model()
+        if missing:
+            raise ValueError(f"missing graphon config keys: {sorted(missing)}")
         return block_model(spec["pi"], spec["B"], name=spec.get("name"))
     if kind in ("SmoothGraphon", "NonSmoothGraphon"):
         unknown = set(spec) - {"kind", "name"}
@@ -342,65 +348,68 @@ class MomentEstimate:
         return self.value
 
 
-def _pair_probs_from_coords(g: Graphon, rho: float, coords: np.ndarray) -> np.ndarray:
-    """Map latent r-tuples (m, r) to edge-probability rows (m, n_pairs)."""
-    r = coords.shape[1]
-    pairs = _PAIRS[r]
-    cols = [rho * np.asarray(g.evaluate(coords[:, i], coords[:, j]), dtype=np.float64)
-            for i, j in pairs]
-    return np.column_stack(cols)
+def _containment_given(motif: Motif, rho: float, f, x: np.ndarray) -> np.ndarray:
+    """``E[h | node values]`` for each row of ``x`` (m, r), with edge probabilities ``rho * f``.
+
+    Monte Carlo passes ``g.evaluate`` with uniform latent coordinates;
+    block-model enumeration passes ``B`` lookup with block labels.
+    """
+    probs = np.column_stack([rho * np.asarray(f(x[:, i], x[:, j]), dtype=np.float64)
+                             for i, j in _PAIRS[motif.r]])
+    return containment_probability(motif, probs)
 
 
-def _expected_h_given_coords(g: Graphon, rho: float, motif: Motif, coords: np.ndarray) -> np.ndarray:
-    return containment_probability(motif, _pair_probs_from_coords(g, rho, coords))
+def _monte_carlo(g: Graphon, m: int) -> bool:
+    """The one estimator policy: enumerate block models exactly, integrate the rest.
+
+    Returns whether Monte Carlo applies, after checking its sample size.
+    """
+    if g.is_block_model:
+        return False
+    if m < 10_000:
+        raise ValueError(f"Monte-Carlo needs m >= 10^4 draws, got {m}")
+    return True
 
 
-def _block_assignments(K: int, length: int):
-    return itertools.product(range(K), repeat=length)
+def _block_means(g: Graphon, rho: float, motif: Motif, depth: int) -> list[np.ndarray]:
+    """Exact ``E[h | blocks of the first j nodes]``, shape ``(K,)*j``, for ``j = 0..depth``.
+
+    One table holds the containment probability at every block
+    assignment, in ``itertools.product`` order.  Fixing the first ``j``
+    labels leaves a ``pi``-weighted sum over the free ones, taken
+    sequentially in that order; a tensor contraction would reorder it
+    and move ``mu`` (which centres every truth) in the last ulp.
+    """
+    pi, K, r = g.pi, g.pi.size, motif.r
+    labels = np.indices((K,) * r).reshape(r, -1).T
+    h = _containment_given(motif, rho, lambda k, l: g.B[k, l], labels)
+    means = []
+    for j in range(depth + 1):
+        weight = np.ones(K ** (r - j))
+        for free in labels[:K ** (r - j), j:].T:
+            weight = weight * pi[free]
+        terms = h.reshape(K ** j, -1) * weight
+        means.append(np.cumsum(terms, axis=-1)[:, -1].reshape((K,) * j))
+    return means
 
 
-def _block_expected_h(g: Graphon, rho: float, motif: Motif, fixed: tuple[int, ...]) -> float:
-    """E[h(W_sub)] with the first ``len(fixed)`` node blocks held fixed."""
-    pi, B = g.pi, g.B
-    K = pi.size
-    r = motif.r
-    pairs = _PAIRS[r]
-    total = 0.0
-    for rest in _block_assignments(K, r - len(fixed)):
-        ks = fixed + rest
-        weight = math.prod(pi[k] for k in rest)
-        if weight == 0.0:
-            continue
-        probs = np.array([rho * B[ks[i], ks[j]] for i, j in pairs])
-        total += weight * float(containment_probability(motif, probs))
-    return total
-
-
-def population_moment(g: Graphon, rho: float, motif: Motif, method: str = "exact",
+def population_moment(g: Graphon, rho: float, motif: Motif,
                       m: int = 100_000, seed: int = 0) -> MomentEstimate:
     """Population moment ``mu_n = E[h(W_{1..r})]``.
 
-    ``method="exact"`` enumerates block assignments (block models only).
-    ``method="monte-carlo"`` averages the exact conditional containment
-    probability over ``m`` i.i.d. latent r-tuples and reports the
-    standard error of that average.
+    Block models enumerate their block assignments exactly.  Other
+    graphons average the exact conditional containment probability over
+    ``m`` i.i.d. latent r-tuples and report the standard error of that
+    average.
     """
     _check_rho(rho)
-    if method == "exact":
-        if not g.is_block_model:
-            raise ValueError("exact population moments require a block model")
-        value = _block_expected_h(g, rho, motif, fixed=())
-        return MomentEstimate(value=value, standard_error=0.0, method="exact")
-    if method == "monte-carlo":
-        if m < 10_000:
-            raise ValueError(f"Monte-Carlo needs m >= 10^4 tuples, got {m}")
-        rng = stream(seed, "population-moment")
-        coords = rng.random((m, motif.r))
-        h_vals = _expected_h_given_coords(g, rho, motif, coords)
-        se = float(h_vals.std(ddof=1) / math.sqrt(m))
-        return MomentEstimate(value=float(h_vals.mean()), standard_error=se,
-                              method="monte-carlo")
-    raise ValueError(f"unknown method {method!r}; use 'exact' or 'monte-carlo'")
+    if not _monte_carlo(g, m):
+        mu, = _block_means(g, rho, motif, depth=0)
+        return MomentEstimate(value=float(mu), standard_error=0.0, method="exact")
+    coords = stream(seed, "population-moment").random((m, motif.r))
+    h_vals = _containment_given(motif, rho, g.evaluate, coords)
+    se = float(h_vals.std(ddof=1) / math.sqrt(m))
+    return MomentEstimate(value=float(h_vals.mean()), standard_error=se, method="monte-carlo")
 
 
 @dataclass(frozen=True)
@@ -423,13 +432,10 @@ class PopulationCoefficients:
 
 def _population_coefficients_block(g: Graphon, rho: float, motif: Motif) -> PopulationCoefficients:
     pi = g.pi
-    K = pi.size
-    mu = _block_expected_h(g, rho, motif, fixed=())
-    g1 = np.array([_block_expected_h(g, rho, motif, (k,)) - mu for k in range(K)])
+    mu, h1, h2 = _block_means(g, rho, motif, depth=2)
+    g1 = h1 - mu
     xi1_sq = float(np.sum(pi * g1 ** 2))
     e_g1_cubed = float(np.sum(pi * g1 ** 3))
-    h2 = np.array([[_block_expected_h(g, rho, motif, (k, l)) for l in range(K)]
-                   for k in range(K)])
     g2 = h2 - mu - g1[:, None] - g1[None, :]
     weights = pi[:, None] * pi[None, :]
     e_g1g1g2 = float(np.sum(weights * g1[:, None] * g1[None, :] * g2))
@@ -458,12 +464,10 @@ def population_edgeworth_coefficients(g: Graphon, rho: float, motif: Motif,
         projection, e.g. any Erdos-Renyi graphon).
     """
     _check_rho(rho)
-    if g.is_block_model:
-        out = _population_coefficients_block(g, rho, motif)
-    else:
-        if m < 10_000:
-            raise ValueError(f"Monte-Carlo needs m >= 10^4 draws, got {m}")
+    if _monte_carlo(g, m):
         out = _population_coefficients_mc(g, rho, motif, m, seed)
+    else:
+        out = _population_coefficients_block(g, rho, motif)
     if out.xi1 < 1e-10 * rho ** motif.s:
         raise DegeneracyError(
             f"degenerate linear projection: xi1={out.xi1:.3e} below 1e-10*rho^s; "
@@ -475,8 +479,7 @@ def _population_coefficients_mc(g: Graphon, rho: float, motif: Motif,
                                 m: int, seed: int) -> PopulationCoefficients:
     r = motif.r
     rng = stream(seed, "population-coefficients")
-    mu = population_moment(g, rho, motif, method="monte-carlo", m=max(m, 10_000),
-                           seed=substream_seed(seed, "pop-coeff-mu")).value
+    mu = population_moment(g, rho, motif, m=m, seed=substream_seed(seed, "pop-coeff-mu")).value
 
     x = rng.random(m)
     y = rng.random(m)
@@ -485,8 +488,8 @@ def _population_coefficients_mc(g: Graphon, rho: float, motif: Motif,
         """One single-draw replicate of g1 at x and at y."""
         tx = rng.random((m, r - 1))
         ty = rng.random((m, r - 1))
-        hx = _expected_h_given_coords(g, rho, motif, np.column_stack([x, tx]))
-        hy = _expected_h_given_coords(g, rho, motif, np.column_stack([y, ty]))
+        hx = _containment_given(motif, rho, g.evaluate, np.column_stack([x, tx]))
+        hy = _containment_given(motif, rho, g.evaluate, np.column_stack([y, ty]))
         return hx - mu, hy - mu
 
     a1, b1 = g1_draw()
@@ -497,7 +500,7 @@ def _population_coefficients_mc(g: Graphon, rho: float, motif: Motif,
     cu = a1 * a2 * a3
     # h2(x, y): conditional average with both first coordinates fixed.
     t2 = rng.random((m, r - 2))
-    h2 = _expected_h_given_coords(g, rho, motif, np.column_stack([x, y, t2]))
+    h2 = _containment_given(motif, rho, g.evaluate, np.column_stack([x, y, t2]))
     a4, b4 = g1_draw()
     bracket = h2 - mu - a4 - b4
     prod = a3 * b1 * bracket

@@ -196,30 +196,20 @@ def sup_grid_error(approx, truth) -> float:
     return float(np.abs(approx - truth).max())
 
 
-def _graphon_descriptor(g: Graphon):
-    if g.is_block_model:
-        return {"kind": "BlockModel", "pi": g.pi.tolist(), "B": g.B.tolist()}
-    if g.kind in ("SmoothGraphon", "NonSmoothGraphon"):
-        return {"kind": g.kind}
-    return None  # custom evaluators have no faithful serialization
-
-
 def population_mean(g: Graphon, rho: float, motif: Motif, n_mc: int = 100_000,
                     seed: int = 0, cache_dir=None) -> MomentEstimate:
-    """The centering moment for truths: exact for block models, else Monte Carlo.
+    """The centering moment for truths, from :func:`population_moment`.
 
-    The Monte-Carlo size follows the truth size (``100 * sqrt(n_mc)``,
-    at least 10^4) so centering error stays below the truth's own
-    resolution.  Estimates for serializable graphons can be cached on
-    disk keyed by a content hash.
+    Block models are exact.  Otherwise the Monte-Carlo size follows the
+    truth size (``100 * sqrt(n_mc)``, at least 10^4) so centering error
+    stays below the truth's own resolution, and estimates for the
+    built-in graphons can be cached on disk keyed by a content hash
+    (custom evaluators have no faithful serialization).
     """
-    if g.is_block_model:
-        return population_moment(g, rho, motif, method="exact")
     m = max(10_000, math.ceil(100.0 * math.sqrt(n_mc)))
-    desc = _graphon_descriptor(g)
     cache_path = None
-    if cache_dir is not None and desc is not None:
-        payload = json.dumps({"graphon": desc, "rho": rho, "m": m, "seed": seed,
+    if cache_dir is not None and g.kind in ("SmoothGraphon", "NonSmoothGraphon"):
+        payload = json.dumps({"graphon": {"kind": g.kind}, "rho": rho, "m": m, "seed": seed,
                               "motif": motif.adjacency.tolist()}, sort_keys=True)
         digest = hashlib.sha256(payload.encode()).hexdigest()[:24]
         cache_path = Path(cache_dir) / f"mu-{digest}.json"
@@ -228,8 +218,7 @@ def population_mean(g: Graphon, rho: float, motif: Motif, n_mc: int = 100_000,
             return MomentEstimate(value=data["value"],
                                   standard_error=data["standard_error"],
                                   method="monte-carlo")
-    est = population_moment(g, rho, motif, method="monte-carlo", m=m,
-                            seed=substream_seed(seed, "population-mean"))
+    est = population_moment(g, rho, motif, m=m, seed=substream_seed(seed, "population-mean"))
     if cache_path is not None:
         _write_atomic(cache_path, json.dumps(
             {"value": est.value, "standard_error": est.standard_error}))

@@ -231,6 +231,9 @@ def motif_from_config(spec) -> Motif:
     unknown = set(spec) - {"nodes", "edges", "name"}
     if unknown:
         raise ValueError(f"unknown motif config keys: {sorted(unknown)}")
+    missing = {"nodes", "edges"} - set(spec)
+    if missing:
+        raise ValueError(f"missing motif config keys: {sorted(missing)}")
     r = int(spec["nodes"])
     adj = np.zeros((r, r), dtype=np.int8)
     for edge in spec["edges"]:

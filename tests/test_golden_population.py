@@ -45,10 +45,8 @@ CASES = tuple(
 
 def records(g, motif, rho):
     """(quantity, value) for every scalar of the two population calls."""
-    mc = {} if g.is_block_model else {"m": MC_M, "seed": MC_SEED}
-    method = "exact" if g.is_block_model else "monte-carlo"
-    est = population_moment(g, rho, motif, method=method, **mc)
-    pc = population_edgeworth_coefficients(g, rho, motif, **mc)
+    est = population_moment(g, rho, motif, m=MC_M, seed=MC_SEED)
+    pc = population_edgeworth_coefficients(g, rho, motif, m=MC_M, seed=MC_SEED)
     yield from (("moment." + k, v) for k, v in dataclasses.asdict(est).items())
     yield from (("coefficients." + k, v) for k, v in dataclasses.asdict(pc).items())
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ class TestGraphonValidation:
             graphon_from_config({"kind": "BlockModel", "pi": [0.5, 0.5],
                                  "B": [[0.5, 0.1], [0.2, 0.5]]})
 
+    @pytest.mark.parametrize("spec, missing", [
+        ({"kind": "BlockModel", "pi": [0.3, 0.7]}, "['B']"),
+        ({"kind": "BlockModel", "B": [[0.5, 0.1], [0.1, 0.5]]}, "['pi']"),
+    ])
+    def test_block_model_config_names_missing_key(self, spec, missing):
+        with pytest.raises(ValueError, match=re.escape(f"missing graphon config keys: {missing}")):
+            graphon_from_config(spec)
+
+    def test_bare_block_model_config_is_paper_default(self, bm):
+        g = graphon_from_config({"kind": "BlockModel"})
+        assert np.array_equal(g.pi, bm.pi) and np.array_equal(g.B, bm.B)
+
     def test_custom_symmetry_check(self):
         with pytest.raises(ValueError, match="not symmetric"):
             custom_graphon(lambda u, v: 0.5 * u + np.zeros_like(v))
@@ -191,7 +204,7 @@ class TestGraphonValidation:
 
 class TestPopulationMoment:
     def test_block_edge_exact(self, bm):
-        est = population_moment(bm, 1.0, EDGE, method="exact")
+        est = population_moment(bm, 1.0, EDGE)
         assert est.value == pytest.approx(0.3, abs=1e-12)
         assert est.standard_error == 0.0
 
@@ -203,23 +216,25 @@ class TestPopulationMoment:
         for a, b, c in itertools.product(range(2), repeat=3):
             acc += B[a, b] * B[a, c] * B[b, c]
         expected = acc / 8
-        est = population_moment(bm, 1.0, TRIANGLE, method="exact")
+        est = population_moment(bm, 1.0, TRIANGLE)
         assert est.value == pytest.approx(expected, abs=1e-12)
 
     def test_constant_triangle_is_cubed(self):
-        est = population_moment(const_graphon(0.37), 1.0, TRIANGLE,
-                                method="monte-carlo", m=10_000, seed=3)
+        est = population_moment(const_graphon(0.37), 1.0, TRIANGLE, m=10_000, seed=3)
         assert est.value == pytest.approx(0.37 ** 3, abs=1e-12)
 
-    def test_method_kind_mismatch(self):
-        with pytest.raises(ValueError, match="block model"):
-            population_moment(smooth_graphon(), 1.0, EDGE, method="exact")
-        with pytest.raises(ValueError, match="unknown method"):
-            population_moment(smooth_graphon(), 1.0, EDGE, method="magic")
+    def test_estimator_follows_graphon_kind(self, bm):
+        # One policy: block models are exact whatever m and seed say,
+        # every other graphon is integrated by Monte Carlo.
+        exact = population_moment(bm, 1.0, EDGE, m=10, seed=4)
+        assert (exact.method, exact.standard_error) == ("exact", 0.0)
+        assert exact == population_moment(bm, 1.0, EDGE)
+        mc = population_moment(smooth_graphon(), 1.0, EDGE, m=10_000, seed=4)
+        assert mc.method == "monte-carlo" and mc.standard_error > 0.0
 
     def test_mc_sample_size_floor(self):
         with pytest.raises(ValueError, match="10\\^4"):
-            population_moment(smooth_graphon(), 1.0, EDGE, method="monte-carlo", m=100)
+            population_moment(smooth_graphon(), 1.0, EDGE, m=100)
 
     def test_smooth_edge_vs_quadrature(self):
         # Oracle: tensorized Gauss-Legendre integral of f over the square,
@@ -235,19 +250,21 @@ class TestPopulationMoment:
 
         i1, i2 = gl(1600), gl(3200)
         assert abs(i1 - i2) < 5e-8
-        est = population_moment(g, 1.0, EDGE, method="monte-carlo", m=1_000_000, seed=17)
+        est = population_moment(g, 1.0, EDGE, m=1_000_000, seed=17)
         assert est.standard_error < 2e-4
         assert abs(est.value - i2) < 3 * est.standard_error
 
     def test_mc_matches_exact_for_block(self, bm):
-        exact = population_moment(bm, 1.0, TRIANGLE, method="exact").value
-        mc = population_moment(bm, 1.0, TRIANGLE, method="monte-carlo", m=200_000, seed=5)
+        # Monte Carlo on a custom wrapper of the same block model.
+        wrapped = custom_graphon(bm.evaluate, name="wrapped-block")
+        exact = population_moment(bm, 1.0, TRIANGLE).value
+        mc = population_moment(wrapped, 1.0, TRIANGLE, m=200_000, seed=5)
         assert abs(mc.value - exact) < 4 * mc.standard_error
 
     def test_se_scales_with_sqrt_m(self):
         g = smooth_graphon()
-        se1 = population_moment(g, 1.0, EDGE, "monte-carlo", m=20_000, seed=1).standard_error
-        se2 = population_moment(g, 1.0, EDGE, "monte-carlo", m=80_000, seed=2).standard_error
+        se1 = population_moment(g, 1.0, EDGE, m=20_000, seed=1).standard_error
+        se2 = population_moment(g, 1.0, EDGE, m=80_000, seed=2).standard_error
         assert se2 / se1 == pytest.approx(0.5, abs=0.1)
 
 

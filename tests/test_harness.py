@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesError,
-                        ExperimentConfig, monte_carlo_true_cdf, population_mean,
+                        ExperimentConfig, monte_carlo_true_cdf, population_mean, population_moment,
                         resolve_rho, run_accuracy_experiment, run_coverage_experiment,
                         run_power_experiment, run_sparsity_sweep, substream_seed,
                         sup_grid_error, write_records_csv)
@@ -211,6 +211,12 @@ class TestPopulationMeanCache:
         # A cache hit reads the file instead of recomputing.
         files[0].write_text(json.dumps({"value": 0.125, "standard_error": 0.0}))
         assert population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache).value == 0.125
+
+    def test_block_model_mean_is_exact_and_never_cached(self, bm, tmp_path):
+        est = population_mean(bm, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=tmp_path / "cache")
+        assert (est.method, est.standard_error) == ("exact", 0.0)
+        assert est == population_moment(bm, 0.5, EDGE)
+        assert not (tmp_path / "cache").exists()
 
 
 class TestAccuracyExperiment:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,13 @@ class TestEdgeListIO:
         p = tmp_path / "bad.edges"
         p.write_text("1 1\n")
         with pytest.raises(ValueError, match="self-loop"):
+            load_edge_list(p)
+
+    @pytest.mark.parametrize("line", ["2 x", "1.5 2"])
+    def test_non_integer_id_names_file_and_line(self, tmp_path, line):
+        p = tmp_path / "bad.edges"
+        p.write_text(f"1 2\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: node ids must be integers")):
             load_edge_list(p)
 
     def test_zero_based_rejected(self, tmp_path):

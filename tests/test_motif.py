@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown motif config"):
             motif_from_config({"nodes": 3, "edges": [[1, 2]], "weight": 2})
+
+    @pytest.mark.parametrize("spec, missing", [
+        ({"nodes": 3}, "['edges']"),
+        ({"edges": [[1, 2]]}, "['nodes']"),
+        ({"name": "x"}, "['edges', 'nodes']"),
+    ])
+    def test_missing_keys_named(self, spec, missing):
+        with pytest.raises(ValueError, match=re.escape(f"missing motif config keys: {missing}")):
+            motif_from_config(spec)
 
     def test_bad_edges(self):
         with pytest.raises(ValueError, match="1-based"):

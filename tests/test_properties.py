@@ -1,14 +1,17 @@
 """Property-based tests of the algebraic invariants."""
 
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
-                        compute_stats, conditional_expectation_h, contains,
-                        local_projection, motif_counts, pair_projection, sample_moment)
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix, DegeneracyError,
+                        block_model, compute_stats, conditional_expectation_h, contains,
+                        local_projection, make_motif, motif_counts, pair_projection,
+                        population_edgeworth_coefficients, population_moment, sample_moment)
 from netmoments import moments
 from netmoments.moments import _threestar_inner_counts
 
@@ -153,3 +156,69 @@ def test_conditional_expectation_multilinear(mw, pair_seed):
         wt[i, j] = wt[j, i] = t
         vals.append(conditional_expectation_h(wt, motif))
     assert vals[1] == pytest.approx((vals[0] + vals[2]) / 2, abs=1e-12)
+
+
+@st.composite
+def small_motifs(draw):
+    """A connected motif on 2-4 nodes: a random tree plus random extra edges."""
+    r = draw(st.integers(2, 4))
+    a = np.zeros((r, r), dtype=np.int8)
+    for v in range(1, r):
+        u = draw(st.integers(0, v - 1))
+        a[u, v] = a[v, u] = 1
+    for u, v in itertools.combinations(range(r), 2):
+        if draw(st.booleans()):
+            a[u, v] = a[v, u] = 1
+    return make_motif(a)
+
+
+@st.composite
+def small_block_models(draw):
+    K = draw(st.integers(2, 3))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K)))
+    if w.sum() < 1e-3:
+        w[0] = 1.0
+    b = draw(st.lists(st.floats(0.0, 1.0), min_size=K * K, max_size=K * K))
+    B = np.triu(np.reshape(b, (K, K)))
+    return block_model(w / w.sum(), B + np.triu(B, 1).T)
+
+
+def brute_block_population(g, rho, motif):
+    """mu, xi1^2, E[g1^3], E[g1 g1 g2] by enumerating block assignments.
+
+    Each assignment's ``W_sub`` goes through ``conditional_expectation_h``,
+    and every conditional mean is a plain loop over the free blocks.
+    """
+    pi, B, K, r = g.pi, g.B, g.pi.size, motif.r
+    h = {}
+    for ks in itertools.product(range(K), repeat=r):
+        w = rho * B[np.ix_(ks, ks)]
+        np.fill_diagonal(w, 0.0)
+        h[ks] = conditional_expectation_h(w, motif)
+
+    def mean(fixed):
+        return sum(math.prod(pi[k] for k in rest) * h[fixed + rest]
+                   for rest in itertools.product(range(K), repeat=r - len(fixed)))
+
+    mu = mean(())
+    g1 = [mean((k,)) - mu for k in range(K)]
+    g2 = [[mean((k, l)) - mu - g1[k] - g1[l] for l in range(K)] for k in range(K)]
+    return (mu, sum(pi[k] * g1[k] ** 2 for k in range(K)),
+            sum(pi[k] * g1[k] ** 3 for k in range(K)),
+            sum(pi[k] * pi[l] * g1[k] * g1[l] * g2[k][l]
+                for k in range(K) for l in range(K)))
+
+
+@SETTINGS
+@given(small_block_models(), small_motifs(), st.floats(0.05, 1.0))
+def test_exact_population_matches_brute_enumeration(g, motif, rho):
+    mu, xi1_sq, e3, e112 = brute_block_population(g, rho, motif)
+    assert population_moment(g, rho, motif).value == pytest.approx(mu, abs=1e-12)
+    try:
+        pc = population_edgeworth_coefficients(g, rho, motif)
+    except DegeneracyError:
+        assert xi1_sq < (1e-10 * rho ** motif.s) ** 2 + 1e-12
+        return
+    assert pc.xi1_sq == pytest.approx(xi1_sq, abs=1e-12)
+    assert pc.e_g1_cubed == pytest.approx(e3, abs=1e-12)
+    assert pc.e_g1g1g2 == pytest.approx(e112, abs=1e-12)
