@@ -4,12 +4,9 @@ A graphon is a symmetric function ``f: [0,1]^2 -> [0,1]``.  Together
 with a sparsity factor ``rho`` it generates random graphs: latent node
 positions are i.i.d. Uniform[0,1], edge probabilities are
 ``W_ij = rho * f(X_i, X_j)``, and edges are independent Bernoulli draws
-given ``W``.  Population moments and the population expansion
-coefficients follow one policy: exact for block models, Monte Carlo
-integration for every other graphon.  The exact values come from one
-table of containment probabilities over all block assignments, whose
-conditional means give ``mu``, ``g1`` and ``h2``; both paths map node
-values to containment through one helper.
+given ``W``.  Population moments and expansion coefficients are exact
+for block models, as sums over one table of containment probabilities
+at every block assignment, and Monte Carlo integrals otherwise.
 """
 
 from __future__ import annotations
