@@ -11,15 +11,19 @@ a sweep down to rho = 1/n, and a Monte-Carlo population mean.  A change
 that is meant to alter experiment outputs regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so; any other
 change must reproduce it exactly.
+
+The effective-sample-size check returns only counts; ``ESS_PINS`` pins
+them (or the truth that raises) for edge, triangle and V-shape runs.
 """
 
 from pathlib import Path
 
 import pytest
 
-from netmoments import (ExperimentConfig, run_accuracy_experiment, run_coverage_experiment,
+from netmoments import (EDGE, TRIANGLE, VSHAPE, DegenerateReplicatesError, ExperimentConfig,
+                        builtin_graphon, run_accuracy_experiment, run_coverage_experiment,
                         run_power_experiment, run_sparsity_sweep, write_records_csv)
-from netmoments.harness import METHODS, ExperimentRecord
+from netmoments.harness import METHODS, ExperimentRecord, effective_sample_size_check
 
 GOLDEN = Path(__file__).parent / "data" / "golden_records.csv"
 
@@ -67,6 +71,34 @@ def test_golden_file_reaches_every_record_path():
         assert (method, "coverage") in kinds and (method, "length") in kinds
         assert (method, "degenerate") in kinds
     assert ("edgeworth_empirical", "power") in kinds
+
+
+# (graphon, motif, n, rho, seed) -> (closer, repetitions), or the
+# "n_dropped of n_total" of the truth that raises.  The smooth graphon's
+# mu is a Monte-Carlo estimate; at n = 20 and 24 the triangle truth at
+# the effective size m = n/4 is mostly empty.
+ESS_PINS = [
+    ("blockmodel", EDGE, 20, 1.0, 11, (0, 12)),
+    ("blockmodel", EDGE, 24, 1.0, 12, (1, 12)),
+    ("blockmodel", EDGE, 40, 0.5, 16, (4, 12)),
+    ("blockmodel", TRIANGLE, 56, 1.0, 14, (1, 12)),
+    ("smoothgraphon", VSHAPE, 32, 1.0, 15, (3, 12)),
+    ("blockmodel", TRIANGLE, 20, 1.0, 13, "746 of 1000"),
+    ("blockmodel", TRIANGLE, 24, 1.0, 14, "602 of 1000"),
+]
+
+
+@pytest.mark.parametrize("graphon,motif,n,rho,seed,expected", ESS_PINS,
+                         ids=[f"{g}-{m.name}-{n}-{rho}" for g, m, n, rho, _, _ in ESS_PINS])
+def test_effective_sample_size_check_is_pinned(graphon, motif, n, rho, seed, expected):
+    def run():
+        return effective_sample_size_check(builtin_graphon(graphon), rho, motif, n=n,
+                                           n_mc=1_000, n_boot=30, repetitions=12, seed=seed)
+    if isinstance(expected, tuple):
+        assert run() == expected
+        return
+    with pytest.raises(DegenerateReplicatesError, match=f"^{expected} truth replicates"):
+        run()
 
 
 if __name__ == "__main__":
