@@ -110,7 +110,7 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
 
     def graphs(k0: int, k1: int) -> np.ndarray:
         idx = np.array([draw(streams(seed, label, b)) for b in range(k0, k1)])
-        return A.a[idx[:, :, None], idx[:, None, :]]
+        return A.a.ravel()[idx[:, :, None] * A.n + idx[:, None, :]]
 
     return _studentized(B, size, graphs, motif, sample_moment(A, motif),
                         MAX_DROP_FRACTION, "bootstrap", use_jackknife)

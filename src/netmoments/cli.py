@@ -157,11 +157,10 @@ def _cmd_experiment(args) -> int:
         ("alpha", args.alpha), ("max_degenerate_fraction", args.max_degenerate_fraction))
         if value is not None}
     if args.kind == "coverage":
-        records = run_coverage_experiment(cfg, cache_dir=args.cache_dir, **options)
+        records = run_coverage_experiment(cfg, **options)
         _emit(summarize_coverage(records))
     else:
-        records = run_accuracy_experiment(cfg, threads=args.threads,
-                                          cache_dir=args.cache_dir, **options)
+        records = run_accuracy_experiment(cfg, threads=args.threads, **options)
     write_records_csv(records, out)
     _emit({"experiment": args.kind, "records": len(records), "out": out})
     return 0
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="records CSV (overrides config output)")
     p.add_argument("--threads", type=int, default=1,
                    help="Monte-Carlo truth workers (accuracy and sparsity only)")
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--alpha", type=float, default=None,
                    help="coverage level (coverage only; default 0.2)")
     p.add_argument("--max-degenerate-fraction", type=float, default=None,

@@ -176,8 +176,9 @@ def graphon_from_config(spec) -> Graphon:
 
     Mappings use ``{"kind": "BlockModel", "pi": [...], "B": [[...]]}``
     (``pi`` and ``B`` together; neither gives the paper default); the
-    Smooth/NonSmooth built-ins need only their kind.  Custom
-    graphons hold arbitrary callables and cannot be described in JSON.
+    Smooth/NonSmooth built-ins need only their kind.  Every kind takes
+    an optional ``name`` (default: the kind).  Custom graphons hold
+    arbitrary callables and cannot be described in JSON.
     """
     if isinstance(spec, str):
         return builtin_graphon(spec)
@@ -186,24 +187,22 @@ def graphon_from_config(spec) -> Graphon:
     if not isinstance(spec, dict):
         raise ValueError(f"graphon spec must be a name or mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind == "BlockModel":
-        unknown = set(spec) - {"kind", "pi", "B", "name"}
-        if unknown:
-            raise ValueError(f"unknown graphon config keys: {sorted(unknown)}")
-        missing = {"pi", "B"} - set(spec)
-        if missing == {"pi", "B"}:
-            return _default_block_model()
-        if missing:
-            raise ValueError(f"missing graphon config keys: {sorted(missing)}")
-        return block_model(spec["pi"], spec["B"], name=spec.get("name"))
-    if kind in ("SmoothGraphon", "NonSmoothGraphon"):
-        unknown = set(spec) - {"kind", "name"}
-        if unknown:
-            raise ValueError(f"unknown graphon config keys: {sorted(unknown)}")
-        return smooth_graphon() if kind == "SmoothGraphon" else nonsmooth_graphon()
     if kind == "Custom":
         raise ValueError("Custom graphons are constructed programmatically, not from config")
-    raise ValueError(f"unknown graphon kind {kind!r}")
+    if kind not in ("BlockModel", "SmoothGraphon", "NonSmoothGraphon"):
+        raise ValueError(f"unknown graphon kind {kind!r}")
+    unknown = set(spec) - {"kind", "name"} - ({"pi", "B"} if kind == "BlockModel" else set())
+    if unknown:
+        raise ValueError(f"unknown graphon config keys: {sorted(unknown)}")
+    if kind == "BlockModel":
+        missing = {"pi", "B"} - set(spec)
+        if missing and missing != {"pi", "B"}:
+            raise ValueError(f"missing graphon config keys: {sorted(missing)}")
+        g = block_model(spec["pi"], spec["B"]) if not missing else _default_block_model()
+    else:
+        g = smooth_graphon() if kind == "SmoothGraphon" else nonsmooth_graphon()
+    g.name = spec.get("name") or g.name
+    return g
 
 
 @dataclass(frozen=True)

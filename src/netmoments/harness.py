@@ -10,11 +10,8 @@ reproduce bit for bit.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -197,49 +194,15 @@ def sup_grid_error(approx, truth) -> float:
 
 
 def population_mean(g: Graphon, rho: float, motif: Motif, n_mc: int = 100_000,
-                    seed: int = 0, cache_dir=None) -> MomentEstimate:
+                    seed: int = 0) -> MomentEstimate:
     """The centering moment for truths, from :func:`population_moment`.
 
     Block models are exact.  Otherwise the Monte-Carlo size follows the
     truth size (``100 * sqrt(n_mc)``, at least 10^4) so centering error
-    stays below the truth's own resolution, and estimates for the
-    built-in graphons can be cached on disk keyed by a content hash
-    (custom evaluators have no faithful serialization).
+    stays below the truth's own resolution.
     """
     m = max(10_000, math.ceil(100.0 * math.sqrt(n_mc)))
-    cache_path = None
-    if cache_dir is not None and g.kind in ("SmoothGraphon", "NonSmoothGraphon"):
-        payload = json.dumps({"graphon": {"kind": g.kind}, "rho": rho, "m": m, "seed": seed,
-                              "motif": motif.adjacency.tolist()}, sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:24]
-        cache_path = Path(cache_dir) / f"mu-{digest}.json"
-        if cache_path.exists():
-            data = json.loads(cache_path.read_text())
-            return MomentEstimate(value=data["value"],
-                                  standard_error=data["standard_error"],
-                                  method="monte-carlo")
-    est = population_moment(g, rho, motif, m=m, seed=substream_seed(seed, "population-mean"))
-    if cache_path is not None:
-        _write_atomic(cache_path, json.dumps(
-            {"value": est.value, "standard_error": est.standard_error}))
-    return est
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
-
-    Readers (including concurrent runs sharing a cache) see either no
-    file or the complete one, never a partial write.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    return population_moment(g, rho, motif, m=m, seed=substream_seed(seed, "population-mean"))
 
 
 @dataclass(frozen=True)
@@ -293,47 +256,57 @@ def _bootstrap(method: str, A: AdjacencyMatrix, cfg: ExperimentConfig, seed: int
     return resample_distribution(A, cfg.motif, B=cfg.n_boot, seed=seed)
 
 
-def _experiment(cfg: ExperimentConfig, label: str, points, evaluator,
-                cache_dir) -> list[ExperimentRecord]:
-    """The one loop of Simulations 1-3, over (n, rho, rep, method).
+def _networks(cfg: ExperimentConfig, label: str, points):
+    """The one sampling loop of every protocol: yields ``(n, rho, key, mu, networks)``.
 
-    ``points(n)`` lists the ``(rho, key)`` pairs run at ``n``; their
-    streams are keyed ``(label-rep, *key, rep)`` and ``(label-boot, *key,
-    rep, method)``.  ``evaluator(n, rho, mu)`` does the per-(n, rho)
-    set-up and returns ``evaluate(A, method, boot_seed)``: the method's
-    metrics for sample ``A``, or None when it is degenerate (as is a
-    bootstrap that drops too many replicates).  Metrics are recorded with
-    the method's wall-clock time.
+    ``points(n)`` lists the ``(rho, key)`` pairs run at ``n``.  ``mu`` is
+    :func:`population_mean` at ``rho``, and ``networks`` lazily draws
+    repetition ``rep`` as ``sample_graph`` from stream ``(label-rep, *key,
+    rep)``; read it before asking for the next point.
     """
-    records: list[ExperimentRecord] = []
     for n in cfg.n_list:
         for rho, key in points(n):
-            mu = population_mean(cfg.graphon, rho, cfg.motif, n_mc=cfg.n_mc,
-                                 seed=cfg.seed, cache_dir=cache_dir).value
-            evaluate = evaluator(n, rho, mu)
-            for rep in range(cfg.repetitions):
-                A = sample_graph(cfg.graphon, n, rho,
-                                 substream_seed(cfg.seed, f"{label}-rep", *key, rep))
-                for method in cfg.methods:
-                    boot_seed = substream_seed(cfg.seed, f"{label}-boot", *key, rep, method)
-                    base = dict(method=method, graphon=cfg.graphon.name,
-                                motif=cfg.motif.name or "custom", n=n, rho=rho, rep=rep)
-                    t0 = time.perf_counter()
-                    try:
-                        metrics = evaluate(A, method, boot_seed)
-                    except DegenerateReplicatesError:
-                        metrics = None
-                    elapsed = time.perf_counter() - t0
-                    if metrics is None:
-                        records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
-                        continue
-                    for metric, value in (*metrics.items(), ("time_seconds", elapsed)):
-                        records.append(ExperimentRecord(metric=metric, value=value, **base))
+            mu = population_mean(cfg.graphon, rho, cfg.motif, n_mc=cfg.n_mc, seed=cfg.seed).value
+            yield n, rho, key, mu, (
+                sample_graph(cfg.graphon, n, rho,
+                             substream_seed(cfg.seed, f"{label}-rep", *key, rep))
+                for rep in range(cfg.repetitions))
+
+
+def _experiment(cfg: ExperimentConfig, label: str, points, evaluator) -> list[ExperimentRecord]:
+    """The one loop of Simulations 1-3, over (n, rho, rep, method).
+
+    Samples come from :func:`_networks` with the same ``label`` and
+    ``points``; bootstrap streams are keyed ``(label-boot, *key, rep,
+    method)``.  ``evaluator(n, rho, mu)`` does the per-(n, rho) set-up
+    and returns ``evaluate(A, method, boot_seed)``: the method's metrics
+    for sample ``A``, or None when it is degenerate (as is a bootstrap
+    that drops too many replicates).  Metrics are recorded with the
+    method's wall-clock time.
+    """
+    records: list[ExperimentRecord] = []
+    for n, rho, key, mu, networks in _networks(cfg, label, points):
+        evaluate = evaluator(n, rho, mu)
+        for rep, A in enumerate(networks):
+            for method in cfg.methods:
+                boot_seed = substream_seed(cfg.seed, f"{label}-boot", *key, rep, method)
+                base = dict(method=method, graphon=cfg.graphon.name,
+                            motif=cfg.motif.name or "custom", n=n, rho=rho, rep=rep)
+                t0 = time.perf_counter()
+                try:
+                    metrics = evaluate(A, method, boot_seed)
+                except DegenerateReplicatesError:
+                    metrics = None
+                elapsed = time.perf_counter() - t0
+                if metrics is None:
+                    records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
+                    continue
+                for metric, value in (*metrics.items(), ("time_seconds", elapsed)):
+                    records.append(ExperimentRecord(metric=metric, value=value, **base))
     return records
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
-                            cache_dir=None,
                             max_degenerate_fraction: float = 0.01) -> list[ExperimentRecord]:
     """Simulations 1 and 3: sup-grid CDF approximation error per method.
 
@@ -364,14 +337,13 @@ def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
         return evaluate
     return _experiment(cfg, "accuracy",
                        lambda n: [(rho, (n, repr(rho))) for rho in cfg.rho_values(n)],
-                       evaluator, cache_dir)
+                       evaluator)
 
 
 run_sparsity_sweep = run_accuracy_experiment
 
 
-def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
-                            cache_dir=None) -> list[ExperimentRecord]:
+def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2) -> list[ExperimentRecord]:
     """Simulation 2: confidence-interval coverage, length, and time.
 
     Each repetition samples one network, builds each method's two-sided
@@ -389,15 +361,14 @@ def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2,
                 F = _bootstrap(method, A, cfg, boot_seed)
                 lo = stats.u_hat - F.quantile(1.0 - alpha / 2.0) * stats.s_hat
                 hi = stats.u_hat - F.quantile(alpha / 2.0) * stats.s_hat
-                ci = ConfidenceInterval(lo=min(lo, hi), hi=max(lo, hi),
-                                        alpha=alpha, method=method)
+                # The samples are sorted and quantile is monotone, so lo <= hi.
+                ci = ConfidenceInterval(lo=lo, hi=hi, alpha=alpha, method=method)
             else:
                 ci = confidence_interval(
                     stats, alpha, method="normal" if method == "normal" else "edgeworth")
             return {"coverage": float(ci.covers(mu)), "length": ci.length}
         return evaluate
-    return _experiment(cfg, "coverage", lambda n: [(cfg.single_rho(n), (n,))],
-                       evaluator, cache_dir)
+    return _experiment(cfg, "coverage", lambda n: [(cfg.single_rho(n), (n,))], evaluator)
 
 
 def summarize_coverage(records) -> dict:
@@ -418,25 +389,17 @@ def summarize_coverage(records) -> dict:
     return summary
 
 
-def run_power_experiment(cfg: ExperimentConfig, offsets, alpha: float = 0.2,
-                         cache_dir=None) -> list[dict]:
+def run_power_experiment(cfg: ExperimentConfig, offsets, alpha: float = 0.2) -> list[dict]:
     """Empirical power of the one-sample test at null offsets from mu_n.
 
     Returns one row per (n, offset) with the rejection rate at level
     ``alpha``.  No threshold is asserted; this reports the curve.
     """
     rows: list[dict] = []
-    for n in cfg.n_list:
-        rho = cfg.single_rho(n)
-        mu = population_mean(cfg.graphon, rho, cfg.motif, n_mc=cfg.n_mc,
-                             seed=cfg.seed, cache_dir=cache_dir).value
-        stats_list = []
-        for rep in range(cfg.repetitions):
-            A = sample_graph(cfg.graphon, n, rho,
-                             substream_seed(cfg.seed, "power-rep", n, rep))
-            stats = compute_stats(A, cfg.motif)
-            if not stats.degenerate:
-                stats_list.append(stats)
+    for n, rho, _, mu, networks in _networks(cfg, "power",
+                                             lambda n: [(cfg.single_rho(n), (n,))]):
+        stats_list = [s for s in (compute_stats(A, cfg.motif) for A in networks)
+                      if not s.degenerate]
         for offset in offsets:
             c_n = mu + offset
             rejections = sum(
@@ -458,23 +421,23 @@ def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
     repetitions put the bootstrap CDF strictly closer (sup-grid) to the
     truth at ``m`` than to the truth at ``n_star``, on ``DEFAULT_GRID``.
     Both truths take the bootstrap's own degenerate cap,
-    ``MAX_DROP_FRACTION``.
+    ``MAX_DROP_FRACTION``.  The settings are checked as an
+    :class:`ExperimentConfig` (so ``n_mc`` is at least 1000).
     """
+    cfg = ExperimentConfig(graphon=g, motif=motif, n_list=[n], rho=rho, seed=seed,
+                           n_mc=n_mc, n_boot=n_boot, repetitions=repetitions)
     n_star = n // 2
     m_eff = round(n_star * (1.0 - n_star / n))
-    mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
-    truth_eff, truth_star = (
-        monte_carlo_true_cdf(g, rho, motif, m, n_mc, seed=substream_seed(seed, label),
-                             mu=mu, max_degenerate_fraction=MAX_DROP_FRACTION,
-                             threads=threads)
-        for m, label in ((m_eff, "ess-true-eff"), (n_star, "ess-true-star")))
     closer = 0
-    for rep in range(repetitions):
-        A = sample_graph(g, n, rho, substream_seed(seed, "ess-rep", rep))
-        F = subsample_distribution(A, motif, n_star=n_star, B=n_boot,
-                                   seed=substream_seed(seed, "ess-boot", rep))
-        vals = F.evaluate(DEFAULT_GRID)
-        d_eff = sup_grid_error(vals, truth_eff.values)
-        d_star = sup_grid_error(vals, truth_star.values)
-        closer += d_eff < d_star
+    for _, _, _, mu, networks in _networks(cfg, "ess", lambda _: [(rho, ())]):
+        truth_eff, truth_star = (
+            monte_carlo_true_cdf(g, rho, motif, m, n_mc, seed=substream_seed(seed, label),
+                                 mu=mu, max_degenerate_fraction=MAX_DROP_FRACTION,
+                                 threads=threads)
+            for m, label in ((m_eff, "ess-true-eff"), (n_star, "ess-true-star")))
+        for rep, A in enumerate(networks):
+            F = _bootstrap("subsample", A, cfg, substream_seed(seed, "ess-boot", rep))
+            vals = F.evaluate(DEFAULT_GRID)
+            d_eff, d_star = (sup_grid_error(vals, t.values) for t in (truth_eff, truth_star))
+            closer += d_eff < d_star
     return closer, repetitions

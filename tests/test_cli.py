@@ -228,6 +228,16 @@ class TestExperimentCommand:
         assert {row["rho"] for row in rows["accuracy"]} == {"1.0", repr(12 ** -0.5)}
         assert rows["accuracy"] == rows["sparsity"]
 
+    def test_cache_dir_is_not_an_option(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "accuracy", "--config", str(cfg), "--out", str(out),
+                  "--cache-dir", str(tmp_path / "d")])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_output_path(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         with pytest.raises(SystemExit, match="no output path"):

@@ -169,6 +169,16 @@ class TestGraphonValidation:
         g = graphon_from_config({"kind": "BlockModel"})
         assert np.array_equal(g.pi, bm.pi) and np.array_equal(g.B, bm.B)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "BlockModel"},
+        {"kind": "BlockModel", "pi": [0.3, 0.7], "B": [[0.5, 0.1], [0.1, 0.5]]},
+        {"kind": "SmoothGraphon"},
+        {"kind": "NonSmoothGraphon"},
+    ], ids=["default-block", "block", "smooth", "nonsmooth"])
+    def test_config_name_is_honoured(self, spec):
+        assert graphon_from_config(spec).name == spec["kind"]
+        assert graphon_from_config({**spec, "name": "mine"}).name == "mine"
+
     def test_custom_symmetry_check(self):
         with pytest.raises(ValueError, match="not symmetric"):
             custom_graphon(lambda u, v: 0.5 * u + np.zeros_like(v))

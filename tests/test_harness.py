@@ -197,26 +197,11 @@ class TestTrueCdf:
         assert (exc.value.n_dropped, exc.value.n_total) == (1_000, 1_000)
 
 
-class TestPopulationMeanCache:
-    def test_round_trip_leaves_no_temp_file(self, tmp_path):
-        g = builtin_graphon("smoothgraphon")
-        cache = tmp_path / "cache"
-        first = population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache)
-        files = list(cache.iterdir())
-        assert len(files) == 1 and files[0].name.startswith("mu-")
-        assert files[0].suffix == ".json"
-        second = population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache)
-        assert (second.value, second.standard_error) == (first.value, first.standard_error)
-        assert list(cache.iterdir()) == files
-        # A cache hit reads the file instead of recomputing.
-        files[0].write_text(json.dumps({"value": 0.125, "standard_error": 0.0}))
-        assert population_mean(g, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=cache).value == 0.125
-
-    def test_block_model_mean_is_exact_and_never_cached(self, bm, tmp_path):
-        est = population_mean(bm, 0.5, EDGE, n_mc=1_000, seed=3, cache_dir=tmp_path / "cache")
+class TestPopulationMean:
+    def test_block_model_mean_is_exact(self, bm):
+        est = population_mean(bm, 0.5, EDGE, n_mc=1_000, seed=3)
         assert (est.method, est.standard_error) == ("exact", 0.0)
         assert est == population_moment(bm, 0.5, EDGE)
-        assert not (tmp_path / "cache").exists()
 
 
 class TestAccuracyExperiment:
@@ -343,6 +328,11 @@ class TestEffectiveSampleSize:
         assert a == b
         closer, reps = a
         assert reps == 5 and 0 <= closer <= reps
+
+    def test_settings_are_checked_as_an_experiment_config(self):
+        with pytest.raises(ValueError, match="n_mc must be >= 1000"):
+            effective_sample_size_check(paper_block_model(), 1.0, EDGE, n=20, n_mc=999,
+                                        n_boot=30, repetitions=4, seed=5)
 
     def test_small_n_truths_take_the_bootstrap_cap(self):
         # At n = 20 the truth at m = 5 has 40 of 1000 degenerate edge
