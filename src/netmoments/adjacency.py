@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import operator
 from pathlib import Path
 
@@ -140,12 +141,19 @@ def load_edge_list(path) -> AdjacencyMatrix:
     whitespace or a comma; lines starting with ``#`` are comments.
     Duplicate edges are ignored; self-loops are rejected.  The node
     count is the largest id seen.  Errors name the file and line.  The
-    checked pairs go to :func:`from_edges`, whose scatter makes a valid
-    matrix by construction, so the n x n matrix is never re-validated.
+    file is read once; valid edges in plain text (digits, blanks, commas,
+    newlines) are parsed in one vectorised pass, anything else by the
+    line parser.  The checked pairs go to :func:`from_edges`, whose
+    scatter makes a valid matrix by construction, so the n x n matrix is
+    never re-validated.
     """
+    text = Path(path).read_text()
+    pairs = _plain_pairs(text)
+    if pairs is not None:
+        return from_edges(int(pairs.max()), pairs - 1)
     edges = []
     max_id = 0
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -165,3 +173,25 @@ def load_edge_list(path) -> AdjacencyMatrix:
     if max_id < 2:
         raise ValueError(f"{path}: no edges found")
     return from_edges(max_id, edges)
+
+
+def _plain_pairs(text: str) -> np.ndarray | None:
+    """The ``(m, 2)`` 1-based edges of a plain, valid edge list, else None.
+
+    None (use the line parser) for another character, no digit, a row
+    not of two int64 ids, an id below 1, a self-loop, or comma text with
+    a skipped line (``loadtxt`` skips a line of commas; the parser fails).
+    """
+    if not text.isascii() or text.encode().translate(None, b"0123456789 \t,\n") \
+            or not text.strip(" \t,\n"):
+        return None
+    try:
+        pairs = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=np.int64,
+                           comments=None, ndmin=2)
+    except ValueError:  # a short or long row, or an id beyond int64
+        return None
+    lines = text.count("\n") + (not text.endswith("\n"))
+    if pairs.shape[1] != 2 or (pairs.shape[0] != lines and "," in text) \
+            or pairs.min() < 1 or (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return pairs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,7 +52,10 @@ def one_sample_test(stats: MomentStats, c_n: float,
     observed studentized statistic; one-sided variants use the
     corresponding tail directly.  Values are clamped to [0, 1] (the raw
     value is kept) because the expansion can leave [0, 1] in the tails.
+    A null that is not finite raises ``ValueError``.
     """
+    if not math.isfinite(c_n):
+        raise ValueError(f"c_n must be finite, got {c_n}")
     if stats.degenerate:
         raise DegeneracyError("degenerate sample (zero variance); cannot studentize")
     coeffs = EdgeworthCoefficients.from_moment_stats(stats)

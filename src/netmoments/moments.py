@@ -12,9 +12,9 @@ graphs.  Edge, triangle, V-shape and three-star tables use closed
 counting formulas evaluated with matrix products (0/1 matrices in
 float64 keep every intermediate value exactly integer); other motifs
 enumerate the r-subsets once, guarded by the cost cap ``max_subsets``.
-The codegree product ``A @ A`` (:func:`_codegrees`) is a scipy CSR
-product on a large sparse graph and a BLAS product otherwise; its
-entries are exact integers, so the route never changes a byte.
+On one large sparse graph (:func:`_sparse_route`) the edge, triangle
+and V-shape tables and the three-star's ``A @ A`` are scipy CSR
+products; counts are exact, so the route never changes a byte.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ __all__ = [
 # the closed-form motifs ignore it.
 MAX_GENERIC_SUBSETS = 100_000_000
 
-# _codegrees multiplies a single graph with at least this many nodes and
-# at most this share of nonzero adjacency entries (mean degree / n) as a
-# sparse matrix.  Set from a measured crossover against BLAS (1 and 2
+# _sparse_route sends a single graph with at least this many nodes and
+# at most this share of nonzero adjacency entries (mean degree / n) to
+# sparse products.  Set from a measured crossover against BLAS (1 and 2
 # threads): the sparse product wins from n = 200 up to density 0.02
 # (1.3x at n = 200, 2.5-4x at n = 1000), is even at 0.03 and loses at
 # 0.05; below n = 200 either takes a fraction of a millisecond.
@@ -73,21 +73,24 @@ def _round_int(x: np.ndarray | float):
     return np.rint(x).astype(np.int64)
 
 
-def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int) -> np.ndarray:
+def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
     """Pair completion counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
 
     ``a`` is the int8 adjacency of valid simple graphs.  The table has
     ``a``'s shape and holds exact integers: ``a`` itself for the edge,
     float64 for the triangle and V-shape (rounded once, at the row sums,
     by :func:`_counts_from_inner`) and int64 for the three-star and
-    generic motifs, which are counted one graph at a time.  Raises
-    ``CostCapError`` when a generic enumeration would visit more than
-    ``max_subsets`` subsets.
+    generic motifs, which are counted one graph at a time; on the sparse
+    route, edge, triangle and V-shape tables are CSR arrays
+    (:func:`_sparse_inner_counts`).  Raises ``CostCapError`` when a
+    generic enumeration would visit more than ``max_subsets`` subsets.
     """
     n = a.shape[-1]
     if n < motif.r:
         raise ValueError(f"graph has {n} nodes but motif needs {motif.r}")
     kind = _structural_kind(motif)
+    if kind in ("edge", "triangle", "vshape") and _sparse_route(a):
+        return _sparse_inner_counts(a, kind)
     if kind == "edge":
         return a
     if kind in ("threestar", "generic") and a.ndim == 3:
@@ -98,7 +101,7 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int) -> np.ndarray:
     if kind == "generic":
         return _enumerated_inner_counts(a, motif, max_subsets)
     af = a.astype(np.float64)
-    codeg = _codegrees(a, af)
+    codeg = af @ af
     if kind == "triangle":
         return codeg * af
     # V-shape.  With the pair edge present any third node adjacent to
@@ -116,33 +119,57 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int) -> np.ndarray:
     return inner
 
 
-def _codegrees(a: np.ndarray, af: np.ndarray) -> np.ndarray:
-    """``A @ A`` in float64 for one graph ``(n, n)`` or a stack ``(b, n, n)``.
-
-    ``a`` is the int8 adjacency and ``af`` the same matrix in float64.
-    Entry (i, j) counts the common neighbours of i and j (the diagonal
-    holds the degrees).  A single graph with at least
-    ``_SPARSE_MIN_NODES`` nodes and at most ``_SPARSE_MAX_DENSITY * n^2``
-    nonzero entries is multiplied as a scipy CSR matrix, in
-    O(sum of squared degrees) work; anything else, stacks included,
-    takes the dense BLAS product.  Every entry is an exact integer in
-    float64 either way, so both routes give the same bytes.
-    """
+def _sparse_route(a: np.ndarray) -> bool:
+    """Whether ``a`` is one graph (not a stack) to count with CSR products."""
     n = a.shape[-1]
-    if a.ndim == 2 and n >= _SPARSE_MIN_NODES \
-            and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n:
-        # Loaded here, so that runs that never take this route (the
-        # simulations) do not pay for importing scipy.sparse.
-        from scipy import sparse
+    return a.ndim == 2 and n >= _SPARSE_MIN_NODES \
+        and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n
 
-        # Row-major nonzeros give CSR column indices in order; the row
-        # lengths give the row pointer.  Cheaper than csr_array(a), and
-        # the 0/1 bytes read as bool are found 5x faster than as int8.
-        idx = np.flatnonzero(a.view(np.bool_))
-        rows, cols = np.divmod(idx, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        s = sparse.csr_array((np.ones(idx.size), cols, indptr), shape=(n, n))
+
+def _csr(a: np.ndarray):
+    """The int8 adjacency ``a`` of one graph as a float64 scipy CSR array."""
+    # Imported here: the simulations never take the sparse route.
+    from scipy import sparse
+
+    # Row-major nonzeros give CSR column indices in order; the row
+    # lengths give the row pointer.  Cheaper than csr_array(a), and
+    # the 0/1 bytes read as bool are found 5x faster than as int8.
+    n = a.shape[0]
+    idx = np.flatnonzero(a.view(np.bool_))
+    rows, cols = np.divmod(idx, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((np.ones(idx.size), cols, indptr), shape=(n, n))
+
+
+def _sparse_inner_counts(a: np.ndarray, kind: str):
+    """Edge, triangle or V-shape pair completion counts as a CSR array.
+
+    With ``C = A @ A`` and ``*`` elementwise: ``A``, ``C*A`` and
+    ``C + A*(d_i + d_j - 2) - 2*C*A`` with a zero diagonal, the dense
+    route's exact integers in O(sum of squared degrees) memory.
+    """
+    s = _csr(a)
+    if kind == "edge":
+        return s
+    codeg = s @ s
+    if kind == "triangle":
+        return codeg.multiply(s)
+    from scipy import sparse
+
+    n, deg = a.shape[0], np.diff(s.indptr)
+    rows, d = np.repeat(np.arange(n), deg), deg.astype(np.float64)
+    ends = sparse.csr_array((d[rows] + d[s.indices] - 2.0, s.indices, s.indptr), shape=(n, n))
+    degrees = sparse.csr_array((d, np.arange(n), np.arange(n + 1)), shape=(n, n))
+    return codeg + ends - 2.0 * codeg.multiply(s) - degrees
+
+
+def _codegrees(a: np.ndarray, af: np.ndarray) -> np.ndarray:
+    """Codegrees ``A @ A`` in float64 of one graph or a stack, from the int8
+    ``a`` and float64 ``af``: a CSR product on the sparse route, BLAS
+    otherwise, exact integers (the same bytes) either way."""
+    if _sparse_route(a):
+        s = _csr(a)
         return (s @ s).toarray()
     return af @ af
 
@@ -317,11 +344,26 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif,
     return _pair_projection_from_inner(inner, g1, u_hat, r)
 
 
-def _pair_projection_from_inner(inner: np.ndarray, g1: np.ndarray,
-                                u_hat: float, r: int) -> np.ndarray:
-    h2 = inner / math.comb(inner.shape[0] - 2, r - 2)
-    # Grouping the pair sum keeps the result bitwise symmetric.
-    g2 = (h2 - u_hat) - (g1[:, None] + g1[None, :])
+# Row chunks of g2's pair sums: at n = 1000, 2^16 float64 elements took
+# 3.0 ms against 4.2 ms for 2^18 and 7.8 ms for one n x n temporary.
+_PAIR_SUM_ELEMENTS = 1 << 16
+
+
+def _pair_projection_from_inner(inner, g1: np.ndarray, u_hat: float, r: int) -> np.ndarray:
+    """``g2`` in one buffer: ``(inner[i, j] / C(n-2, r-2) - u_hat) - (g1[i] + g1[j])``,
+    bitwise symmetric; an entry a CSR table omits gives ``0.0 - u_hat``."""
+    n = inner.shape[0]
+    comb = math.comb(n - 2, r - 2)
+    if isinstance(inner, np.ndarray):
+        g2 = inner / comb
+        g2 -= u_hat
+    else:
+        g2 = np.full((n, n), 0.0 - u_hat)
+        rows = np.repeat(np.arange(n), np.diff(inner.indptr))
+        g2.reshape(-1)[rows * n + inner.indices] = inner.data / comb - u_hat
+    step = max(1, _PAIR_SUM_ELEMENTS // n)
+    for start in range(0, n, step):
+        g2[start:start + step] -= g1[start:start + step, None] + g1[None, :]
     np.fill_diagonal(g2, 0.0)
     return g2
 

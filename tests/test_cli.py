@@ -94,6 +94,12 @@ class TestStatsCommands:
         assert 0.0 <= rec["p_value"] <= 1.0
         assert rec["c_n"] == 0.03
 
+    @pytest.mark.parametrize("null", ["nan", "inf"])
+    def test_non_finite_null_rejected(self, graph_file, capsys, null):
+        with pytest.raises(ValueError, match="c_n"):
+            main(["test", "--graph", str(graph_file), "--motif", "triangle", "--null", null])
+        assert capsys.readouterr().out == ""
+
     def test_ci_both_methods(self, graph_file, capsys):
         _, [edge] = run_cli(capsys, [
             "ci", "--graph", str(graph_file), "--motif", "triangle",

@@ -64,6 +64,12 @@ class TestOneSampleTest:
         with pytest.raises(ValueError, match="alternative"):
             one_sample_test(synthetic_stats(), 0.5, alternative="both")
 
+    @pytest.mark.parametrize("c_n", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_null_rejected(self, c_n):
+        # max(0.0, nan) is 0.0: a NaN null would otherwise reject at every level.
+        with pytest.raises(ValueError, match="c_n"):
+            one_sample_test(synthetic_stats(e3=0.2, e112=0.05), c_n)
+
 
 class TestConfidenceInterval:
     def test_zero_corrections_equal_normal(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,7 +440,85 @@ class TestCodegreeRoute:
                 self.assert_route(random_graph(rng, n, p).a, "csr", routes)
 
     def test_forced_route_equals_brute_force(self, sparse_route):
-        assert_fast_paths_equal_brute_force((TRIANGLE, VSHAPE, THREESTAR))
+        assert_fast_paths_equal_brute_force((EDGE, TRIANGLE, VSHAPE, THREESTAR))
+
+
+def _two_components(rng):
+    a = np.zeros((400, 400), dtype=np.int8)
+    a[:250, :250] = random_graph(rng, 250, 0.015).a
+    a[250:, 250:] = random_graph(rng, 150, 0.02).a
+    return AdjacencyMatrix(a)
+
+
+def _with_matching(A, pairs):
+    """``A`` plus ``pairs`` disjoint edges on new nodes: nodes in no V-shape."""
+    n = A.n + 2 * pairs
+    a = np.zeros((n, n), dtype=np.int8)
+    a[:A.n, :A.n] = A.a
+    for k in range(A.n, n, 2):
+        a[k, k + 1] = a[k + 1, k] = 1
+    return AdjacencyMatrix(a)
+
+
+def _outputs(A, motif):
+    """Every public result for one graph and motif, as comparable bytes."""
+    stats = compute_stats(A, motif)
+    fields = [(f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+              for f in dataclasses.fields(stats) for v in [getattr(stats, f.name)]]
+    total, per = motif_counts(A, motif)
+    return (fields, pair_projection(A, motif).tobytes(), type(total), total,
+            per.dtype, per.tobytes(), repr(jackknife_variance(A, motif)))
+
+
+class TestSparseTables:
+    """The CSR edge, triangle and V-shape tables give the dense route's bytes."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        rng = np.random.default_rng(70)
+        return {
+            "random200": random_graph(rng, 200, 0.02),
+            "random600": random_graph(rng, 600, 0.012),
+            "empty": AdjacencyMatrix(np.zeros((250, 250), dtype=np.int8)),
+            "star": _star(300),
+            "isolated": _with_isolated(random_graph(rng, 300, 0.015), 200),
+            "components": _two_components(rng),
+            "matching": _with_matching(random_graph(rng, 300, 0.012), 20),
+        }
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_equal_to_dense_route(self, graphs, motif, monkeypatch):
+        for name, A in graphs.items():
+            assert moments._sparse_route(A.a), name
+            table = moments._inner_counts(A.a, motif, moments.MAX_GENERIC_SUBSETS)
+            assert isinstance(table, scipy.sparse.csr_array), name
+            sparse = _outputs(A, motif)
+            with monkeypatch.context() as m:
+                m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
+                assert isinstance(
+                    moments._inner_counts(A.a, motif, moments.MAX_GENERIC_SUBSETS), np.ndarray)
+                dense = _outputs(A, motif)
+            assert sparse == dense, name
+
+    def test_node_in_no_vshape(self, graphs):
+        A = graphs["matching"]
+        _, per = motif_counts(A, VSHAPE)
+        assert per[-40:].tolist() == [0] * 40 and per[:300].any()
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_peak_memory(self, motif):
+        # One n x n float64 g2 plus tables of O(sum of squared degrees);
+        # the dense route's n x n temporaries would take three or four.
+        n = 2000
+        A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
+        compute_stats(A, motif)  # loads scipy.sparse outside the measurement
+        tracemalloc.start()
+        try:
+            compute_stats(A, motif)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
 
 
 class TestCostCaps:
