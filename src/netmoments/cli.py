@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -166,7 +167,10 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing returns a fresh namespace and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="netmoments",
         description="Network moment statistics, Edgeworth expansions, and inference.")
@@ -229,8 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # A value argparse cannot check (alpha outside (0, 1), a
+        # non-finite null, a degenerate graph, a malformed edge list)
+        # ends like a bad flag: one error line and exit code 2.  The
+        # flags parsed, so no usage line is printed.
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

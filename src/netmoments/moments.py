@@ -9,9 +9,13 @@ counts, ``per_node = inner.sum(1) / (r - 1)``, and the total,
 ``per_node.sum() / r``; ``g2`` follows from the table itself.  One
 kernel, :func:`_inner_counts`, builds it for one graph or a stack of
 graphs.  Edge, triangle, V-shape and three-star tables use closed
-counting formulas evaluated with matrix products (0/1 matrices in
-float64 keep every intermediate value exactly integer); other motifs
-enumerate the r-subsets once, guarded by the cost cap ``max_subsets``.
+counting formulas evaluated with matrix products of 0/1 matrices, whose
+values stay exact integers.  The triangle and V-shape tables are built
+in float32: every value they form is an integer of size at most 2n,
+exact for n < 2^23.  The three-star's terms reach n^2, so it stays in
+float64.  Row sums reach 2n^2 and are accumulated in float64, and
+``g2`` divides in float64.  Other motifs enumerate the r-subsets once,
+guarded by the cost cap ``max_subsets``.
 On one large sparse graph (:func:`_sparse_route`) the edge, triangle
 and V-shape tables and the three-star's ``A @ A`` are scipy CSR
 products; counts are exact, so the route never changes a byte.
@@ -78,12 +82,18 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
 
     ``a`` is the int8 adjacency of valid simple graphs.  The table has
     ``a``'s shape and holds exact integers: ``a`` itself for the edge,
-    float64 for the triangle and V-shape (rounded once, at the row sums,
-    by :func:`_counts_from_inner`) and int64 for the three-star and
-    generic motifs, which are counted one graph at a time; on the sparse
-    route, edge, triangle and V-shape tables are CSR arrays
-    (:func:`_sparse_inner_counts`).  Raises ``CostCapError`` when a
-    generic enumeration would visit more than ``max_subsets`` subsets.
+    float32 for the triangle and V-shape and int64 for the three-star
+    and generic motifs, which are counted one graph at a time; on the
+    sparse route, edge, triangle and V-shape tables are float64 CSR
+    arrays (:func:`_sparse_inner_counts`).  Every entry of ``A @ A``,
+    of the triangle table and of each V-shape intermediate is an integer
+    of size at most 2n, and every partial sum of the product is at most
+    n, so float32 is exact for n < 2^23 and halves the temporaries of a
+    replicate block.  Row sums reach 2n^2, past float32's exact range
+    from n ~ 2900, so consumers accumulate and divide in float64
+    (:func:`_counts_from_inner`, :func:`_pair_projection_from_inner`).
+    Raises ``CostCapError`` when a generic enumeration would visit more
+    than ``max_subsets`` subsets.
     """
     n = a.shape[-1]
     if n < motif.r:
@@ -100,10 +110,11 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
         return _threestar_inner_counts(a)
     if kind == "generic":
         return _enumerated_inner_counts(a, motif, max_subsets)
-    af = a.astype(np.float64)
+    af = a.astype(np.float32)
     codeg = af @ af
     if kind == "triangle":
-        return codeg * af
+        codeg *= af
+        return codeg
     # V-shape.  With the pair edge present any third node adjacent to
     # either end works (d_i + d_j - 2 - codeg of them); without it the
     # third node must close both edges (codeg).  The diagonal of the
@@ -180,7 +191,8 @@ def _counts_from_inner(inner: np.ndarray, r: int):
     For one graph ``total`` is an int and ``per_node`` an int64 array
     ``(n,)``; for a stack they are int64 arrays ``(b,)`` and ``(b, n)``.
     """
-    per = _round_int(inner.sum(axis=-1)) // (r - 1)
+    # A float32 row sum would be inexact from 2n^2 > 2^24 (n ~ 2900) on.
+    per = _round_int(inner.sum(axis=-1, dtype=np.float64)) // (r - 1)
     total = per.sum(axis=-1) // r
     return (int(total) if per.ndim == 1 else total), per
 
@@ -355,7 +367,8 @@ def _pair_projection_from_inner(inner, g1: np.ndarray, u_hat: float, r: int) -> 
     n = inner.shape[0]
     comb = math.comb(n - 2, r - 2)
     if isinstance(inner, np.ndarray):
-        g2 = inner / comb
+        # In float64: a float32 table divided by an int would stay float32.
+        g2 = np.divide(inner, comb, dtype=np.float64)
         g2 -= u_hat
     else:
         g2 = np.full((n, n), 0.0 - u_hat)

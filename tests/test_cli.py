@@ -14,6 +14,16 @@ def run_cli(capsys, argv):
     return code, [json.loads(line) for line in out if line.startswith("{")]
 
 
+def usage_error(capsys, argv) -> str:
+    """Run a request that must fail as a usage error; return its one stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return err
+
+
 @pytest.fixture
 def graph_file(tmp_path, capsys):
     path = tmp_path / "graph.edges"
@@ -96,9 +106,34 @@ class TestStatsCommands:
 
     @pytest.mark.parametrize("null", ["nan", "inf"])
     def test_non_finite_null_rejected(self, graph_file, capsys, null):
-        with pytest.raises(ValueError, match="c_n"):
-            main(["test", "--graph", str(graph_file), "--motif", "triangle", "--null", null])
-        assert capsys.readouterr().out == ""
+        err = usage_error(capsys, [
+            "test", "--graph", str(graph_file), "--motif", "triangle", "--null", null])
+        assert err.startswith("netmoments test: error: c_n must be finite")
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+    def test_alpha_outside_unit_interval_rejected(self, graph_file, capsys, alpha):
+        err = usage_error(capsys, [
+            "ci", "--graph", str(graph_file), "--motif", "triangle", "--alpha", alpha])
+        assert err.startswith("netmoments ci: error: alpha must lie in (0, 1)")
+
+    @pytest.mark.parametrize("command", [["ci", "--alpha", "0.2"], ["test", "--null", "0.5"]])
+    def test_degenerate_graph_rejected(self, tmp_path, capsys, command):
+        # K_4: every node has the same triangle count, so the variance is 0.
+        path = tmp_path / "k4.edges"
+        path.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+        err = usage_error(capsys, [command[0], "--graph", str(path), "--motif", "triangle",
+                                   *command[1:]])
+        assert err.startswith(f"netmoments {command[0]}: error:")
+
+    def test_calls_share_no_parser_state(self, graph_file, capsys):
+        base = ["--graph", str(graph_file), "--motif", "triangle"]
+        _, [first] = run_cli(capsys, ["ci", *base, "--alpha", "0.2", "--method", "normal"])
+        _, [plain] = run_cli(capsys, ["ci", *base, "--alpha", "0.2"])
+        assert first["method"] == "normal" and plain["method"] == "edgeworth"
+        _, [first] = run_cli(capsys, ["test", *base, "--null", "0.03",
+                                      "--alternative", "greater"])
+        _, [plain] = run_cli(capsys, ["test", *base, "--null", "0.03"])
+        assert first["alternative"] == "greater" and plain["alternative"] == "two-sided"
 
     def test_ci_both_methods(self, graph_file, capsys):
         _, [edge] = run_cli(capsys, [

@@ -386,6 +386,57 @@ class TestThreestarKernel:
         assert np.array_equal(sb.g2_hat[np.ix_(perm, perm)], stats.g2_hat)
 
 
+def _dense_table(a, motif):
+    return moments._inner_counts(a, motif, moments.MAX_GENERIC_SUBSETS)
+
+
+class TestDenseTables:
+    """The float32 triangle and V-shape tables, entry by entry."""
+
+    ORACLES = {m.name: Oracle(m) for m in (TRIANGLE, VSHAPE)}
+
+    @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_tables_equal_oracle(self, motif):
+        oracle = self.ORACLES[motif.name]
+        rng = np.random.default_rng(80)
+        for n in (3, 4, 7, 11):
+            graphs = [random_graph(rng, n) for _ in range(6)]
+            graphs += [random_graph(rng, n, p=0.0), random_graph(rng, n, p=1.0), _star(n)]
+            expected = np.stack([oracle.inner(A) for A in graphs])
+            stack = _dense_table(np.stack([A.a for A in graphs]), motif)
+            assert stack.dtype == np.float32 and stack.shape == expected.shape
+            assert np.array_equal(stack, expected)
+            for A, table in zip(graphs, expected):
+                single = _dense_table(A.a, motif)
+                assert single.dtype == np.float32
+                assert np.array_equal(single, table)
+
+    @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_complete_graph_at_600_nodes(self, motif):
+        # Degree sums reach 2n - 2 inside the V-shape table.
+        n = 600
+        a = np.ones((n, n), dtype=np.int8)
+        np.fill_diagonal(a, 0)
+        assert not moments._sparse_route(a)
+        table = _dense_table(a, motif)
+        assert table.dtype == np.float32
+        assert np.array_equal(table, (n - 2) * (1 - np.eye(n)))
+        total, per = motif_counts(AdjacencyMatrix(a), motif)
+        assert total == math.comb(n, 3)
+        assert np.array_equal(per, np.full(n, math.comb(n - 1, 2)))
+        totals, pers = motif_counts_block(np.stack([a, np.zeros_like(a)]), motif)
+        assert totals.tolist() == [math.comb(n, 3), 0]
+        assert np.array_equal(pers[0], per) and not pers[1].any()
+
+    def test_row_sums_accumulate_in_float64(self):
+        # Odd row sums above 2^24 have no float32 value.
+        n = 3001
+        table = np.broadcast_to(np.float32(5999), (n, n))
+        total, per = moments._counts_from_inner(table, 3)
+        assert np.array_equal(per, np.full(n, n * 5999 // 2))
+        assert total == n * (n * 5999 // 2) // 3
+
+
 @pytest.fixture
 def sparse_route(monkeypatch):
     """Send every single graph, however small or dense, through the CSR product."""
