@@ -18,7 +18,7 @@ import numpy as np
 
 from .adjacency import AdjacencyMatrix
 from .errors import DegenerateReplicatesError
-from .moments import _jackknife_from_counts, motif_counts_block, sample_moment, studentize
+from .moments import motif_counts_block, sample_moment, studentize
 from .motif import Motif
 from .rng import KeyedStreams
 
@@ -63,13 +63,12 @@ class EmpiricalCdf:
 
 
 def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
-                 max_fraction: float, what: str, use_jackknife: bool = False,
-                 threads: int = 1) -> EmpiricalCdf:
+                 max_fraction: float, what: str, threads: int = 1) -> EmpiricalCdf:
     """Sorted ``(U_hat - center) / S_hat`` of ``count`` replicate graphs on ``n`` nodes.
 
     ``graphs(k0, k1)`` returns the int8 stack of replicates ``k0 .. k1-1``
     (thread-safe if ``threads > 1`` workers take the blocks).  ``S_hat^2``
-    is the moment-based variance estimate, or the jackknife's.  Replicates
+    is the moment-based variance estimate of :func:`studentize`.  Replicates
     where it is exactly zero are dropped and counted; more than
     ``max_fraction`` of them, or all, raise ``DegenerateReplicatesError``.
     """
@@ -81,11 +80,7 @@ def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
     def run_block(k0: int) -> np.ndarray:
         total, per = motif_counts_block(graphs(k0, min(k0 + block, count)), motif)
         u_hat, _, s_sq, degenerate = studentize(total, per, n, r)
-        if use_jackknife:
-            s_sq = _jackknife_from_counts(total, per, n, r)
-            degenerate = s_sq == 0.0
-        keep = ~degenerate
-        return (u_hat[keep] - center) / np.sqrt(s_sq[keep])
+        return (u_hat[~degenerate] - center) / np.sqrt(s_sq[~degenerate])
 
     starts = range(0, count, block)
     if threads > 1:
@@ -103,7 +98,7 @@ def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
 
 
 def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
-                draw, size: int, use_jackknife: bool) -> EmpiricalCdf:
+                size: int, draw) -> EmpiricalCdf:
     """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
     takes the nodes ``draw(rng)``, with ``rng`` its own stream ``(seed, label, b)``."""
     streams = KeyedStreams()
@@ -113,28 +108,24 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
         return A.a.ravel()[idx[:, :, None] * A.n + idx[:, None, :]]
 
     return _studentized(B, size, graphs, motif, sample_moment(A, motif),
-                        MAX_DROP_FRACTION, "bootstrap", use_jackknife)
+                        MAX_DROP_FRACTION, "bootstrap")
 
 
 def subsample_distribution(A: AdjacencyMatrix, motif: Motif, n_star: int,
-                           B: int, seed: int,
-                           use_jackknife: bool = False) -> EmpiricalCdf:
+                           B: int, seed: int) -> EmpiricalCdf:
     """Node sub-sampling: each replicate draws ``n_star`` distinct nodes.
 
     The replicate statistic is computed on the induced subgraph and
-    studentized by the moment-based variance estimate (``use_jackknife``
-    switches to the jackknife for fidelity experiments).
+    studentized by the moment-based variance estimate.
     """
     n = A.n
     if not (motif.r <= n_star < n):
         raise ValueError(f"need r <= n_star < n, got n_star={n_star}, n={n}")
-    return _replicates(A, motif, B, seed, "subsample",
-                       lambda rng: np.sort(rng.choice(n, size=n_star, replace=False)),
-                       n_star, use_jackknife)
+    return _replicates(A, motif, B, seed, "subsample", n_star,
+                       lambda rng: np.sort(rng.choice(n, size=n_star, replace=False)))
 
 
-def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
-                          use_jackknife: bool = False) -> EmpiricalCdf:
+def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int) -> EmpiricalCdf:
     """Node re-sampling: each replicate draws ``n`` node indices with replacement.
 
     The resampled adjacency takes entry ``A[i_a, i_b]`` for drawn indices,
@@ -143,5 +134,5 @@ def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int,
     result stays a simple graph.
     """
     n = A.n
-    return _replicates(A, motif, B, seed, "resample",
-                       lambda rng: rng.integers(0, n, size=n), n, use_jackknife)
+    return _replicates(A, motif, B, seed, "resample", n,
+                       lambda rng: rng.integers(0, n, size=n))

@@ -237,11 +237,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # A value argparse cannot check (alpha outside (0, 1), a
-        # non-finite null, a degenerate graph, a malformed edge list)
-        # ends like a bad flag: one error line and exit code 2.  The
-        # flags parsed, so no usage line is printed.
+    except (ValueError, OSError) as exc:
+        # A value argparse cannot check (alpha outside (0, 1), a non-finite
+        # null, a degenerate graph, a malformed edge list or config) or an
+        # unreadable or unwritable file ends like a bad flag: one error line
+        # and exit code 2.  The flags parsed, so no usage line is printed.
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

@@ -13,7 +13,8 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +80,16 @@ def resolve_rho(spec, n: int) -> float:
     return value
 
 
-_CONFIG_KEYS = {"graphon", "motif", "n", "rho", "n_mc", "n_boot",
-                "repetitions", "seed", "methods", "grid", "output"}
+def _integer(key: str, value) -> int:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment's settings; see :meth:`from_dict` for the JSON form."""
+    """One experiment's settings, all checked here however they were given;
+    the fields are the JSON keys of :meth:`from_dict` (``n`` for ``n_list``)."""
 
     graphon: Graphon
     motif: Motif
@@ -100,44 +104,45 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        self.n_list = [int(v) for v in np.atleast_1d(self.n_list)]
+        ns = [self.n_list] if np.ndim(self.n_list) == 0 else list(self.n_list)
+        self.n_list = [_integer("n", v) for v in ns]
         if any(n < 2 for n in self.n_list):
             raise ValueError("all n must be >= 2")
-        if self.n_mc < 1_000:
-            raise ValueError(f"n_mc must be >= 1000, got {self.n_mc}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.n_boot < 1:
-            raise ValueError("n_boot must be >= 1")
-        unknown = set(self.methods) - set(METHODS)
+        _integer("seed", self.seed)
+        for key, low in (("n_mc", 1_000), ("repetitions", 1), ("n_boot", 1)):
+            if _integer(key, getattr(self, key)) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if isinstance(self.methods, str) or not isinstance(self.methods, Sequence):
+            raise ValueError(f"methods must be a list of method names, got {self.methods!r}")
+        self.methods = tuple(self.methods)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {unknown}")
         self.grid = np.asarray(self.grid, dtype=np.float64)
         if self.grid.size < 1 or (np.diff(self.grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
+        if not isinstance(self.output, (str, type(None))):
+            raise ValueError(f"output must be a path string or null, got {self.output!r}")
+        for n in self.n_list:
+            self.rho_values(n)  # every rho spec must resolve at every n
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_KEYS
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Build ``graphon`` and ``motif`` from their specs; every other
+        key of the JSON object goes straight to the field of its name."""
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
+        by_key = {"n" if f.name == "n_list" else f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(by_key)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"graphon", "motif", "n", "rho", "seed"} - set(raw)
+        missing = {key for key, f in by_key.items()
+                   if f.default is MISSING and f.default_factory is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        kwargs = dict(
-            graphon=graphon_from_config(raw["graphon"]),
-            motif=motif_from_config(raw["motif"]),
-            n_list=raw["n"],
-            rho=raw["rho"],
-            seed=int(raw["seed"]),
-        )
-        for key in ("n_mc", "n_boot", "repetitions", "output"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "methods" in raw:
-            kwargs["methods"] = tuple(raw["methods"])
-        if "grid" in raw:
-            kwargs["grid"] = raw["grid"]
+        kwargs = {by_key[key].name: value for key, value in raw.items()}
+        kwargs["graphon"] = graphon_from_config(kwargs["graphon"])
+        kwargs["motif"] = motif_from_config(kwargs["motif"])
         return cls(**kwargs)
 
     @classmethod
@@ -423,6 +428,11 @@ def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
     Both truths take the bootstrap's own degenerate cap,
     ``MAX_DROP_FRACTION``.  The settings are checked as an
     :class:`ExperimentConfig` (so ``n_mc`` is at least 1000).
+
+    For small ``n`` the truth at ``m = n/4`` is mostly degenerate (the
+    triangle on the paper block model below n of about 44, the
+    smooth-graphon V-shape at n = 24): the ``DegenerateReplicatesError``
+    then names the size that failed, and only a larger ``n`` helps.
     """
     cfg = ExperimentConfig(graphon=g, motif=motif, n_list=[n], rho=rho, seed=seed,
                            n_mc=n_mc, n_boot=n_boot, repetitions=repetitions)
@@ -430,14 +440,19 @@ def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
     m_eff = round(n_star * (1.0 - n_star / n))
     closer = 0
     for _, _, _, mu, networks in _networks(cfg, "ess", lambda _: [(rho, ())]):
-        truth_eff, truth_star = (
-            monte_carlo_true_cdf(g, rho, motif, m, n_mc, seed=substream_seed(seed, label),
-                                 mu=mu, max_degenerate_fraction=MAX_DROP_FRACTION,
-                                 threads=threads)
-            for m, label in ((m_eff, "ess-true-eff"), (n_star, "ess-true-star")))
+        truths = []
+        for size, what, label in ((m_eff, "m", "ess-true-eff"), (n_star, "n*", "ess-true-star")):
+            try:
+                truths.append(monte_carlo_true_cdf(
+                    g, rho, motif, size, n_mc, seed=substream_seed(seed, label), mu=mu,
+                    max_degenerate_fraction=MAX_DROP_FRACTION, threads=threads))
+            except DegenerateReplicatesError as exc:
+                raise DegenerateReplicatesError(
+                    f"{exc}; the truth at {what} = {size} fails at n = {n}: use a larger n",
+                    n_dropped=exc.n_dropped, n_total=exc.n_total) from exc
         for rep, A in enumerate(networks):
             F = _bootstrap("subsample", A, cfg, substream_seed(seed, "ess-boot", rep))
             vals = F.evaluate(DEFAULT_GRID)
-            d_eff, d_star = (sup_grid_error(vals, t.values) for t in (truth_eff, truth_star))
+            d_eff, d_star = (sup_grid_error(vals, t.values) for t in truths)
             closer += d_eff < d_star
     return closer, repetitions

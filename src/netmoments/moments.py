@@ -420,20 +420,13 @@ def jackknife_variance(A: AdjacencyMatrix, motif: Motif,
     by ``per_node[i]``, so each leave-one-out moment comes from the same
     single counting pass as the full moment.
     """
-    return _jackknife_from_counts(*motif_counts(A, motif, max_subsets), A.n, motif.r)
-
-
-def _jackknife_from_counts(total, per: np.ndarray, n: int, r: int):
-    """:func:`jackknife_variance` from the :func:`motif_counts` of one graph,
-    or row by row from the :func:`motif_counts_block` of a stack."""
+    n, r = A.n, motif.r
     if n < r + 1:
         raise ValueError(f"jackknife needs at least r+1 = {r + 1} nodes, got {n}")
-    total = np.asarray(total)
-    u_hat = total / math.comb(n, r)
-    u_loo = (total[..., None] - per) / math.comb(n - 1, r)
-    dev = u_loo - u_hat[..., None]
-    var = (n - 1) * np.sum(dev * dev, axis=-1) / n
-    return float(var) if var.ndim == 0 else var
+    total, per = motif_counts(A, motif, max_subsets)
+    u_hat = np.asarray(total) / math.comb(n, r)
+    dev = (total - per) / math.comb(n - 1, r) - u_hat
+    return float((n - 1) * np.sum(dev * dev) / n)
 
 
 def edgeworth_coefficients(g1: np.ndarray, g2: np.ndarray) -> tuple[float, float, float]:

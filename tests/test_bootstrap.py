@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesError,
-                        EmpiricalCdf, from_edges, jackknife_variance, motif_counts,
-                        resample_distribution, sample_graph, sample_moment, stream,
-                        subsample_distribution)
+                        EmpiricalCdf, from_edges, motif_counts, resample_distribution,
+                        sample_graph, sample_moment, stream, subsample_distribution)
 from netmoments import bootstrap
 from netmoments.bootstrap import _BLOCK_ELEMENTS, MAX_DROP_FRACTION
 from netmoments.harness import monte_carlo_true_cdf
@@ -76,15 +75,6 @@ class TestSubsample:
         with pytest.raises(ValueError, match="replicate"):
             subsample_distribution(graph80, TRIANGLE, n_star=40, B=0, seed=1)
 
-    def test_jackknife_variant_differs(self, graph80):
-        plain = subsample_distribution(graph80, EDGE, n_star=40, B=30, seed=11)
-        jack = subsample_distribution(graph80, EDGE, n_star=40, B=30, seed=11,
-                                      use_jackknife=True)
-        assert plain.B == jack.B
-        assert not np.array_equal(plain.samples, jack.samples)
-        # Same scheme, nearly equivalent studentization.
-        assert np.allclose(plain.samples, jack.samples, atol=0.2)
-
     def test_replicates_centered_near_zero(self, graph80):
         F = subsample_distribution(graph80, EDGE, n_star=40, B=200, seed=13)
         assert abs(np.median(F.samples)) < 1.0
@@ -134,14 +124,13 @@ DRAWS = {
 }
 
 
-def run_bootstrap(scheme, A, motif, B, seed, use_jackknife):
+def run_bootstrap(scheme, A, motif, B, seed):
     if scheme == "subsample":
-        return subsample_distribution(A, motif, n_star=A.n // 2, B=B, seed=seed,
-                                      use_jackknife=use_jackknife)
-    return resample_distribution(A, motif, B=B, seed=seed, use_jackknife=use_jackknife)
+        return subsample_distribution(A, motif, n_star=A.n // 2, B=B, seed=seed)
+    return resample_distribution(A, motif, B=B, seed=seed)
 
 
-def oracle_replicates(scheme, A, motif, B, seed, use_jackknife):
+def oracle_replicates(scheme, A, motif, B, seed):
     """The bootstrap one replicate at a time: sorted values and the number dropped.
 
     Each replicate is the induced subgraph on its drawn nodes, counted
@@ -157,8 +146,6 @@ def oracle_replicates(scheme, A, motif, B, seed, use_jackknife):
         u_hat = total / math.comb(m, r)
         g1 = per / math.comb(m - 1, r - 1) - u_hat
         s_sq = float(r * r * np.sum(g1 * g1) / (m * m))
-        if use_jackknife:
-            s_sq = jackknife_variance(A_star, motif)
         if s_sq == 0.0:
             dropped += 1
         else:
@@ -167,24 +154,23 @@ def oracle_replicates(scheme, A, motif, B, seed, use_jackknife):
 
 
 class TestReplicateEngine:
-    @pytest.mark.parametrize("use_jackknife", [False, True], ids=["moment", "jackknife"])
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE, THREESTAR], ids=lambda m: m.name)
     @pytest.mark.parametrize("rho", [1.0, 0.3])
     @pytest.mark.parametrize("scheme", ["subsample", "resample"])
-    def test_equals_per_replicate_oracle(self, scheme, rho, motif, use_jackknife):
+    def test_equals_per_replicate_oracle(self, scheme, rho, motif):
         # B spans two full blocks and a partial one.  At rho = 0.3 some
         # replicates are degenerate: the three-star drops a few, and the
         # triangle drops enough to trip the cap.
         A = sample_graph(paper_block_model(), 40, rho, seed=40)
         m = A.n // 2 if scheme == "subsample" else A.n
         B = 2 * max(1, _BLOCK_ELEMENTS // (m * m)) + 7
-        values, dropped = oracle_replicates(scheme, A, motif, B, 3, use_jackknife)
+        values, dropped = oracle_replicates(scheme, A, motif, B, 3)
         if dropped > MAX_DROP_FRACTION * B:
             with pytest.raises(DegenerateReplicatesError) as exc:
-                run_bootstrap(scheme, A, motif, B, 3, use_jackknife)
+                run_bootstrap(scheme, A, motif, B, 3)
             assert (exc.value.n_dropped, exc.value.n_total) == (dropped, B)
         else:
-            F = run_bootstrap(scheme, A, motif, B, 3, use_jackknife)
+            F = run_bootstrap(scheme, A, motif, B, 3)
             assert F.samples.tobytes() == values.tobytes()
             assert (F.B, F.n_dropped) == (B - dropped, dropped)
 
@@ -197,8 +183,7 @@ class TestReplicateEngine:
         def fingerprint():
             truth = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=12, n_mc=1_000, seed=3,
                                          mu=0.1, max_degenerate_fraction=1.0, threads=2)
-            boots = [subsample_distribution(A, TRIANGLE, n_star=20, B=60, seed=4,
-                                            use_jackknife=True),
+            boots = [subsample_distribution(A, TRIANGLE, n_star=20, B=60, seed=4),
                      resample_distribution(A, THREESTAR, B=60, seed=4)]
             return (truth.values.tobytes(), truth.n_degenerate, repr(truth.t_mean),
                     repr(truth.t_sd), [(F.samples.tobytes(), F.n_dropped) for F in boots])

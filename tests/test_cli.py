@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netmoments
 from netmoments import graphon_from_config, load_edge_list, sample_graph
 from netmoments.cli import main
 
@@ -283,3 +288,32 @@ class TestExperimentCommand:
         cfg = self.config(tmp_path)
         with pytest.raises(SystemExit, match="no output path"):
             main(["experiment", "accuracy", "--config", str(cfg)])
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is a usage error, not a traceback."""
+
+    def test_missing_graph(self, tmp_path, capsys):
+        path = tmp_path / "missing.edges"
+        err = usage_error(capsys, ["moments", "--graph", str(path), "--motif", "edge"])
+        assert err.startswith("netmoments moments: error:") and str(path) in err
+
+    def test_missing_config(self, tmp_path, capsys):
+        path, out = tmp_path / "missing.json", tmp_path / "records.csv"
+        err = usage_error(capsys, ["experiment", "accuracy", "--config", str(path),
+                                   "--out", str(out)])
+        assert err.startswith("netmoments experiment: error:") and str(path) in err
+        assert not out.exists()
+
+    def test_output_in_missing_directory_as_a_module(self, tmp_path):
+        # Through `python -m netmoments`, which runs __main__.py.
+        out = tmp_path / "no-such-dir" / "g.edges"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(netmoments.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netmoments", "sample", "--graphon", "blockmodel",
+             "--n", "10", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("netmoments sample: error:") and str(out) in proc.stderr

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,13 +15,14 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesE
                         run_power_experiment, run_sparsity_sweep, substream_seed,
                         sup_grid_error, write_records_csv)
 from netmoments import builtin_graphon, motif_counts, sample_graph
-from netmoments.bootstrap import _BLOCK_ELEMENTS
+from netmoments.bootstrap import _BLOCK_ELEMENTS, MAX_DROP_FRACTION
+from netmoments.cli import main
 from netmoments.harness import (ExperimentRecord,
                                 effective_sample_size_check, summarize_coverage)
 from conftest import paper_block_model
 
 
-def small_config(**overrides):
+def small_config_dict(**overrides):
     base = dict(
         graphon={"kind": "BlockModel"},
         motif="edge",
@@ -32,7 +35,30 @@ def small_config(**overrides):
         methods=["edgeworth_empirical", "normal"],
     )
     base.update(overrides)
-    return ExperimentConfig.from_dict(base)
+    return base
+
+
+def small_config(**overrides):
+    return ExperimentConfig.from_dict(small_config_dict(**overrides))
+
+
+# Malformed configs, each with the start of the ValueError that names its key.
+BAD_CONFIGS = [
+    pytest.param(small_config_dict(n_mc="5000"), "n_mc must be an integer, got '5000'",
+                 id="n_mc-string"),
+    pytest.param(small_config_dict(repetitions=2.5), "repetitions must be an integer, got 2.5",
+                 id="repetitions-float"),
+    pytest.param(small_config_dict(n=[10.5]), r"n must be an integer, got 10\.5", id="n-float"),
+    pytest.param(small_config_dict(seed=True), "seed must be an integer, got True",
+                 id="seed-bool"),
+    pytest.param(small_config_dict(methods="normal"), "methods must be a list of method names",
+                 id="methods-string"),
+    pytest.param(small_config_dict(rho=["1", "bogus"]), "unknown rho spec 'bogus'",
+                 id="rho-unknown"),
+    pytest.param(small_config_dict(output=5), "output must be a path string or null, got 5",
+                 id="output-number"),
+    pytest.param(None, "a config must be a JSON object, got NoneType", id="null"),
+]
 
 
 class TestResolveRho:
@@ -94,6 +120,47 @@ class TestConfig:
             small_config(methods=["edgeworth_empirical", "magic"])
         with pytest.raises(ValueError, match="repetitions"):
             small_config(repetitions=0)
+
+    @pytest.mark.parametrize("raw,message", BAD_CONFIGS)
+    def test_malformed_values_name_their_key(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw,message", BAD_CONFIGS)
+    def test_malformed_values_are_cli_usage_errors(self, tmp_path, capsys, raw, message):
+        path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "accuracy", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.count("\n") == 1
+        assert re.match(f"netmoments experiment: error: {message}", stderr)
+        assert not out.exists()
+
+    def test_every_key_lands_on_its_field(self):
+        raw = {
+            "graphon": {"kind": "SmoothGraphon", "name": "smooth-1"},
+            "motif": "vshape", "n": [15, 30], "rho": ["n^-1/4", 0.5], "seed": 77,
+            "n_mc": 2_500, "n_boot": 99, "repetitions": 4,
+            "methods": ["resample", "subsample"], "grid": [-1.0, 0.0, 2.0],
+            "output": "sweep.csv",
+        }
+        cfg = ExperimentConfig.from_dict(raw)
+        assert {"n" if f.name == "n_list" else f.name
+                for f in dataclasses.fields(cfg)} == set(raw)
+        assert (cfg.graphon.name, cfg.motif.name) == ("smooth-1", "vshape")
+        assert (cfg.n_list, cfg.rho, cfg.seed) == ([15, 30], ["n^-1/4", 0.5], 77)
+        assert (cfg.n_mc, cfg.n_boot, cfg.repetitions) == (2_500, 99, 4)
+        assert cfg.methods == ("resample", "subsample")
+        assert cfg.grid.tolist() == [-1.0, 0.0, 2.0]
+        assert cfg.output == "sweep.csv"
+        defaults = ExperimentConfig(graphon=cfg.graphon, motif=cfg.motif, n_list=[10],
+                                    rho=1, seed=0)
+        for f in dataclasses.fields(cfg):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+        assert not np.array_equal(cfg.grid, defaults.grid)
 
     def test_json_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -333,6 +400,21 @@ class TestEffectiveSampleSize:
         with pytest.raises(ValueError, match="n_mc must be >= 1000"):
             effective_sample_size_check(paper_block_model(), 1.0, EDGE, n=20, n_mc=999,
                                         n_boot=30, repetitions=4, seed=5)
+
+    def test_degenerate_truth_names_its_size(self):
+        # Triangles at n = 20: the truth at m = 5 is mostly triangle-free.
+        g, seed = paper_block_model(), 13
+        with pytest.raises(DegenerateReplicatesError) as inner:
+            monte_carlo_true_cdf(g, 1.0, TRIANGLE, 5, 1_000,
+                                 seed=substream_seed(seed, "ess-true-eff"), mu=0.1,
+                                 max_degenerate_fraction=MAX_DROP_FRACTION)
+        with pytest.raises(DegenerateReplicatesError,
+                           match="the truth at m = 5 fails at n = 20: use a larger n") as exc:
+            effective_sample_size_check(g, 1.0, TRIANGLE, n=20, n_mc=1_000, n_boot=30,
+                                        repetitions=2, seed=seed)
+        assert str(exc.value).startswith(str(inner.value))
+        assert ((exc.value.n_dropped, exc.value.n_total)
+                == (inner.value.n_dropped, inner.value.n_total))
 
     def test_small_n_truths_take_the_bootstrap_cap(self):
         # At n = 20 the truth at m = 5 has 40 of 1000 degenerate edge
