@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -137,32 +138,36 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # A flag that this kind of run would ignore is rejected.
-    for flag, given, kinds in (
-            ("--threads", args.threads > 1, ("accuracy", "sparsity")),
-            ("--max-degenerate-fraction", args.max_degenerate_fraction is not None,
-             ("accuracy", "sparsity")),
-            ("--alpha", args.alpha is not None, ("coverage",))):
-        if given and args.kind not in kinds:
-            raise SystemExit(f"{flag} has no effect on {args.kind} experiments, only "
+    # A flag this kind of run would ignore is rejected; one left unset keeps the default.
+    options = {}
+    for name, kinds in (("max_degenerate_fraction", ("accuracy", "sparsity")),
+                        ("alpha", ("coverage",))):
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value is not None and args.kind not in kinds:
+            raise ValueError(f"{flag} has no effect on {args.kind} experiments, only "
                              f"on {' and '.join(kinds)}; drop {flag}")
+        if value is not None:
+            options[name] = value
     cfg = ExperimentConfig.from_json(args.config)
     out = args.out or cfg.output
     if out is None:
-        raise SystemExit("no output path: pass --out or set 'output' in the config")
-    for n in cfg.n_list:
-        for rho in cfg.rho_values(n):
-            ew.check_expansion_applicability(rho, n)
-    # Flags left unset keep the library defaults.
-    options = {name: value for name, value in (
-        ("alpha", args.alpha), ("max_degenerate_fraction", args.max_degenerate_fraction))
-        if value is not None}
-    if args.kind == "coverage":
-        records = run_coverage_experiment(cfg, **options)
-        _emit(summarize_coverage(records))
-    else:
-        records = run_accuracy_experiment(cfg, threads=args.threads, **options)
-    write_records_csv(records, out)
+        raise ValueError("no output path: pass --out or set 'output' in the config")
+    # Made before the run, so that a bad output path fails first; moved into place after.
+    tmp = Path(f"{out}.{os.getpid()}.tmp")
+    tmp.touch(exist_ok=False)
+    try:
+        for n in cfg.n_list:
+            for rho in cfg.rho_values(n):
+                ew.check_expansion_applicability(rho, n)
+        if args.kind == "coverage":
+            records = run_coverage_experiment(cfg, **options)
+            _emit(summarize_coverage(records))
+        else:
+            records = run_accuracy_experiment(cfg, **options)
+        write_records_csv(records, tmp)
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
     _emit({"experiment": args.kind, "records": len(records), "out": out})
     return 0
 
@@ -222,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("accuracy", "coverage", "sparsity"))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="records CSV (overrides config output)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="Monte-Carlo truth workers (accuracy and sparsity only)")
     p.add_argument("--alpha", type=float, default=None,
                    help="coverage level (coverage only; default 0.2)")
     p.add_argument("--max-degenerate-fraction", type=float, default=None,
@@ -238,10 +241,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # A value argparse cannot check (alpha outside (0, 1), a non-finite
-        # null, a degenerate graph, a malformed edge list or config) or an
-        # unreadable or unwritable file ends like a bad flag: one error line
-        # and exit code 2.  The flags parsed, so no usage line is printed.
+        # Every error a request can cause (a value argparse cannot check, a
+        # degenerate sample or replicate set, a cost cap, an unreadable or
+        # unwritable file) ends like a bad flag: one error line and exit
+        # code 2.  The flags parsed, so no usage line is printed.
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

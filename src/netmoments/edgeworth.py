@@ -71,7 +71,7 @@ class EdgeworthCoefficients:
         """Plug-in coefficients from a :class:`~netmoments.moments.MomentStats`."""
         if stats.degenerate or stats.xi1_hat_sq <= 0.0:
             raise DegeneracyError(
-                "degenerate sample (zero variance estimate); no expansion")
+                "degenerate sample (zero variance estimate); cannot studentize")
         return cls(
             xi1=math.sqrt(stats.xi1_hat_sq),
             e_g1_cubed=stats.e_g1_cubed,

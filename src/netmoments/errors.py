@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each a ``ValueError``."""
 
 
 class DegeneracyError(ValueError):
@@ -9,16 +9,13 @@ class NotConnectedError(ValueError):
     """Motif adjacency does not describe a connected graph."""
 
 
-class CostCapError(RuntimeError):
-    """Operation would exceed its configured cost cap.
-
-    Raised instead of silently running for hours; the cap can be raised
-    through the corresponding keyword argument.
-    """
+class CostCapError(ValueError):
+    """Operation would exceed its cost cap, raised instead of running for
+    hours; the message names the keyword argument that raises the cap."""
 
 
-class DegenerateReplicatesError(RuntimeError):
-    """Too large a fraction of sampled replicates had zero variance."""
+class DegenerateReplicatesError(DegeneracyError):
+    """Too many sampled replicates had zero variance: ``n_dropped`` of ``n_total``."""
 
     def __init__(self, message: str, n_dropped: int, n_total: int):
         super().__init__(message)

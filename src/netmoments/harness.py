@@ -24,7 +24,7 @@ from .adjacency import AdjacencyMatrix
 from .bootstrap import (MAX_DROP_FRACTION, _studentized, resample_distribution,
                         subsample_distribution)
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
-from .errors import DegenerateReplicatesError
+from .errors import DegeneracyError, DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
                       population_moment, sample_graph, sample_graph_block)
 from .inference import ConfidenceInterval, confidence_interval, one_sample_test
@@ -236,8 +236,8 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     taking whole blocks; every network keeps its own stream, so the
     bytes do not depend on the thread count or block size.  Replicates
     with a zero variance estimate are skipped and counted; more than
-    ``max_degenerate_fraction`` of them (which can be raised), or all
-    of them, raise ``DegenerateReplicatesError``.
+    ``max_degenerate_fraction`` of them (the message says to raise it),
+    or all of them, raise ``DegenerateReplicatesError``.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     if mu is None:
@@ -247,8 +247,15 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
         return sample_graph_block(g, n, rho, [substream_seed(seed, "mc-truth", k)
                                               for k in range(k0, k1)])
 
-    F = _studentized(n_mc, n, graphs, motif, mu, max_degenerate_fraction, "truth",
-                     threads=threads)
+    try:
+        F = _studentized(n_mc, n, graphs, motif, mu, max_degenerate_fraction, "truth",
+                         threads=threads)
+    except DegenerateReplicatesError as exc:
+        if exc.n_dropped == exc.n_total:
+            raise  # no cap admits a truth with nothing to tabulate
+        raise DegenerateReplicatesError(
+            f"{exc}; raise max_degenerate_fraction (--max-degenerate-fraction on the CLI)",
+            n_dropped=exc.n_dropped, n_total=exc.n_total) from exc
     return TrueCdf(grid=grid, values=F.evaluate(grid), n_total=n_mc,
                    n_degenerate=F.n_dropped, t_mean=float(F.samples.mean()),
                    t_sd=float(F.samples.std(ddof=1)))
@@ -285,9 +292,9 @@ def _experiment(cfg: ExperimentConfig, label: str, points, evaluator) -> list[Ex
     ``points``; bootstrap streams are keyed ``(label-boot, *key, rep,
     method)``.  ``evaluator(n, rho, mu)`` does the per-(n, rho) set-up
     and returns ``evaluate(A, method, boot_seed)``: the method's metrics
-    for sample ``A``, or None when it is degenerate (as is a bootstrap
-    that drops too many replicates).  Metrics are recorded with the
-    method's wall-clock time.
+    for sample ``A``, recorded with its wall-clock time, or a
+    ``DegeneracyError`` (as from a bootstrap that drops too many
+    replicates), recorded as ``degenerate``; ``evaluator``'s ends the run.
     """
     records: list[ExperimentRecord] = []
     for n, rho, key, mu, networks in _networks(cfg, label, points):
@@ -300,12 +307,10 @@ def _experiment(cfg: ExperimentConfig, label: str, points, evaluator) -> list[Ex
                 t0 = time.perf_counter()
                 try:
                     metrics = evaluate(A, method, boot_seed)
-                except DegenerateReplicatesError:
-                    metrics = None
-                elapsed = time.perf_counter() - t0
-                if metrics is None:
+                except DegeneracyError:
                     records.append(ExperimentRecord(metric="degenerate", value=1.0, **base))
                     continue
+                elapsed = time.perf_counter() - t0
                 for metric, value in (*metrics.items(), ("time_seconds", elapsed)):
                     records.append(ExperimentRecord(metric=metric, value=value, **base))
     return records
@@ -332,8 +337,6 @@ def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
                 approx = ndtr(cfg.grid)
             elif method == "edgeworth_empirical":
                 stats = compute_stats(A, cfg.motif)
-                if stats.degenerate:
-                    return None
                 approx = expansion_cdf(EdgeworthCoefficients.from_moment_stats(stats),
                                        cfg.grid)
             else:
@@ -360,9 +363,9 @@ def run_coverage_experiment(cfg: ExperimentConfig, alpha: float = 0.2) -> list[E
     def evaluator(n, rho, mu):
         def evaluate(A, method, boot_seed):
             stats = compute_stats(A, cfg.motif)
-            if stats.degenerate:
-                return None
             if method in ("subsample", "resample"):
+                if stats.degenerate:
+                    raise DegeneracyError("degenerate sample; cannot studentize")
                 F = _bootstrap(method, A, cfg, boot_seed)
                 lo = stats.u_hat - F.quantile(1.0 - alpha / 2.0) * stats.s_hat
                 hi = stats.u_hat - F.quantile(alpha / 2.0) * stats.s_hat
@@ -417,7 +420,7 @@ def run_power_experiment(cfg: ExperimentConfig, offsets, alpha: float = 0.2) -> 
 
 def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
                                 n_mc: int, n_boot: int, repetitions: int,
-                                seed: int, threads: int = 1) -> tuple[int, int]:
+                                seed: int) -> tuple[int, int]:
     """Count repetitions where sub-sampling tracks the reduced-size truth.
 
     With ``n_star = n/2``, the sub-sampling bootstrap approximates the
@@ -445,7 +448,7 @@ def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
             try:
                 truths.append(monte_carlo_true_cdf(
                     g, rho, motif, size, n_mc, seed=substream_seed(seed, label), mu=mu,
-                    max_degenerate_fraction=MAX_DROP_FRACTION, threads=threads))
+                    max_degenerate_fraction=MAX_DROP_FRACTION))
             except DegenerateReplicatesError as exc:
                 raise DegenerateReplicatesError(
                     f"{exc}; the truth at {what} = {size} fails at n = {n}: use a larger n",

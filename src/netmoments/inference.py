@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from scipy.special import ndtri
 
 from .edgeworth import EdgeworthCoefficients, cornish_fisher_quantile, expansion_cdf
-from .errors import DegeneracyError
 from .moments import MomentStats
 
 __all__ = ["TestResult", "ConfidenceInterval", "one_sample_test", "confidence_interval"]
@@ -52,12 +51,11 @@ def one_sample_test(stats: MomentStats, c_n: float,
     observed studentized statistic; one-sided variants use the
     corresponding tail directly.  Values are clamped to [0, 1] (the raw
     value is kept) because the expansion can leave [0, 1] in the tails.
-    A null that is not finite raises ``ValueError``.
+    A null that is not finite raises ``ValueError``, and a degenerate
+    sample ``DegeneracyError``.
     """
     if not math.isfinite(c_n):
         raise ValueError(f"c_n must be finite, got {c_n}")
-    if stats.degenerate:
-        raise DegeneracyError("degenerate sample (zero variance); cannot studentize")
     coeffs = EdgeworthCoefficients.from_moment_stats(stats)
     t_obs = (stats.u_hat - c_n) / stats.s_hat
     g = float(expansion_cdf(coeffs, t_obs))
@@ -88,10 +86,8 @@ def confidence_interval(stats: MomentStats, alpha: float,
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if stats.degenerate:
-        raise DegeneracyError("degenerate sample (zero variance); cannot studentize")
+    coeffs = EdgeworthCoefficients.from_moment_stats(stats)  # raises if degenerate
     if method == "edgeworth":
-        coeffs = EdgeworthCoefficients.from_moment_stats(stats)
         q_lo = cornish_fisher_quantile(coeffs, alpha / 2.0)
         q_hi = cornish_fisher_quantile(coeffs, 1.0 - alpha / 2.0)
     elif method == "normal":

@@ -16,9 +16,9 @@ exact for n < 2^23.  The three-star's terms reach n^2, so it stays in
 float64.  Row sums reach 2n^2 and are accumulated in float64, and
 ``g2`` divides in float64.  Other motifs enumerate the r-subsets once,
 guarded by the cost cap ``max_subsets``.
-On one large sparse graph (:func:`_sparse_route`) the edge, triangle
-and V-shape tables and the three-star's ``A @ A`` are scipy CSR
-products; counts are exact, so the route never changes a byte.
+On one large sparse graph (:func:`_sparse_route`) the triangle and
+V-shape tables and the three-star's ``A @ A`` are scipy CSR products;
+counts are exact, so the route never changes a byte.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
     ``a``'s shape and holds exact integers: ``a`` itself for the edge,
     float32 for the triangle and V-shape and int64 for the three-star
     and generic motifs, which are counted one graph at a time; on the
-    sparse route, edge, triangle and V-shape tables are float64 CSR
-    arrays (:func:`_sparse_inner_counts`).  Every entry of ``A @ A``,
+    sparse route, triangle and V-shape tables are float64 CSR arrays
+    (:func:`_sparse_inner_counts`).  Every entry of ``A @ A``,
     of the triangle table and of each V-shape intermediate is an integer
     of size at most 2n, and every partial sum of the product is at most
     n, so float32 is exact for n < 2^23 and halves the temporaries of a
@@ -99,10 +99,10 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
     if n < motif.r:
         raise ValueError(f"graph has {n} nodes but motif needs {motif.r}")
     kind = _structural_kind(motif)
-    if kind in ("edge", "triangle", "vshape") and _sparse_route(a):
-        return _sparse_inner_counts(a, kind)
     if kind == "edge":
         return a
+    if kind in ("triangle", "vshape") and _sparse_route(a):
+        return _sparse_inner_counts(a, kind)
     if kind in ("threestar", "generic") and a.ndim == 3:
         # No batched form; reshape keeps the shape of an empty stack.
         return np.array([_inner_counts(g, motif, max_subsets) for g in a]).reshape(a.shape)
@@ -154,15 +154,13 @@ def _csr(a: np.ndarray):
 
 
 def _sparse_inner_counts(a: np.ndarray, kind: str):
-    """Edge, triangle or V-shape pair completion counts as a CSR array.
+    """Triangle or V-shape pair completion counts as a CSR array.
 
-    With ``C = A @ A`` and ``*`` elementwise: ``A``, ``C*A`` and
+    With ``C = A @ A`` and ``*`` elementwise: ``C*A`` and
     ``C + A*(d_i + d_j - 2) - 2*C*A`` with a zero diagonal, the dense
     route's exact integers in O(sum of squared degrees) memory.
     """
     s = _csr(a)
-    if kind == "edge":
-        return s
     codeg = s @ s
     if kind == "triangle":
         return codeg.multiply(s)

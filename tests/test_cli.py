@@ -180,26 +180,27 @@ class TestBootstrapCommand:
         assert code == 0 and msgs[-1]["B"] >= 9
 
 
-class TestExperimentCommand:
-    def config(self, tmp_path, **overrides):
-        cfg = {
-            "graphon": {"kind": "BlockModel"},
-            "motif": "edge",
-            "n": [12],
-            "rho": 1,
-            "n_mc": 1500,
-            "n_boot": 20,
-            "repetitions": 2,
-            "seed": 9,
-            "methods": ["edgeworth_empirical", "normal"],
-        }
-        cfg.update(overrides)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        return path
+def experiment_config(tmp_path, **overrides) -> Path:
+    cfg = {
+        "graphon": {"kind": "BlockModel"},
+        "motif": "edge",
+        "n": [12],
+        "rho": 1,
+        "n_mc": 1500,
+        "n_boot": 20,
+        "repetitions": 2,
+        "seed": 9,
+        "methods": ["edgeworth_empirical", "normal"],
+    }
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
+
+class TestExperimentCommand:
     def test_accuracy(self, tmp_path, capsys):
-        cfg = self.config(tmp_path)
+        cfg = experiment_config(tmp_path)
         out = tmp_path / "results.csv"
         with pytest.warns(UserWarning):  # rho=1 applicability caveat
             code, msgs = run_cli(capsys, [
@@ -209,10 +210,11 @@ class TestExperimentCommand:
         assert rows[0] == ["method", "graphon", "motif", "n", "rho", "rep",
                           "metric", "value"]
         assert len(rows) > 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "results.csv"]
 
     def test_sparsity_with_config_output(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        cfg = self.config(tmp_path, rho=[1, "n^-1/2"], output=str(out))
+        cfg = experiment_config(tmp_path, rho=[1, "n^-1/2"], output=str(out))
         with pytest.warns(UserWarning):
             code, msgs = run_cli(capsys, [
                 "experiment", "sparsity", "--config", str(cfg)])
@@ -220,7 +222,7 @@ class TestExperimentCommand:
         assert out.exists()
 
     def test_coverage_summary(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, n=[16], repetitions=4)
+        cfg = experiment_config(tmp_path, n=[16], repetitions=4)
         out = tmp_path / "cov.csv"
         with pytest.warns(UserWarning):
             code, msgs = run_cli(capsys, [
@@ -230,36 +232,27 @@ class TestExperimentCommand:
         summary = msgs[0]
         assert "edgeworth_empirical" in summary
 
-    def test_coverage_rejects_threads(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, n=[16], repetitions=2)
-        out = tmp_path / "cov.csv"
-        with pytest.raises(SystemExit, match="--threads") as exc:
-            main(["experiment", "coverage", "--config", str(cfg), "--out", str(out),
-                  "--threads", "2"])
-        assert exc.value.code != 0
-        assert not out.exists()
-
     def test_coverage_rejects_max_degenerate_fraction(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, n=[16], repetitions=2)
+        cfg = experiment_config(tmp_path, n=[16], repetitions=2)
         out = tmp_path / "cov.csv"
-        with pytest.raises(SystemExit, match="--max-degenerate-fraction") as exc:
-            main(["experiment", "coverage", "--config", str(cfg), "--out", str(out),
-                  "--max-degenerate-fraction", "0.5"])
-        assert exc.value.code != 0
+        err = usage_error(capsys, ["experiment", "coverage", "--config", str(cfg),
+                                   "--out", str(out), "--max-degenerate-fraction", "0.5"])
+        assert err.startswith("netmoments experiment: error: --max-degenerate-fraction "
+                              "has no effect on coverage experiments")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["accuracy", "sparsity"])
     def test_truth_experiments_reject_alpha(self, tmp_path, capsys, kind):
-        cfg = self.config(tmp_path)
+        cfg = experiment_config(tmp_path)
         out = tmp_path / "results.csv"
-        with pytest.raises(SystemExit, match="--alpha") as exc:
-            main(["experiment", kind, "--config", str(cfg), "--out", str(out),
-                  "--alpha", "0.01"])
-        assert exc.value.code != 0
+        err = usage_error(capsys, ["experiment", kind, "--config", str(cfg),
+                                   "--out", str(out), "--alpha", "0.01"])
+        assert err.startswith(f"netmoments experiment: error: --alpha has no effect on "
+                              f"{kind} experiments")
         assert not out.exists()
 
     def test_accuracy_runs_a_rho_list_as_the_sweep(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, rho=[1, "n^-1/2"])
+        cfg = experiment_config(tmp_path, rho=[1, "n^-1/2"])
         outputs = {}
         for kind in ("accuracy", "sparsity"):
             outputs[kind] = tmp_path / f"{kind}.csv"
@@ -275,7 +268,7 @@ class TestExperimentCommand:
         assert rows["accuracy"] == rows["sparsity"]
 
     def test_cache_dir_is_not_an_option(self, tmp_path, capsys):
-        cfg = self.config(tmp_path)
+        cfg = experiment_config(tmp_path)
         out = tmp_path / "results.csv"
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "accuracy", "--config", str(cfg), "--out", str(out),
@@ -285,9 +278,31 @@ class TestExperimentCommand:
         assert not out.exists()
 
     def test_missing_output_path(self, tmp_path, capsys):
-        cfg = self.config(tmp_path)
-        with pytest.raises(SystemExit, match="no output path"):
-            main(["experiment", "accuracy", "--config", str(cfg)])
+        cfg = experiment_config(tmp_path)
+        err = usage_error(capsys, ["experiment", "accuracy", "--config", str(cfg)])
+        assert err.startswith("netmoments experiment: error: no output path")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_bad_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_truth(*args, **kwargs):
+            raise AssertionError("a truth was sampled before the output was checked")
+
+        monkeypatch.setattr(netmoments.harness, "monte_carlo_true_cdf", no_truth)
+        out = tmp_path / "no-such-dir" / "results.csv"
+        err = usage_error(capsys, ["experiment", "accuracy", "--config",
+                                   str(experiment_config(tmp_path)), "--out", str(out)])
+        assert err.startswith("netmoments experiment: error:") and str(out) in err
+
+    def test_failed_run_keeps_the_old_output(self, tmp_path, capsys):
+        # Triangles at n = 10: more than 1% of the truth's networks have none.
+        cfg = experiment_config(tmp_path, motif="triangle", n=[10], n_mc=1000, seed=3)
+        out = tmp_path / "results.csv"
+        out.write_bytes(b"an earlier run\n")
+        with pytest.warns(UserWarning):  # rho=1 applicability caveat
+            usage_error(capsys, ["experiment", "accuracy", "--config", str(cfg),
+                                 "--out", str(out)])
+        assert out.read_bytes() == b"an earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "results.csv"]
 
 
 class TestFileErrors:
@@ -317,3 +332,47 @@ class TestFileErrors:
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("netmoments sample: error:") and str(out) in proc.stderr
+
+
+def _path_graph(path: Path, n: int) -> str:
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    return str(path)
+
+
+# Requests that fail after their flags parse: (argv from tmp_path, a part of the message).
+FAILURES = {
+    # C(300, 4) four-node subsets: the cap refuses before any enumeration.
+    "cost-cap": (lambda t: ["moments", "--graph", _path_graph(t / "path.edges", 300),
+                            "--motif", json.dumps({"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4]]})],
+                 "raise max_subsets"),
+    "degenerate-replicates": (
+        lambda t: ["bootstrap", "--graph", _path_graph(t / "path.edges", 5), "--motif", "triangle",
+                   "--scheme", "resample", "--B", "10", "--seed", "1", "--out", str(t / "out.csv")],
+        "10 of 10 bootstrap replicates were degenerate (all)"),
+    "degenerate-truth": (
+        lambda t: ["experiment", "accuracy", "--config", str(experiment_config(
+            t, motif="triangle", n=[10], n_mc=1000, seed=3)), "--out", str(t / "out.csv")],
+        "raise max_degenerate_fraction (--max-degenerate-fraction on the CLI)"),
+    "ignored-flag": (
+        lambda t: ["experiment", "coverage", "--config", str(experiment_config(t)),
+                   "--out", str(t / "out.csv"), "--max-degenerate-fraction", "0.5"],
+        "--max-degenerate-fraction has no effect on coverage experiments"),
+    "no-output-path": (
+        lambda t: ["experiment", "accuracy", "--config", str(experiment_config(t))],
+        "no output path"),
+    "unwritable-out": (
+        lambda t: ["experiment", "accuracy", "--config", str(experiment_config(t)),
+                   "--out", str(t / "cfg.json" / "out.csv")],
+        "Not a directory"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # rho=1 applicability caveat
+@pytest.mark.parametrize("case", FAILURES)
+def test_every_failure_is_one_usage_line(tmp_path, capsys, case):
+    argv, message = FAILURES[case]
+    argv = argv(tmp_path)
+    err = usage_error(capsys, argv)
+    assert err.startswith(f"netmoments {argv[0]}: error:") and message in err
+    assert not (tmp_path / "out.csv").exists()
+    assert not any(p.suffix == ".tmp" for p in tmp_path.iterdir())
