@@ -26,6 +26,13 @@ def _check_square_binary(m, what: str) -> np.ndarray:
     return m
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int, for a config key that must hold an integer."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 class AdjacencyMatrix:
     """Adjacency matrix of a simple undirected graph.
 

@@ -37,16 +37,18 @@ class EmpiricalCdf:
     """Sorted bootstrap replicates with right-continuous step evaluation."""
 
     samples: np.ndarray
-    B: int
     n_dropped: int = 0
 
     def __post_init__(self):
-        if self.B != self.samples.size:
-            raise ValueError("B must equal the number of retained samples")
-        if self.B < 1:
+        if self.samples.size < 1:
             raise ValueError("empty replicate set")
         if (np.diff(self.samples) < 0).any():
             raise ValueError("samples must be sorted ascending")
+
+    @property
+    def B(self) -> int:
+        """The number of retained replicates."""
+        return self.samples.size
 
     def evaluate(self, u):
         """F(u) = (#samples <= u) / B."""
@@ -94,7 +96,7 @@ def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
         raise DegenerateReplicatesError(
             f"{dropped} of {count} {what} replicates were degenerate ({why}); "
             "near-degenerate configuration", n_dropped=dropped, n_total=count)
-    return EmpiricalCdf(samples=kept, B=kept.size, n_dropped=dropped)
+    return EmpiricalCdf(samples=kept, n_dropped=dropped)
 
 
 def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,

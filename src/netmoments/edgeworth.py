@@ -47,18 +47,14 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeworthCoefficients:
-    """The scalar inputs of the expansion.
-
-    ``provenance`` records whether the coefficients are population
-    values or plug-in estimates; the formulas are identical.
-    """
+    """The scalar inputs of the expansion, population values or plug-in
+    estimates alike."""
 
     xi1: float
     e_g1_cubed: float
     e_g1g1g2: float
     r: int
     n: int
-    provenance: str = "empirical"
 
     def __post_init__(self):
         if not self.xi1 > 0.0:
@@ -78,7 +74,6 @@ class EdgeworthCoefficients:
             e_g1g1g2=stats.e_g1g1g2,
             r=stats.motif.r,
             n=stats.n,
-            provenance="empirical",
         )
 
 

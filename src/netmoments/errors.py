@@ -11,7 +11,7 @@ class NotConnectedError(ValueError):
 
 class CostCapError(ValueError):
     """Operation would exceed its cost cap, raised instead of running for
-    hours; the message names the keyword argument that raises the cap."""
+    hours; the message names the module constant that holds the cap."""
 
 
 class DegenerateReplicatesError(DegeneracyError):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .adjacency import AdjacencyMatrix
+from .adjacency import AdjacencyMatrix, _integer
 from .bootstrap import (MAX_DROP_FRACTION, _studentized, resample_distribution,
                         subsample_distribution)
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
@@ -78,12 +78,6 @@ def resolve_rho(spec, n: int) -> float:
     if not (0.0 < value <= 1.0):
         raise ValueError(f"rho resolves to {value}, outside (0, 1]")
     return value
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -451,7 +445,9 @@ def effective_sample_size_check(g: Graphon, rho: float, motif: Motif, n: int,
                     max_degenerate_fraction=MAX_DROP_FRACTION))
             except DegenerateReplicatesError as exc:
                 raise DegenerateReplicatesError(
-                    f"{exc}; the truth at {what} = {size} fails at n = {n}: use a larger n",
+                    f"{exc.n_dropped} of {exc.n_total} truth replicates were degenerate "
+                    f"(above the {MAX_DROP_FRACTION:.0%} cap); the truth at {what} = {size} "
+                    f"fails at n = {n}: use a larger n",
                     n_dropped=exc.n_dropped, n_total=exc.n_total) from exc
         for rep, A in enumerate(networks):
             F = _bootstrap("subsample", A, cfg, substream_seed(seed, "ess-boot", rep))

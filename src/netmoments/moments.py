@@ -15,7 +15,7 @@ in float32: every value they form is an integer of size at most 2n,
 exact for n < 2^23.  The three-star's terms reach n^2, so it stays in
 float64.  Row sums reach 2n^2 and are accumulated in float64, and
 ``g2`` divides in float64.  Other motifs enumerate the r-subsets once,
-guarded by the cost cap ``max_subsets``.
+refused with ``CostCapError`` above ``MAX_GENERIC_SUBSETS`` subsets.
 On one large sparse graph (:func:`_sparse_route`) the triangle and
 V-shape tables and the three-star's ``A @ A`` are scipy CSR products;
 counts are exact, so the route never changes a byte.
@@ -48,8 +48,8 @@ __all__ = [
     "MAX_GENERIC_SUBSETS",
 ]
 
-# Generic enumeration is allowed up to this many subsets (overridable);
-# the closed-form motifs ignore it.
+# Generic enumeration is allowed up to this many subsets; the closed-form
+# motifs ignore it.  Read at call time, so every entry point shares it.
 MAX_GENERIC_SUBSETS = 100_000_000
 
 # _sparse_route sends a single graph with at least this many nodes and
@@ -77,7 +77,7 @@ def _round_int(x: np.ndarray | float):
     return np.rint(x).astype(np.int64)
 
 
-def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
+def _inner_counts(a: np.ndarray, motif: Motif):
     """Pair completion counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
 
     ``a`` is the int8 adjacency of valid simple graphs.  The table has
@@ -93,7 +93,7 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
     from n ~ 2900, so consumers accumulate and divide in float64
     (:func:`_counts_from_inner`, :func:`_pair_projection_from_inner`).
     Raises ``CostCapError`` when a generic enumeration would visit more
-    than ``max_subsets`` subsets.
+    than ``MAX_GENERIC_SUBSETS`` subsets.
     """
     n = a.shape[-1]
     if n < motif.r:
@@ -105,11 +105,11 @@ def _inner_counts(a: np.ndarray, motif: Motif, max_subsets: int):
         return _sparse_inner_counts(a, kind)
     if kind in ("threestar", "generic") and a.ndim == 3:
         # No batched form; reshape keeps the shape of an empty stack.
-        return np.array([_inner_counts(g, motif, max_subsets) for g in a]).reshape(a.shape)
+        return np.array([_inner_counts(g, motif) for g in a]).reshape(a.shape)
     if kind == "threestar":
         return _threestar_inner_counts(a)
     if kind == "generic":
-        return _enumerated_inner_counts(a, motif, max_subsets)
+        return _enumerated_inner_counts(a, motif)
     af = a.astype(np.float32)
     codeg = af @ af
     if kind == "triangle":
@@ -195,8 +195,7 @@ def _counts_from_inner(inner: np.ndarray, r: int):
     return (int(total) if per.ndim == 1 else total), per
 
 
-def motif_counts(A: AdjacencyMatrix, motif: Motif,
-                 max_subsets: int = MAX_GENERIC_SUBSETS) -> tuple[int, np.ndarray]:
+def motif_counts(A: AdjacencyMatrix, motif: Motif) -> tuple[int, np.ndarray]:
     """Exact motif-containment counts: total and per node.
 
     Returns ``(total, per_node)`` where ``total`` is the number of
@@ -204,7 +203,7 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif,
     subsets that include node ``i``.  Every subset contributes to exactly
     ``r`` per-node counts, so ``per_node.sum() == r * total``.
     """
-    return _counts_from_inner(_inner_counts(A.a, motif, max_subsets), motif.r)
+    return _counts_from_inner(_inner_counts(A.a, motif), motif.r)
 
 
 def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +216,16 @@ def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndar
     are built one graph at a time.  Returns int64 arrays ``total``
     ``(b,)`` and ``per_node`` ``(b, n)``.
     """
-    return _counts_from_inner(_inner_counts(a, motif, MAX_GENERIC_SUBSETS), motif.r)
+    return _counts_from_inner(_inner_counts(a, motif), motif.r)
 
 
-def sample_moment(A: AdjacencyMatrix, motif: Motif,
-                  max_subsets: int = MAX_GENERIC_SUBSETS) -> float:
+def sample_moment(A: AdjacencyMatrix, motif: Motif) -> float:
     """Sample network moment: fraction of r-subsets containing the motif."""
-    total, _ = motif_counts(A, motif, max_subsets)
+    total, _ = motif_counts(A, motif)
     return total / math.comb(A.n, motif.r)
 
 
-def local_projection(A: AdjacencyMatrix, motif: Motif,
-                     max_subsets: int = MAX_GENERIC_SUBSETS) -> np.ndarray:
+def local_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
     """Per-node projection estimates ``g1_hat``.
 
     For node ``i``: the average of the containment indicator over all
@@ -236,24 +233,25 @@ def local_projection(A: AdjacencyMatrix, motif: Motif,
     moment.  Sums to zero up to rounding because each r-subset hits
     exactly r nodes and ``n * C(n-1, r-1) = r * C(n, r)``.
     """
-    total, per = motif_counts(A, motif, max_subsets)
+    total, per = motif_counts(A, motif)
     return studentize(total, per, A.n, motif.r)[1]
 
 
-def _enumerated_inner_counts(a: np.ndarray, motif: Motif, max_subsets: int) -> np.ndarray:
+def _enumerated_inner_counts(a: np.ndarray, motif: Motif) -> np.ndarray:
     """Pair completion counts of any motif from one pass over the r-subsets.
 
     A node whose graph degree is below the motif's minimum degree can
     never occupy any position, so only subsets of the other nodes are
     visited; each containing subset adds 1 to each of its C(r, 2) pairs.
+    More than ``MAX_GENERIC_SUBSETS`` of them raise ``CostCapError``.
     """
     n, r = a.shape[0], motif.r
     keep = np.flatnonzero(a.sum(axis=1) >= motif.degrees.min())
     work = math.comb(keep.size, r)
-    if work > max_subsets:
+    if work > MAX_GENERIC_SUBSETS:
         raise CostCapError(
-            f"generic enumeration needs {work:.3g} subsets (cap {max_subsets:.3g}); "
-            "raise max_subsets to override")
+            f"generic enumeration needs {work:.3g} subsets, above the cap "
+            f"MAX_GENERIC_SUBSETS = {MAX_GENERIC_SUBSETS:.3g}; count a smaller graph")
     rows = a.tolist()
     h_table = motif.h_table.tolist()
     pairs = _PAIRS[r]
@@ -331,9 +329,7 @@ def _common_neighbour_edges(a: np.ndarray, codeg: np.ndarray) -> np.ndarray:
     return e
 
 
-def pair_projection(A: AdjacencyMatrix, motif: Motif,
-                    g1: np.ndarray | None = None, u_hat: float | None = None,
-                    max_subsets: int = MAX_GENERIC_SUBSETS) -> np.ndarray:
+def pair_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
     """Pairwise projection estimates ``g2_hat`` (symmetric, zero diagonal).
 
     ``g2_hat[i, j]`` is the fraction of (r-2)-subsets that complete the
@@ -342,16 +338,10 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif,
     remaining subset is empty).  The completion counts come from the
     pair-count kernel (closed forms for edge, triangle, V-shape and
     three-star; one enumeration of the r-subsets, refused above
-    ``max_subsets`` subsets, for other motifs).  ``g1`` and ``u_hat``
-    default to the values implied by the same completion counts.
+    ``MAX_GENERIC_SUBSETS`` subsets, for other motifs); ``g1`` and
+    ``u_hat`` come from the same counts, as in :func:`compute_stats`.
     """
-    n, r = A.n, motif.r
-    inner = _inner_counts(A.a, motif, max_subsets)
-    if g1 is None or u_hat is None:
-        u, g, _, _ = studentize(*_counts_from_inner(inner, r), n, r)
-        g1 = g if g1 is None else g1
-        u_hat = float(u) if u_hat is None else u_hat
-    return _pair_projection_from_inner(inner, g1, u_hat, r)
+    return compute_stats(A, motif).g2_hat
 
 
 # Row chunks of g2's pair sums: at n = 1000, 2^16 float64 elements took
@@ -410,8 +400,7 @@ def studentize(total, per_node, n: int, r: int):
     return u_hat, g1, s_hat_sq, np.equal(s_hat_sq, 0.0)
 
 
-def jackknife_variance(A: AdjacencyMatrix, motif: Motif,
-                       max_subsets: int = MAX_GENERIC_SUBSETS) -> float:
+def jackknife_variance(A: AdjacencyMatrix, motif: Motif) -> float:
     """Leave-one-node-out jackknife variance estimate.
 
     Deleting node ``i`` removes exactly the containing subsets counted
@@ -421,7 +410,7 @@ def jackknife_variance(A: AdjacencyMatrix, motif: Motif,
     n, r = A.n, motif.r
     if n < r + 1:
         raise ValueError(f"jackknife needs at least r+1 = {r + 1} nodes, got {n}")
-    total, per = motif_counts(A, motif, max_subsets)
+    total, per = motif_counts(A, motif)
     u_hat = np.asarray(total) / math.comb(n, r)
     dev = (total - per) / math.comb(n - 1, r) - u_hat
     return float((n - 1) * np.sum(dev * dev) / n)
@@ -465,19 +454,17 @@ class MomentStats:
         return self.motif.r
 
 
-def compute_stats(A: AdjacencyMatrix, motif: Motif,
-                  max_subsets: int = MAX_GENERIC_SUBSETS) -> MomentStats:
+def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
     The pair completion counts are computed once and give the per-node
-    counts too (see the module docstring); ``max_subsets`` caps the
-    subsets a generic motif's enumeration may visit.  Sets
+    counts too (see the module docstring).  Sets
     ``degenerate`` when the variance estimate is exactly zero (e.g.
     empty or complete graphs); downstream studentization must check the
     flag rather than divide.
     """
     n, r = A.n, motif.r
-    inner = _inner_counts(A.a, motif, max_subsets)
+    inner = _inner_counts(A.a, motif)
     u_hat, g1, s_hat_sq, degenerate = studentize(*_counts_from_inner(inner, r), n, r)
     u_hat = float(u_hat)
     g2 = _pair_projection_from_inner(inner, g1, u_hat, r)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjacency import _check_square_binary
+from .adjacency import _check_square_binary, _integer
 from .errors import NotConnectedError
 
 __all__ = [
@@ -220,7 +220,8 @@ def motif_from_config(spec) -> Motif:
     """Build a motif from a config value.
 
     Accepts a built-in name or an edge-list mapping such as
-    ``{"nodes": 4, "edges": [[1, 2], [1, 3], [1, 4]]}`` (1-based ids).
+    ``{"nodes": 4, "edges": [[1, 2], [1, 3], [1, 4]]}`` (1-based integer
+    ids) with an optional string ``"name"``.
     """
     if isinstance(spec, str):
         return builtin_motif(spec)
@@ -234,13 +235,22 @@ def motif_from_config(spec) -> Motif:
     missing = {"nodes", "edges"} - set(spec)
     if missing:
         raise ValueError(f"missing motif config keys: {sorted(missing)}")
-    r = int(spec["nodes"])
+    r = _integer("nodes", spec["nodes"])
+    if not 2 <= r <= MAX_MOTIF_NODES:
+        raise ValueError(f"nodes must be from 2 to {MAX_MOTIF_NODES}, got {r}")
+    name, edges = spec.get("name"), spec["edges"]
+    if not isinstance(name, (str, type(None))):
+        raise ValueError(f"name must be a string or null, got {name!r}")
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"edges must be a list of [i, j] pairs, got {edges!r}")
     adj = np.zeros((r, r), dtype=np.int8)
-    for edge in spec["edges"]:
-        i, j = int(edge[0]), int(edge[1])
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ValueError(f"edge {edge!r} must be a pair [i, j]")
+        i, j = (_integer(f"node id in edge {edge!r}", v) for v in edge)
         if not (1 <= i <= r and 1 <= j <= r):
             raise ValueError(f"edge {edge} out of range for {r} nodes (ids are 1-based)")
         if i == j:
             raise ValueError(f"self-loop {edge} not allowed")
         adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1
-    return make_motif(adj, name=spec.get("name"))
+    return make_motif(adj, name=name)

@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence():
             g1 = per / math.comb(n - 1, motif.r - 1) - u
             assert abs(u - oracle.u_hat(A)) <= 1e-12
             assert np.abs(g1 - oracle.g1(A)).max() <= 1e-12
-            assert np.abs(pair_projection(A, motif, g1=g1, u_hat=u)
+            assert np.abs(pair_projection(A, motif)
                           - oracle.g2(A)).max() <= 1e-12
             s_sq = nm.variance_estimator(g1, motif.r)
             assert abs(s_sq - oracle.s_hat_sq(A)) <= 1e-12
@@ -138,13 +138,11 @@ def test_criterion_2_algebraic_invariants():
 def test_criterion_3_formula_fidelity():
     t0 = time.perf_counter()
     # Hand-computed expansion value.
-    c = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=0.6, e_g1g1g2=0.0, r=3, n=100,
-                              provenance="population")
+    c = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=0.6, e_g1g1g2=0.0, r=3, n=100)
     assert abs(expansion_cdf(c, 0.0) - 0.5039894228040143) <= 1e-9
 
     # Zero-correction collapse is exact.
-    c0 = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=0.0, e_g1g1g2=0.0, r=3, n=50,
-                               provenance="population")
+    c0 = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=0.0, e_g1g1g2=0.0, r=3, n=50)
     grid = np.linspace(-3, 3, 25)
     assert np.array_equal(expansion_cdf(c0, grid), ndtr(grid))
     for a in (0.05, 0.2, 0.5, 0.8):
@@ -152,8 +150,7 @@ def test_criterion_3_formula_fidelity():
 
     # Quantile consistency against a bisection oracle on the expansion.
     for n in (50, 100, 200):
-        cn = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=0.4, e_g1g1g2=0.15, r=3,
-                                   n=n, provenance="population")
+        cn = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=0.4, e_g1g1g2=0.15, r=3, n=n)
         for a in (0.1, 0.25, 0.5, 0.75, 0.9):
             q_hat = cornish_fisher_quantile(cn, a)
             q_star = brentq(lambda x: expansion_cdf(cn, x) - a, -10, 10, xtol=1e-13)

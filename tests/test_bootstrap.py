@@ -21,7 +21,7 @@ def graph80():
 
 class TestEmpiricalCdf:
     def test_step_evaluation(self):
-        F = EmpiricalCdf(samples=np.array([-1.0, 0.0, 0.0, 2.0]), B=4)
+        F = EmpiricalCdf(samples=np.array([-1.0, 0.0, 0.0, 2.0]))
         assert F.evaluate(-2.0) == 0.0
         assert F.evaluate(-1.0) == 0.25  # right-continuous at a sample
         assert F.evaluate(0.0) == 0.75
@@ -32,20 +32,20 @@ class TestEmpiricalCdf:
 
     def test_nondecreasing_on_grid(self):
         rng = np.random.default_rng(0)
-        F = EmpiricalCdf(samples=np.sort(rng.normal(size=100)), B=100)
+        F = EmpiricalCdf(samples=np.sort(rng.normal(size=100)))
         vals = F.evaluate(np.linspace(-3, 3, 61))
         assert (np.diff(vals) >= 0).all()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            EmpiricalCdf(samples=np.array([]), B=0)
+            EmpiricalCdf(samples=np.array([]))
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            EmpiricalCdf(samples=np.array([1.0, 0.0]), B=2)
+            EmpiricalCdf(samples=np.array([1.0, 0.0]))
 
     def test_quantiles(self):
-        F = EmpiricalCdf(samples=np.arange(1.0, 11.0), B=10)
+        F = EmpiricalCdf(samples=np.arange(1.0, 11.0))
         assert F.quantile(0.1) == 1.0
         assert F.quantile(0.5) == 5.0
         assert F.quantile(0.95) == 10.0

@@ -344,7 +344,10 @@ FAILURES = {
     # C(300, 4) four-node subsets: the cap refuses before any enumeration.
     "cost-cap": (lambda t: ["moments", "--graph", _path_graph(t / "path.edges", 300),
                             "--motif", json.dumps({"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4]]})],
-                 "raise max_subsets"),
+                 "above the cap MAX_GENERIC_SUBSETS = 1e+08; count a smaller graph"),
+    "malformed-motif": (lambda t: ["moments", "--graph", _path_graph(t / "path.edges", 5),
+                                   "--motif", json.dumps({"nodes": 3.9, "edges": [[1, 2]]})],
+                        "nodes must be an integer, got 3.9"),
     "degenerate-replicates": (
         lambda t: ["bootstrap", "--graph", _path_graph(t / "path.edges", 5), "--motif", "triangle",
                    "--scheme", "resample", "--B", "10", "--seed", "1", "--out", str(t / "out.csv")],

@@ -11,9 +11,8 @@ from netmoments.edgeworth import (DEFAULT_GRID, check_expansion_applicability,
                                   evaluate_on_grid, write_grid_csv)
 
 
-def coeffs(xi1=1.0, e3=0.0, e112=0.0, r=3, n=100, provenance="population"):
-    return EdgeworthCoefficients(xi1=xi1, e_g1_cubed=e3, e_g1g1g2=e112,
-                                 r=r, n=n, provenance=provenance)
+def coeffs(xi1=1.0, e3=0.0, e112=0.0, r=3, n=100):
+    return EdgeworthCoefficients(xi1=xi1, e_g1_cubed=e3, e_g1g1g2=e112, r=r, n=n)
 
 
 class TestExpansionCdf:

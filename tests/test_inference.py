@@ -115,7 +115,7 @@ class TestConfidenceInterval:
         # Cornish-Fisher quantile is not monotone in alpha.
         from netmoments import EdgeworthCoefficients, cornish_fisher_quantile
         c = EdgeworthCoefficients(xi1=1.0, e_g1_cubed=-80.0, e_g1g1g2=0.0,
-                                  r=2, n=9, provenance="population")
+                                  r=2, n=9)
         qs = [cornish_fisher_quantile(c, a) for a in np.linspace(0.05, 0.95, 19)]
         assert (np.diff(qs) < 0).any()
 

@@ -360,7 +360,8 @@ class TestThreestarKernel:
             u, g1, s_sq, _ = studentize(*motif_counts(A, THREESTAR), A.n, 4)
             assert stats.u_hat == float(u) and stats.s_hat_sq == s_sq
             assert stats.g1_hat.tobytes() == g1.tobytes()
-            g2 = pair_projection(A, THREESTAR, g1=g1, u_hat=float(u))
+            g2 = moments._pair_projection_from_inner(_threestar_inner_counts(A.a), g1,
+                                                     float(u), 4)
             assert stats.g2_hat.tobytes() == g2.tobytes()
             assert pair_projection(A, THREESTAR).tobytes() == g2.tobytes()
 
@@ -386,10 +387,6 @@ class TestThreestarKernel:
         assert np.array_equal(sb.g2_hat[np.ix_(perm, perm)], stats.g2_hat)
 
 
-def _dense_table(a, motif):
-    return moments._inner_counts(a, motif, moments.MAX_GENERIC_SUBSETS)
-
-
 class TestDenseTables:
     """The float32 triangle and V-shape tables, entry by entry."""
 
@@ -403,11 +400,11 @@ class TestDenseTables:
             graphs = [random_graph(rng, n) for _ in range(6)]
             graphs += [random_graph(rng, n, p=0.0), random_graph(rng, n, p=1.0), _star(n)]
             expected = np.stack([oracle.inner(A) for A in graphs])
-            stack = _dense_table(np.stack([A.a for A in graphs]), motif)
+            stack = moments._inner_counts(np.stack([A.a for A in graphs]), motif)
             assert stack.dtype == np.float32 and stack.shape == expected.shape
             assert np.array_equal(stack, expected)
             for A, table in zip(graphs, expected):
-                single = _dense_table(A.a, motif)
+                single = moments._inner_counts(A.a, motif)
                 assert single.dtype == np.float32
                 assert np.array_equal(single, table)
 
@@ -418,7 +415,7 @@ class TestDenseTables:
         a = np.ones((n, n), dtype=np.int8)
         np.fill_diagonal(a, 0)
         assert not moments._sparse_route(a)
-        table = _dense_table(a, motif)
+        table = moments._inner_counts(a, motif)
         assert table.dtype == np.float32
         assert np.array_equal(table, (n - 2) * (1 - np.eye(n)))
         total, per = motif_counts(AdjacencyMatrix(a), motif)
@@ -542,7 +539,7 @@ class TestSparseTables:
     def test_equal_to_dense_route(self, graphs, motif, monkeypatch):
         for name, A in graphs.items():
             assert moments._sparse_route(A.a), name
-            table = moments._inner_counts(A.a, motif, moments.MAX_GENERIC_SUBSETS)
+            table = moments._inner_counts(A.a, motif)
             if motif is EDGE:
                 assert table is A.a, name
             else:
@@ -550,8 +547,7 @@ class TestSparseTables:
             sparse = _outputs(A, motif)
             with monkeypatch.context() as m:
                 m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
-                assert isinstance(
-                    moments._inner_counts(A.a, motif, moments.MAX_GENERIC_SUBSETS), np.ndarray)
+                assert isinstance(moments._inner_counts(A.a, motif), np.ndarray)
                 dense = _outputs(A, motif)
             assert sparse == dense, name
 
@@ -577,19 +573,22 @@ class TestSparseTables:
 
 
 class TestCostCaps:
-    def test_generic_subset_cap(self):
+    # The cap is read at call time, so patching the module constant
+    # reaches every entry point.
+    @pytest.mark.parametrize("entry", [motif_counts, sample_moment, local_projection,
+                                       pair_projection, jackknife_variance, compute_stats],
+                             ids=lambda f: f.__name__)
+    def test_generic_subset_cap(self, entry, monkeypatch):
         A = random_graph(np.random.default_rng(11), 12, 0.5)
-        with pytest.raises(CostCapError, match="max_subsets"):
-            sample_moment(A, FOUR_PATH, max_subsets=10)
+        monkeypatch.setattr(moments, "MAX_GENERIC_SUBSETS", 10)
+        with pytest.raises(CostCapError, match="MAX_GENERIC_SUBSETS = 10; count a smaller graph"):
+            entry(A, FOUR_PATH)
 
-    def test_pairwise_generic_cap(self):
-        A = random_graph(np.random.default_rng(12), 10, 0.5)
-        with pytest.raises(CostCapError, match="max_subsets"):
-            pair_projection(A, FOUR_PATH, max_subsets=10)
-
-    def test_threestar_ignores_subset_cap(self):
+    def test_threestar_ignores_subset_cap(self, monkeypatch):
         A = random_graph(np.random.default_rng(11), 12, 0.5)
-        assert sample_moment(A, THREESTAR, max_subsets=10) == sample_moment(A, THREESTAR)
+        expected = sample_moment(A, THREESTAR)
+        monkeypatch.setattr(moments, "MAX_GENERIC_SUBSETS", 10)
+        assert sample_moment(A, THREESTAR) == expected
 
 
 class TestEdgeListIO:

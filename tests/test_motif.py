@@ -205,6 +205,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"missing motif config keys: {missing}")):
             motif_from_config(spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"nodes": 3.9, "edges": [[1, 2]]}, "nodes must be an integer, got 3.9"),
+        ({"nodes": "3", "edges": [[1, 2]]}, "nodes must be an integer, got '3'"),
+        ({"nodes": True, "edges": [[1, 2]]}, "nodes must be an integer, got True"),
+        ({"nodes": 6, "edges": [[1, 2]]}, "nodes must be from 2 to 5, got 6"),
+        ({"nodes": 3, "edges": [[1.7, 2]]}, "node id in edge [1.7, 2] must be an integer"),
+        ({"nodes": 3, "edges": [["1", "2"]]}, "node id in edge ['1', '2'] must be an integer"),
+        ({"nodes": 3, "edges": [[1, 2, 3]]}, "edge [1, 2, 3] must be a pair [i, j]"),
+        ({"nodes": 3, "edges": [12]}, "edge 12 must be a pair [i, j]"),
+        ({"nodes": 3, "edges": "12"}, "edges must be a list of [i, j] pairs, got '12'"),
+        ({"nodes": 3, "edges": [[1, 2]], "name": 5}, "name must be a string or null, got 5"),
+    ], ids=["float-nodes", "string-nodes", "bool-nodes", "too-many-nodes", "float-id",
+            "string-id", "three-ids", "scalar-edge", "string-edges", "numeric-name"])
+    def test_malformed_values_named(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            motif_from_config(spec)
+
     def test_bad_edges(self):
         with pytest.raises(ValueError, match="1-based"):
             motif_from_config({"nodes": 3, "edges": [[0, 1], [1, 2]]})
