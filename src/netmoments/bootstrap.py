@@ -11,7 +11,6 @@ for these bootstraps and for the harness's Monte-Carlo truths alike.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .adjacency import AdjacencyMatrix
 from .errors import DegenerateReplicatesError
 from .moments import motif_counts_block, sample_moment, studentize
 from .motif import Motif
-from .rng import KeyedStreams
+from .rng import thread_streams
 
 __all__ = ["EmpiricalCdf", "subsample_distribution", "resample_distribution"]
 
@@ -65,12 +64,12 @@ class EmpiricalCdf:
 
 
 def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
-                 max_fraction: float, what: str, threads: int = 1) -> EmpiricalCdf:
+                 max_fraction: float, what: str) -> EmpiricalCdf:
     """Sorted ``(U_hat - center) / S_hat`` of ``count`` replicate graphs on ``n`` nodes.
 
-    ``graphs(k0, k1)`` returns the int8 stack of replicates ``k0 .. k1-1``
-    (thread-safe if ``threads > 1`` workers take the blocks).  ``S_hat^2``
-    is the moment-based variance estimate of :func:`studentize`.  Replicates
+    ``graphs(k0, k1)`` returns the int8 stack of replicates ``k0 .. k1-1``,
+    called block by block in the calling thread.  ``S_hat^2`` is the
+    moment-based variance estimate of :func:`studentize`.  Replicates
     where it is exactly zero are dropped and counted; more than
     ``max_fraction`` of them, or all, raise ``DegenerateReplicatesError``.
     """
@@ -84,12 +83,7 @@ def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
         u_hat, _, s_sq, degenerate = studentize(total, per, n, r)
         return (u_hat[~degenerate] - center) / np.sqrt(s_sq[~degenerate])
 
-    starts = range(0, count, block)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            kept = np.sort(np.concatenate(list(pool.map(run_block, starts))))
-    else:
-        kept = np.sort(np.concatenate([run_block(k0) for k0 in starts]))
+    kept = np.sort(np.concatenate([run_block(k0) for k0 in range(0, count, block)]))
     dropped = count - kept.size
     if dropped > max_fraction * count or dropped == count:
         why = "all" if dropped == count else f"> {max_fraction:.1%}"
@@ -103,7 +97,7 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
                 size: int, draw) -> EmpiricalCdf:
     """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
     takes the nodes ``draw(rng)``, with ``rng`` its own stream ``(seed, label, b)``."""
-    streams = KeyedStreams()
+    streams = thread_streams()
 
     def graphs(k0: int, k1: int) -> np.ndarray:
         idx = np.array([draw(streams(seed, label, b)) for b in range(k0, k1)])

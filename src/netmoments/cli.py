@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    prefix = f"{parser.prog} {args.command}"
+    # A library caveat (say, rho above 1/log n) prints as one stderr line
+    # in the same form as an error, without Python's source-line echo.
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"{prefix}: warning: {message}\n"
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -245,7 +251,9 @@ def main(argv=None) -> int:
         # degenerate sample or replicate set, a cost cap, an unreadable or
         # unwritable file) ends like a bad flag: one error line and exit
         # code 2.  The flags parsed, so no usage line is printed.
-        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
+        parser.exit(2, f"{prefix}: error: {exc}\n")
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

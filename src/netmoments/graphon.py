@@ -20,7 +20,7 @@ import numpy as np
 from .adjacency import AdjacencyMatrix
 from .errors import DegeneracyError
 from .motif import Motif, _PAIRS, containment_probability
-from .rng import KeyedStreams, stream, substream_seed
+from .rng import stream, substream_seed, thread_streams
 
 __all__ = [
     "Graphon",
@@ -90,6 +90,16 @@ class Graphon:
         return f"Graphon({self.name!r}, kind={self.kind})"
 
 
+def _block_labels(pi: np.ndarray, x) -> np.ndarray:
+    """The block of each latent position ``x``: block k holds the positions
+    from the sum of ``pi[:k]`` up to, not including, the sum of ``pi[:k+1]``.
+
+    The block model's evaluator and its one-hot edge probabilities both
+    label through here, so their bytes cannot drift apart.
+    """
+    return np.searchsorted(np.cumsum(pi)[:-1], x, side="right")
+
+
 def block_model(pi, B, name: str | None = None) -> Graphon:
     """Stochastic block model graphon with membership probabilities ``pi``."""
     pi = np.asarray(pi, dtype=np.float64)
@@ -105,12 +115,9 @@ def block_model(pi, B, name: str | None = None) -> Graphon:
         raise ValueError("B must be symmetric")
     if (B < 0).any() or (B > 1).any():
         raise ValueError("B entries must lie in [0, 1]")
-    cuts = np.cumsum(pi)[:-1]
 
     def evaluate(u, v):
-        bu = np.searchsorted(cuts, u, side="right")
-        bv = np.searchsorted(cuts, v, side="right")
-        return B[bu, bv]
+        return B[_block_labels(pi, u), _block_labels(pi, v)]
 
     return Graphon(evaluate, kind="BlockModel", name=name or "BlockModel", pi=pi, B=B)
 
@@ -247,11 +254,28 @@ def sample_latent(n: int, seed: int) -> LatentSample:
     return LatentSample(positions=positions, seed=seed)
 
 
-def _edge_probabilities(g: Graphon, pos: np.ndarray, rho: float) -> np.ndarray:
-    """``rho * f(X_i, X_j)`` on every pair of each row of ``pos`` (..., n)."""
-    W = rho * np.asarray(g.evaluate(pos[..., :, None], pos[..., None, :]), dtype=np.float64)
-    if (W < 0).any() or (W > 1).any():
+def _check_probabilities(W: np.ndarray) -> None:
+    if not ((W >= 0).all() and (W <= 1).all()):
         raise ValueError("edge probabilities leave [0, 1]; graphon must map into [0, 1]")
+
+
+def _edge_probabilities(g: Graphon, pos: np.ndarray, rho: float) -> np.ndarray:
+    """``rho * f(X_i, X_j)`` on every pair of each row of ``pos`` (..., n).
+
+    A block model's value is ``onehot(labels) @ (rho * B) @ onehot(labels).T``
+    for the block labels of ``pos``: exactly one term of each sum is
+    nonzero, so the product has the bytes of ``rho * B[b_i, b_j]`` at BLAS
+    speed, and the K x K table ``rho * B``, which holds every value it can
+    take, is the one range check.
+    """
+    if g.is_block_model:
+        table = rho * np.asarray(g.B, dtype=np.float64)
+        _check_probabilities(table)
+        labels = _block_labels(g.pi, pos)
+        onehot = (labels[..., None] == np.arange(table.shape[0])).astype(np.float64)
+        return onehot @ table @ np.swapaxes(onehot, -1, -2)
+    W = rho * np.asarray(g.evaluate(pos[..., :, None], pos[..., None, :]), dtype=np.float64)
+    _check_probabilities(W)
     return W
 
 
@@ -312,7 +336,7 @@ def sample_graph_block(g: Graphon, n: int, rho: float, seeds) -> np.ndarray:
     """
     _check_nodes(n)
     _check_rho(rho)
-    streams = KeyedStreams()
+    streams = thread_streams()
     x = np.empty((len(seeds), n))
     u = np.empty((len(seeds), n * (n - 1) // 2))
     for k, seed in enumerate(seeds):

@@ -226,9 +226,11 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     Replicate ``k`` is the network ``sample_graph(g, n, rho,
     substream_seed(seed, "mc-truth", k))``, centred at ``mu`` (default:
     :func:`population_mean`).  The bootstraps' replicate engine samples,
-    counts and studentizes the networks in blocks, ``threads`` workers
-    taking whole blocks; every network keeps its own stream, so the
-    bytes do not depend on the thread count or block size.  Replicates
+    counts and studentizes the networks in blocks, in the calling thread.
+    ``threads`` has no effect: it is accepted until the benchmark's
+    ``sim_truth`` stops passing it, because two workers were slower than
+    one at every size the paper's protocols run.  Every network keeps its
+    own stream, so the bytes do not depend on the block size.  Replicates
     with a zero variance estimate are skipped and counted; more than
     ``max_degenerate_fraction`` of them (the message says to raise it),
     or all of them, raise ``DegenerateReplicatesError``.
@@ -242,8 +244,7 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
                                               for k in range(k0, k1)])
 
     try:
-        F = _studentized(n_mc, n, graphs, motif, mu, max_degenerate_fraction, "truth",
-                         threads=threads)
+        F = _studentized(n_mc, n, graphs, motif, mu, max_degenerate_fraction, "truth")
     except DegenerateReplicatesError as exc:
         if exc.n_dropped == exc.n_total:
             raise  # no cap admits a truth with nothing to tabulate
@@ -318,6 +319,7 @@ def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
     sweep's list): build the Monte-Carlo truth, then per repetition sample
     one network and record every method's sup-grid error and wall-clock
     time, or ``degenerate`` (for example, too sparse for the motif).
+    ``threads`` has no effect (see :func:`monte_carlo_true_cdf`).
     """
     def evaluator(n, rho, mu):
         truth = monte_carlo_true_cdf(

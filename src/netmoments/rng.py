@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 
 import numpy as np
 
-__all__ = ["stream", "substream_seed", "KeyedStreams"]
+__all__ = ["stream", "substream_seed", "KeyedStreams", "thread_streams"]
 
 
 def _digest(seed: int, labels: tuple) -> bytes:
@@ -55,8 +56,10 @@ class KeyedStreams:
     of a fresh ``stream(seed, *labels)``, without constructing a new bit
     generator (whose construction seeds a throwaway ``SeedSequence``).
     The returned generator is re-keyed by the next call, so finish with
-    it first.  An instance is not thread-safe: give each thread (or each
-    batched call) its own.
+    it first.  An instance is not thread-safe: the samplers and the
+    bootstraps share one per thread, from :func:`thread_streams`, so a
+    caller that samples from several threads (the library starts none)
+    gets one generator in each.
     """
 
     def __init__(self):
@@ -73,3 +76,21 @@ class KeyedStreams:
         self._keyed["key"] = struct.unpack("<2Q", _digest(seed, labels))
         self._bitgen.state = self._state
         return self._generator
+
+
+_local = threading.local()
+
+
+def thread_streams() -> KeyedStreams:
+    """The calling thread's :class:`KeyedStreams`, built on its first call.
+
+    Building one seeds a throwaway ``SeedSequence`` (~90 µs), which a
+    fresh instance per sampled block or bootstrap call would pay every
+    time.  Finish with each generator it returns before the next call in
+    the same thread.
+    """
+    try:
+        return _local.streams
+    except AttributeError:
+        _local.streams = KeyedStreams()
+        return _local.streams

@@ -29,6 +29,15 @@ def usage_error(capsys, argv) -> str:
     return err
 
 
+def run_module(argv) -> subprocess.CompletedProcess:
+    """Run ``python -m netmoments`` on ``argv`` with the default warning filters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(netmoments.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "netmoments", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture
 def graph_file(tmp_path, capsys):
     path = tmp_path / "graph.edges"
@@ -304,6 +313,29 @@ class TestExperimentCommand:
         assert out.read_bytes() == b"an earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "results.csv"]
 
+    # Through `python -m netmoments`, so the warning reaches stderr the way
+    # Python shows it outside a test run.
+    CAVEAT = ("netmoments experiment: warning: rho=1 exceeds 1/log(n)={:.4g} and the "
+              "projection was not asserted non-lattice; the expansion's higher-order "
+              "guarantee may not apply\n")
+
+    def test_applicability_caveat_is_one_stderr_line(self, tmp_path):
+        out = tmp_path / "results.csv"
+        proc = run_module(["experiment", "accuracy", "--config",
+                           str(experiment_config(tmp_path, n_mc=1000, repetitions=1)),
+                           "--out", str(out)])
+        assert proc.returncode == 0 and out.exists()
+        assert proc.stderr == self.CAVEAT.format(1 / np.log(12))
+
+    def test_failed_run_prints_the_caveat_then_the_error(self, tmp_path):
+        cfg = experiment_config(tmp_path, motif="triangle", n=[10], n_mc=1000, seed=3)
+        proc = run_module(["experiment", "accuracy", "--config", str(cfg),
+                           "--out", str(tmp_path / "results.csv")])
+        assert proc.returncode == 2 and proc.stdout == ""
+        caveat, error = proc.stderr.splitlines(keepends=True)
+        assert caveat == self.CAVEAT.format(1 / np.log(10))
+        assert error.startswith("netmoments experiment: error: ")
+
 
 class TestFileErrors:
     """A file that cannot be read or written is a usage error, not a traceback."""
@@ -323,12 +355,8 @@ class TestFileErrors:
     def test_output_in_missing_directory_as_a_module(self, tmp_path):
         # Through `python -m netmoments`, which runs __main__.py.
         out = tmp_path / "no-such-dir" / "g.edges"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(netmoments.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "netmoments", "sample", "--graphon", "blockmodel",
-             "--n", "10", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module(["sample", "--graphon", "blockmodel", "--n", "10", "--seed", "1",
+                           "--out", str(out)])
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("netmoments sample: error:") and str(out) in proc.stderr

@@ -2,18 +2,21 @@ import hashlib
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from netmoments import (EDGE, TRIANGLE, DegeneracyError, LatentSample,
-                        builtin_graphon, custom_graphon, graphon_from_config,
+from netmoments import (EDGE, TRIANGLE, DegeneracyError, Graphon, LatentSample,
+                        block_model, builtin_graphon, custom_graphon, graphon_from_config,
                         nonsmooth_graphon, population_edgeworth_coefficients,
                         population_moment, probability_matrix, sample_adjacency,
                         sample_graph, sample_graph_block, sample_latent, smooth_graphon,
                         stream)
-from netmoments.rng import KeyedStreams
+from netmoments.graphon import _block_labels, _edge_probabilities
+from netmoments.rng import KeyedStreams, thread_streams
 from netmoments.motif import conditional_expectation_h
 
 from conftest import paper_block_model
@@ -127,6 +130,68 @@ class TestSampling:
             sample_graph(paper_block_model(), 1, 1.0, 1)
 
 
+def blocks_graphon(pi, B, **kwargs) -> Graphon:
+    """A block model built by hand, so ``B`` may leave [0, 1]."""
+    pi, B = np.asarray(pi), np.asarray(B)
+    return Graphon(lambda u, v: B[_block_labels(pi, u), _block_labels(pi, v)],
+                   kind="BlockModel", pi=pi, B=B, **kwargs)
+
+
+class TestBlockProbabilities:
+    """A block model's probabilities are one-hot labels times ``rho * B``;
+    they must have the bytes of ``rho`` times its evaluator."""
+
+    B4 = [[0.71, 0.13, 0.29, 0.05], [0.13, 0.47, 0.61, 1 / 3],
+          [0.29, 0.61, 0.0, 0.9], [0.05, 1 / 3, 0.9, 0.17]]
+
+    @pytest.mark.parametrize("pi,B", [
+        ([1.0], [[1 / 3]]),
+        ([0.5, 0.5], [[0.6, 0.2], [0.2, 0.2]]),
+        ([0.3, 0.0, 0.7], [[0.9, 0.5, 0.1], [0.5, 1.0, 0.4], [0.1, 0.4, 0.25]]),
+        ([0.0, 0.4, 0.6], [[1.0, 0.3, 0.7], [0.3, 0.11, 0.6], [0.7, 0.6, 0.01]]),
+        ([0.1, 0.2, 0.3, 0.4], B4),
+        ([0.25, 0.25, 0.0, 0.5], B4),
+    ], ids=["K1", "K2", "K3-empty-middle", "K3-empty-first", "K4", "K4-empty"])
+    @pytest.mark.parametrize("rho", [1.0, 0.3, 30 ** -0.5], ids=["1", "0.3", "n^-1/2"])
+    def test_equal_evaluator_bytes(self, pi, B, rho):
+        g = block_model(pi, B)
+        cuts = np.cumsum(g.pi)[:-1]
+        x = stream(5, "block-probabilities").random((4, 30))
+        x[0, :cuts.size] = cuts  # latents exactly on every cut
+        x[0, cuts.size] = 0.0
+        x[1, :cuts.size] = np.nextafter(cuts, 0.0)  # and just below
+        for pos in (x, x[0]):
+            expected = rho * g.evaluate(pos[..., :, None], pos[..., None, :])
+            got = _edge_probabilities(g, pos, rho)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_labels_on_cuts(self):
+        # Block k holds [sum(pi[:k]), sum(pi[:k+1])): a latent on a cut
+        # belongs to the block above it, past any zero-weight block.
+        x = np.array([0.0, np.nextafter(0.3, 0.0), 0.3, 0.65, 1.0])
+        assert _block_labels(np.array([0.3, 0.0, 0.7]), x).tolist() == [0, 0, 2, 2, 2]
+        assert _block_labels(np.array([0.5, 0.5]), [0.5, np.nextafter(0.5, 0.0)]).tolist() \
+            == [1, 0]
+
+    def test_table_range_check(self):
+        bad = blocks_graphon([0.5, 0.5], [[0.6, 1.2], [1.2, 0.2]], check=False)
+        with pytest.raises(ValueError, match=re.escape("edge probabilities leave [0, 1]")):
+            sample_graph(bad, 10, 1.0, 1)
+        # At rho = 0.5 every value is a probability, and the evaluator agrees.
+        x = sample_latent(10, 1).positions
+        assert (_edge_probabilities(bad, x, 0.5).tobytes()
+                == (0.5 * bad.evaluate(x[:, None], x[None, :])).tobytes())
+
+    def test_nan_is_not_a_probability(self):
+        nan_block = blocks_graphon([0.5, 0.5], [[0.6, np.nan], [np.nan, 0.2]], check=False)
+        nan_custom = custom_graphon(lambda u, v: np.where(u + v > 1.0, np.nan, 0.5),
+                                    check=False)
+        for g in (nan_block, nan_custom):
+            with pytest.raises(ValueError, match="edge probabilities leave"):
+                sample_graph(g, 10, 1.0, 1)
+
+
 class TestKeyedStreams:
     def test_matches_fresh_streams(self):
         streams = KeyedStreams()
@@ -138,6 +203,41 @@ class TestKeyedStreams:
             got = (keyed.random(7), keyed.integers(0, 10, size=3), keyed.random(2))
             for e, g in zip(expect, got):
                 assert e.tobytes() == g.tobytes()
+
+    def test_threads_keep_their_own_streams(self):
+        # Samplers re-key their thread's generator: three threads (more
+        # than this suite's two cores) drawing blocks at once, on fast
+        # thread switching, get the serial bytes.
+        g = paper_block_model()
+        seeds = [list(range(t, 300, 3)) for t in range(3)]
+
+        def draw(t):
+            return [sample_graph_block(g, 12, 0.7, seeds[t][k:k + 5]).tobytes()
+                    for k in range(0, 100, 5)]
+
+        serial = [draw(t) for t in range(3)]
+        got, streams = [None] * 3, [None] * 3
+        start = threading.Barrier(3, timeout=60)
+
+        def work(t):
+            start.wait()
+            got[t] = draw(t)
+            streams[t] = thread_streams()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(3)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == serial
+        assert len({id(s) for s in streams}) == 3 and thread_streams() not in streams
+        assert thread_streams() is thread_streams()
 
     def test_rekey_resets_state(self):
         streams = KeyedStreams()
