@@ -28,8 +28,8 @@ from .inference import ConfidenceInterval, TestResult, confidence_interval, one_
 from .moments import (MomentStats, compute_stats, edgeworth_coefficients, jackknife_variance,
                       local_projection, motif_counts, motif_counts_block, pair_projection,
                       sample_moment, studentize, variance_estimator)
-from .motif import (EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, builtin_motif,
-                    conditional_expectation_h, contains, make_motif, motif_from_config)
+from .motif import (EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, builtin_motif, make_motif,
+                    motif_from_config)
 from .rng import stream, substream_seed
 
 __version__ = "0.1.0"

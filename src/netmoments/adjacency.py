@@ -36,7 +36,7 @@ def _integer(key: str, value) -> int:
 class AdjacencyMatrix:
     """Adjacency matrix of a simple undirected graph.
 
-    Wraps a symmetric, hollow 0/1 int8 matrix and its degrees.
+    Wraps a symmetric, hollow 0/1 int8 matrix.
     """
 
     def __init__(self, a):
@@ -58,11 +58,10 @@ class AdjacencyMatrix:
         a.setflags(write=False)
         self.a = a
         self.n = a.shape[0]
-        self.degrees = a.sum(axis=1, dtype=np.int64)
 
     @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return int(np.count_nonzero(self.a)) // 2
 
     def induced(self, nodes) -> "AdjacencyMatrix":
         """Induced subgraph on the given node indices.
@@ -72,15 +71,6 @@ class AdjacencyMatrix:
         """
         idx = np.asarray(nodes, dtype=np.intp)
         return AdjacencyMatrix._trusted(self.a[np.ix_(idx, idx)])
-
-    def relabeled(self, perm) -> "AdjacencyMatrix":
-        """Graph with node ``i`` renamed to ``perm[i]``."""
-        perm = np.asarray(perm, dtype=np.intp)
-        if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
-            raise ValueError(f"perm must be a permutation of 0..{self.n - 1}")
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.n)
-        return AdjacencyMatrix._trusted(self.a[np.ix_(inv, inv)])
 
     def __repr__(self) -> str:
         return f"AdjacencyMatrix(n={self.n}, edges={self.edge_count})"

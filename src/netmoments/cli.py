@@ -84,15 +84,22 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+def _grid(value):
+    """The lattice of ``--grid START STOP STEP``, or the default one."""
+    if value is None:
+        return ew.DEFAULT_GRID
+    start, stop, step = value
+    if not np.isfinite(value).all() or step <= 0 or stop < start:
+        raise ValueError(f"--grid needs finite START <= STOP and STEP > 0, "
+                         f"got {start:g} {stop:g} {step:g}")
+    return np.arange(start, stop + step / 2, step)
+
+
 def _cmd_edgeworth(args) -> int:
+    grid = _grid(args.grid)
     _, motif, stats = _stats_for(args)
     coeffs = ew.EdgeworthCoefficients.from_moment_stats(stats)
-    grid = None
-    if args.grid is not None:
-        start, stop, step = args.grid
-        grid = np.arange(start, stop + step / 2, step)
-    grid, values = ew.evaluate_on_grid(coeffs, grid, clamp=args.clamp)
-    ew.write_grid_csv(args.out, grid, values)
+    ew.write_grid_csv(args.out, grid, ew.expansion_cdf(coeffs, grid, clamp=args.clamp))
     _emit({"motif": motif.name, "n": stats.n, "xi1": coeffs.xi1,
            "e_g1_cubed": coeffs.e_g1_cubed, "e_g1g1g2": coeffs.e_g1g1g2,
            "out": args.out})

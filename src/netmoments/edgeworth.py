@@ -29,7 +29,6 @@ __all__ = [
     "expansion_cdf",
     "cornish_fisher_quantile",
     "rate_bound",
-    "evaluate_on_grid",
     "write_grid_csv",
     "check_expansion_applicability",
     "DEFAULT_GRID",
@@ -128,13 +127,6 @@ def rate_bound(rho: float, n: int, motif: Motif) -> float:
     return rho ** (-motif.r / 2.0) * math.sqrt(log_n) / n + tail
 
 
-def evaluate_on_grid(c: EdgeworthCoefficients, grid=None,
-                     clamp: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion values on a grid (default: the -2..2 lattice, step 0.1)."""
-    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
-    return grid, expansion_cdf(c, grid, clamp=clamp)
-
-
 def write_grid_csv(path, grid, values) -> None:
     """Write (x, value) rows as CSV for plotting."""
     grid = np.asarray(grid)
@@ -148,20 +140,21 @@ def write_grid_csv(path, grid, values) -> None:
             writer.writerow([repr(float(x)), repr(float(v))])
 
 
-def check_expansion_applicability(rho: float, n: int,
-                                  assume_non_lattice: bool = False) -> bool:
-    """Warn when neither theoretical smoothing route clearly applies.
+def check_expansion_applicability(rho: float, n: int) -> bool:
+    """Warn when the sparsity route of the theory does not clearly apply.
 
     The higher-order guarantee needs either enough sparsity
-    (``rho = O(1/log n)``) to self-smooth a lattice projection, or a
-    non-lattice projection asserted by the user.  The expansion is
-    computed regardless; this only surfaces the caveat.
+    (``rho <= 1/log(max(n, 3))``) to self-smooth a lattice projection,
+    or a non-lattice projection, which is not checked here.  The
+    expansion is computed regardless; this only surfaces the caveat.
     """
-    if assume_non_lattice or rho <= 1.0 / math.log(max(n, 3)):
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    limit = 1.0 / math.log(max(n, 3))
+    if rho <= limit:
         return True
     warnings.warn(
-        f"rho={rho:.4g} exceeds 1/log(n)={1.0 / math.log(n):.4g} and the "
-        "projection was not asserted non-lattice; the expansion's "
-        "higher-order guarantee may not apply",
+        f"rho={rho:.4g} exceeds 1/log(max(n, 3))={limit:.4g}; unless the projection "
+        "is non-lattice, the expansion's higher-order guarantee may not apply",
         UserWarning, stacklevel=2)
     return False

@@ -3,7 +3,7 @@
 Everything here is driven by one table of exact integer counts, the pair
 completion counts: ``inner[i, j]`` is the number of (r-2)-subsets that
 complete the pair {i, j} to an r-node subset whose induced subgraph
-contains the motif.  Every containing r-set through node ``i`` pairs
+holds the motif.  Every containing r-set through node ``i`` pairs
 ``i`` with its other r - 1 members, so the table fixes the per-node
 counts, ``per_node = inner.sum(1) / (r - 1)``, and the total,
 ``per_node.sum() / r``; ``g2`` follows from the table itself.  One
@@ -173,16 +173,6 @@ def _sparse_inner_counts(a: np.ndarray, kind: str):
     return codeg + ends - 2.0 * codeg.multiply(s) - degrees
 
 
-def _codegrees(a: np.ndarray, af: np.ndarray) -> np.ndarray:
-    """Codegrees ``A @ A`` in float64 of one graph or a stack, from the int8
-    ``a`` and float64 ``af``: a CSR product on the sparse route, BLAS
-    otherwise, exact integers (the same bytes) either way."""
-    if _sparse_route(a):
-        s = _csr(a)
-        return (s @ s).toarray()
-    return af @ af
-
-
 def _counts_from_inner(inner: np.ndarray, r: int):
     """``(total, per_node)`` from the pair completion counts of an r-node motif.
 
@@ -278,9 +268,9 @@ def _threestar_inner_counts(a: np.ndarray) -> np.ndarray:
     """Three-star pair completion counts in closed form.
 
     ``inner[i, j]`` is the number of pairs {k, l} for which {i, j, k, l}
-    contains a three-star.  Let c(S) be the number of nodes of a 4-set S
+    holds a three-star.  Let c(S) be the number of nodes of a 4-set S
     adjacent to the other three.  c is 0, 1, 2 or 4 (c = 4 exactly when
-    S is a K4), so S contains a three-star iff
+    S is a K4), so S holds a three-star iff
     ``c - C(c, 2) + 3*[c = 4]`` is 1, and it is 0 otherwise.  Summing
     the three terms over {k, l}, with ``d`` the degrees, ``C = A@A``
     with a zero diagonal (codegrees), ``M = (A*(C - 1))@A`` and ``E[i, j]``
@@ -297,7 +287,11 @@ def _threestar_inner_counts(a: np.ndarray) -> np.ndarray:
     """
     af = a.astype(np.float64)
     d = af.sum(axis=1)
-    codeg = _codegrees(a, af)
+    if _sparse_route(a):  # exact integers either way: the same bytes
+        s = _csr(a)
+        codeg = (s @ s).toarray()
+    else:
+        codeg = af @ af
     np.fill_diagonal(codeg, 0.0)
     m = (af * (codeg - 1.0)) @ af
     e = _common_neighbour_edges(a, codeg)

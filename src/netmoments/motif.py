@@ -1,11 +1,11 @@
-"""Motif patterns: containment indicator and its conditional expectation.
+"""Motif patterns: containment table and containment probability.
 
 A motif is a small connected pattern graph on ``r <= 5`` nodes.  A binary
-subgraph ``sub`` *contains* the motif when some relabeling of the motif's
-nodes makes every motif edge present in ``sub`` (extra edges in ``sub``
-are allowed).  On a matrix of edge probabilities the same indicator has
-an exact conditional expectation, obtained by enumerating all
-``2^(r choose 2)`` edge patterns.
+r-node pattern holds the motif when some relabeling of the motif's nodes
+makes every motif edge present in the pattern (extra edges are allowed).
+:attr:`Motif.h_table` gives this indicator for each of the
+``2^(r choose 2)`` edge patterns; :func:`containment_probability` sums
+it into the exact probability under independent Bernoulli edges.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import NotConnectedError
 __all__ = [
     "Motif",
     "make_motif",
-    "contains",
-    "conditional_expectation_h",
     "containment_probability",
     "builtin_motif",
     "motif_from_config",
@@ -84,7 +82,6 @@ class Motif:
         self.shape_class = "acyclic" if self.s == r - 1 else "cyclic"
         self.name = name
         self.degrees = adj.sum(axis=1).astype(np.int64)
-        self.edges = tuple((i, j) for i, j in _PAIRS[r] if adj[i, j])
 
     def __repr__(self) -> str:
         label = self.name or "motif"
@@ -105,7 +102,8 @@ class Motif:
 
     @cached_property
     def h_table(self) -> np.ndarray:
-        """Indicator of containment for every possible edge-set mask."""
+        """Containment indicator of every edge-set mask: bit k of a mask is
+        the k-th pair in lexicographic order."""
         n_pairs = len(_PAIRS[self.r])
         table = np.zeros(1 << n_pairs, dtype=bool)
         for mask in range(1 << n_pairs):
@@ -114,36 +112,13 @@ class Motif:
 
     @cached_property
     def containing_masks(self) -> np.ndarray:
-        """All edge-set masks whose pattern contains the motif."""
+        """All edge-set masks whose pattern holds the motif."""
         return np.flatnonzero(self.h_table).astype(np.int64)
 
 
 def make_motif(adjacency, name: str | None = None) -> Motif:
     """Validate an adjacency matrix and build a :class:`Motif`."""
     return Motif(np.asarray(adjacency), name=name)
-
-
-def contains(sub, motif: Motif) -> int:
-    """Containment indicator: 1 iff ``sub`` contains the motif.
-
-    Checks whether some permutation ``pi`` of the node labels satisfies
-    ``sub >= R_pi`` entrywise, by enumerating permutations (at most
-    ``r! = 120``) with an early degree-dominance prune.
-    """
-    sub = _check_square_binary(sub, "subgraph")
-    r = motif.r
-    if sub.shape[0] != r:
-        raise ValueError(f"subgraph has {sub.shape[0]} nodes, motif needs {r}")
-    sub_deg = np.sort(sub.sum(axis=1))[::-1]
-    motif_deg = np.sort(motif.degrees)[::-1]
-    if (sub_deg < motif_deg).any():
-        return 0
-    rows = sub.tolist()
-    edges = motif.edges
-    for perm in itertools.permutations(range(r)):
-        if all(rows[perm[i]][perm[j]] for i, j in edges):
-            return 1
-    return 0
 
 
 def containment_probability(motif: Motif, pair_probs: np.ndarray) -> np.ndarray:
@@ -174,28 +149,6 @@ def containment_probability(motif: Motif, pair_probs: np.ndarray) -> np.ndarray:
             term = term * (p[..., idx] if (mask >> idx) & 1 else q[..., idx])
         total += term
     return total
-
-
-def conditional_expectation_h(wsub, motif: Motif) -> float:
-    """Exact ``E[h(A_sub) | W_sub]`` for a matrix of edge probabilities.
-
-    Enumerates all ``2^(r choose 2)`` binary edge patterns and sums the
-    probability of those containing the motif.  At binary input this
-    reduces to :func:`contains`.
-    """
-    w = np.asarray(wsub, dtype=np.float64)
-    r = motif.r
-    if w.ndim != 2 or w.shape != (r, r):
-        raise ValueError(f"W_sub must be {r}x{r}, got shape {w.shape}")
-    if (w != w.T).any():
-        raise ValueError("W_sub must be symmetric")
-    if np.diagonal(w).any():
-        raise ValueError("W_sub must have a zero diagonal")
-    if (w < 0).any() or (w > 1).any():
-        raise ValueError("W_sub entries must lie in [0, 1]")
-    pairs = _PAIRS[r]
-    probs = np.array([w[i, j] for i, j in pairs])
-    return float(containment_probability(motif, probs))
 
 
 EDGE = make_motif([[0, 1], [1, 0]], name="edge")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from netmoments import AdjacencyMatrix, block_model
+from netmoments.motif import containment_probability
 
 
 def paper_block_model():
@@ -33,6 +34,25 @@ def random_graph(rng: np.random.Generator, n: int, p: float | None = None) -> Ad
     a[iu] = rng.random(iu[0].size) < p
     a |= a.T
     return AdjacencyMatrix(a)
+
+
+def relabel(A: AdjacencyMatrix, perm) -> AdjacencyMatrix:
+    """``A`` with node ``i`` renamed to ``perm[i]``, through the validating constructor."""
+    inv = np.argsort(perm)
+    return AdjacencyMatrix(A.a[np.ix_(inv, inv)])
+
+
+def pattern_mask(sub) -> int:
+    """Edge-set mask of an r x r pattern: bit k is its k-th pair in lexicographic order."""
+    pairs = itertools.combinations(range(len(sub)), 2)
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if sub[i][j])
+
+
+def expected_h(w, motif) -> float:
+    """``E[h | W_sub]`` of an r x r probability matrix, from its pairs in
+    lexicographic order, the way the graphon code calls it."""
+    w = np.asarray(w, dtype=np.float64)
+    return float(containment_probability(motif, w[np.triu_indices(motif.r, 1)]))
 
 
 class Oracle:

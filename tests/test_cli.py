@@ -103,11 +103,23 @@ class TestStatsCommands:
             "edgeworth", "--graph", str(graph_file), "--motif", "triangle",
             "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["x", "value"]
         assert len(rows) == 42
         values = np.array([float(r[1]) for r in rows[1:]])
         assert values[0] < 0.2 and values[-1] > 0.8
+
+    @pytest.mark.parametrize("grid", [("0", "1", "0"), ("0", "1", "-0.1"), ("1", "0", "0.1"),
+                                      ("0", "inf", "0.1"), ("nan", "1", "0.1")],
+                             ids=["zero-step", "negative-step", "stop-below-start",
+                                  "infinite-stop", "nan-start"])
+    def test_bad_grid_rejected(self, graph_file, tmp_path, capsys, grid):
+        out = tmp_path / "grid.csv"
+        err = usage_error(capsys, ["edgeworth", "--graph", str(graph_file), "--motif",
+                                   "triangle", "--grid", *grid, "--out", str(out)])
+        assert err.startswith("netmoments edgeworth: error: --grid needs finite START <= STOP")
+        assert not out.exists()
 
     def test_one_sample_test(self, graph_file, capsys):
         code, msgs = run_cli(capsys, [
@@ -176,7 +188,8 @@ class TestBootstrapCommand:
         assert code == 0
         rec = msgs[-1]
         assert rec["B"] == 25 and rec["scheme"] == "subsample"
-        rows = list(csv.reader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["kind", "key", "value"]
         kinds = {r[0] for r in rows[1:]}
         assert kinds == {"replicate", "quantile"}
@@ -215,7 +228,8 @@ class TestExperimentCommand:
             code, msgs = run_cli(capsys, [
                 "experiment", "accuracy", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["method", "graphon", "motif", "n", "rho", "rep",
                           "metric", "value"]
         assert len(rows) > 1
@@ -270,9 +284,11 @@ class TestExperimentCommand:
                     "experiment", kind, "--config", str(cfg), "--out", str(outputs[kind]),
                     "--max-degenerate-fraction", "0.5"])
             assert code == 0
-        rows = {kind: [row for row in csv.DictReader(open(path))
-                       if row["metric"] != "time_seconds"]
-                for kind, path in outputs.items()}
+        rows = {}
+        for kind, path in outputs.items():
+            with open(path, newline="") as fh:
+                rows[kind] = [row for row in csv.DictReader(fh)
+                              if row["metric"] != "time_seconds"]
         assert {row["rho"] for row in rows["accuracy"]} == {"1.0", repr(12 ** -0.5)}
         assert rows["accuracy"] == rows["sparsity"]
 
@@ -315,8 +331,8 @@ class TestExperimentCommand:
 
     # Through `python -m netmoments`, so the warning reaches stderr the way
     # Python shows it outside a test run.
-    CAVEAT = ("netmoments experiment: warning: rho=1 exceeds 1/log(n)={:.4g} and the "
-              "projection was not asserted non-lattice; the expansion's higher-order "
+    CAVEAT = ("netmoments experiment: warning: rho=1 exceeds 1/log(max(n, 3))={:.4g}; "
+              "unless the projection is non-lattice, the expansion's higher-order "
               "guarantee may not apply\n")
 
     def test_applicability_caveat_is_one_stderr_line(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from scipy.special import ndtr, ndtri
 
 from netmoments import (EDGE, TRIANGLE, DegeneracyError, EdgeworthCoefficients,
                         cornish_fisher_quantile, expansion_cdf, rate_bound)
-from netmoments.edgeworth import (DEFAULT_GRID, check_expansion_applicability,
-                                  evaluate_on_grid, write_grid_csv)
+from netmoments.edgeworth import DEFAULT_GRID, check_expansion_applicability, write_grid_csv
 
 
 def coeffs(xi1=1.0, e3=0.0, e112=0.0, r=3, n=100):
@@ -148,9 +148,9 @@ class TestGridHelpers:
 
     def test_grid_csv(self, tmp_path):
         c = coeffs(e3=0.2)
-        grid, values = evaluate_on_grid(c)
+        values = expansion_cdf(c, DEFAULT_GRID)
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, grid, values)
+        write_grid_csv(path, DEFAULT_GRID, values)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "x,value"
         assert len(rows) == 42
@@ -171,5 +171,14 @@ class TestApplicability:
         with pytest.warns(UserWarning, match="non-lattice"):
             assert not check_expansion_applicability(rho=1.0, n=100)
 
-    def test_asserted_non_lattice_passes(self):
-        assert check_expansion_applicability(rho=1.0, n=100, assume_non_lattice=True)
+    def test_message_names_the_limit_it_applies(self):
+        # At n = 2 the limit is 1/log 3, not 1/log 2 = 1.443, which rho = 1 is below.
+        limit = f"{1 / math.log(3):.4g}"
+        with pytest.warns(UserWarning, match=re.escape(f"exceeds 1/log(max(n, 3))={limit};")):
+            assert not check_expansion_applicability(rho=1.0, n=2)
+        assert check_expansion_applicability(rho=1 / math.log(3), n=2)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_nodes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+            check_expansion_applicability(rho=0.5, n=n)

@@ -17,9 +17,8 @@ from netmoments import (EDGE, TRIANGLE, DegeneracyError, Graphon, LatentSample,
                         stream)
 from netmoments.graphon import _block_labels, _edge_probabilities
 from netmoments.rng import KeyedStreams, thread_streams
-from netmoments.motif import conditional_expectation_h
 
-from conftest import paper_block_model
+from conftest import expected_h, paper_block_model
 
 
 def const_graphon(c: float):
@@ -436,4 +435,4 @@ class TestConditionalExpectationBridge:
         # mu for the triangle equals E over block triples of the exact
         # conditional containment of the probability submatrix.
         w = np.array([[0.0, 0.6, 0.2], [0.6, 0.0, 0.2], [0.2, 0.2, 0.0]])
-        assert conditional_expectation_h(w, TRIANGLE) == pytest.approx(0.6 * 0.2 * 0.2, abs=1e-15)
+        assert expected_h(w, TRIANGLE) == pytest.approx(0.6 * 0.2 * 0.2, abs=1e-15)

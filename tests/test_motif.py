@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
-                        NotConnectedError, conditional_expectation_h, contains,
-                        make_motif, motif_from_config)
+                        NotConnectedError, from_edges, make_motif, motif_from_config)
+from netmoments.motif import containment_probability
+from conftest import Oracle, expected_h, pattern_mask
 
 TRI = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 PATH3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -66,19 +67,49 @@ def test_adjacency_validation(build, bad, match):
         build(bad)
 
 
+def h(sub, motif) -> int:
+    """The library's containment indicator of ``sub``, checked against the oracle."""
+    value = int(motif.h_table[pattern_mask(sub)])
+    assert value == Oracle(motif).h(np.asarray(sub))
+    return value
+
+
+def patterns(r):
+    """Every r-node pattern as ``(mask, pattern)``, bit k set for the k-th pair."""
+    pairs = list(itertools.combinations(range(r), 2))
+    for mask in range(1 << len(pairs)):
+        sub = np.zeros((r, r), dtype=np.int8)
+        for k, (i, j) in enumerate(pairs):
+            sub[i, j] = sub[j, i] = (mask >> k) & 1
+        yield mask, sub
+
+
+# Every connected graph on 3 and 4 nodes, and two on 5, as edge lists.
+CONNECTED = {
+    "vshape": (3, [(0, 1), (0, 2)]),
+    "triangle": (3, [(0, 1), (0, 2), (1, 2)]),
+    "path4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "threestar": (4, [(0, 1), (0, 2), (0, 3)]),
+    "cycle4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "paw": (4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    "diamond": (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    "k4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "bull": (5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]),
+    "cycle5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+}
+
+
 class TestContains:
+    """``Motif.h_table``, the library's containment indicator, against the oracle."""
+
     def test_triangle_contains_vshape(self):
-        assert contains(TRI, VSHAPE) == 1
+        assert h(TRI, VSHAPE) == 1
 
     def test_path_lacks_triangle(self):
-        assert contains(PATH3, TRIANGLE) == 0
+        assert h(PATH3, TRIANGLE) == 0
 
     def test_path_contains_vshape(self):
-        assert contains(PATH3, VSHAPE) == 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="nodes"):
-            contains(TRI, THREESTAR)
+        assert h(PATH3, VSHAPE) == 1
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -87,9 +118,9 @@ class TestContains:
             iu = np.triu_indices(4, 1)
             a[iu] = rng.integers(0, 2, iu[0].size)
             a |= a.T
-            base = contains(a, THREESTAR)
+            base = h(a, THREESTAR)
             perm = rng.permutation(4)
-            assert contains(a[np.ix_(perm, perm)], THREESTAR) == base
+            assert h(a[np.ix_(perm, perm)], THREESTAR) == base
 
     def test_monotone_in_edges(self):
         rng = np.random.default_rng(8)
@@ -99,14 +130,14 @@ class TestContains:
                 iu = np.triu_indices(3, 1)
                 a[iu] = rng.integers(0, 2, iu[0].size)
                 a |= a.T
-                before = contains(a, motif)
+                before = h(a, motif)
                 zeros = [(i, j) for i, j in zip(*iu) if a[i, j] == 0]
                 if not zeros:
                     continue
                 i, j = zeros[rng.integers(len(zeros))]
                 b = a.copy()
                 b[i, j] = b[j, i] = 1
-                assert contains(b, motif) >= before
+                assert h(b, motif) >= before
 
     def test_vshape_iff_two_edges(self):
         # 3-node special case: containment is exactly "at least 2 edges".
@@ -114,31 +145,36 @@ class TestContains:
             a = np.zeros((3, 3), dtype=int)
             for (i, j), b in zip(((0, 1), (0, 2), (1, 2)), bits):
                 a[i, j] = a[j, i] = b
-            assert contains(a, VSHAPE) == (1 if sum(bits) >= 2 else 0)
+            assert h(a, VSHAPE) == (1 if sum(bits) >= 2 else 0)
+
+    def test_h_table_matches_oracle_on_every_pattern(self):
+        # Every pattern on 3 and 4 nodes; a fixed sample of the 1024 on 5.
+        rng = np.random.default_rng(14)
+        for name, (r, edges) in CONNECTED.items():
+            motif, cases = make_motif(from_edges(r, edges).a), list(patterns(r))
+            if r == 5:
+                cases = [cases[k] for k in sorted(rng.choice(len(cases), 96, replace=False))]
+            masks = np.array([mask for mask, _ in cases])
+            oracle = Oracle(motif)
+            expected = np.array([oracle.h(sub) for _, sub in cases])
+            assert np.array_equal(motif.h_table[masks], expected), name
+            # At 0/1 edge probabilities the containment probability is the indicator.
+            bits = (masks[:, None] >> np.arange(r * (r - 1) // 2)) & 1
+            assert np.array_equal(containment_probability(motif, bits), expected), name
 
 
 class TestConditionalExpectation:
+    """``E[h | W_sub]`` through ``containment_probability``, as the graphon code reads it."""
+
     def test_triangle_is_product(self):
         p, q, t = 0.3, 0.7, 0.45
         w = np.array([[0, p, q], [p, 0, t], [q, t, 0]])
-        assert conditional_expectation_h(w, TRIANGLE) == pytest.approx(p * q * t, abs=1e-15)
+        assert expected_h(w, TRIANGLE) == pytest.approx(p * q * t, abs=1e-15)
 
     def test_vshape_at_half(self):
         w = np.full((3, 3), 0.5)
         np.fill_diagonal(w, 0.0)
-        assert conditional_expectation_h(w, VSHAPE) == pytest.approx(0.5, abs=1e-15)
-
-    def test_binary_input_equals_contains(self):
-        rng = np.random.default_rng(11)
-        for motif in (EDGE, TRIANGLE, VSHAPE, THREESTAR):
-            r = motif.r
-            for _ in range(30):
-                a = np.zeros((r, r), dtype=float)
-                iu = np.triu_indices(r, 1)
-                a[iu] = rng.integers(0, 2, iu[0].size)
-                a += a.T
-                expected = contains(a.astype(int), motif)
-                assert conditional_expectation_h(a, motif) == pytest.approx(expected, abs=1e-12)
+        assert expected_h(w, VSHAPE) == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_in_each_entry(self):
         rng = np.random.default_rng(12)
@@ -149,12 +185,12 @@ class TestConditionalExpectation:
                 iu = np.triu_indices(r, 1)
                 w[iu] = rng.random(iu[0].size)
                 w += w.T
-                base = conditional_expectation_h(w, motif)
+                base = expected_h(w, motif)
                 k = rng.integers(iu[0].size)
                 i, j = iu[0][k], iu[1][k]
                 w2 = w.copy()
                 w2[i, j] = w2[j, i] = min(1.0, w[i, j] + rng.uniform(0, 1 - w[i, j]))
-                assert conditional_expectation_h(w2, motif) >= base - 1e-12
+                assert expected_h(w2, motif) >= base - 1e-12
 
     def test_multilinear_in_each_entry(self):
         # Linear in any single entry: the value at the midpoint matches
@@ -172,13 +208,12 @@ class TestConditionalExpectation:
                 for t in (0.0, 0.5, 1.0):
                     wt = w.copy()
                     wt[i, j] = wt[j, i] = t
-                    vals.append(conditional_expectation_h(wt, motif))
+                    vals.append(expected_h(wt, motif))
                 assert vals[1] == pytest.approx((vals[0] + vals[2]) / 2, abs=1e-12)
 
     def test_out_of_range_rejected(self):
-        w = np.array([[0, 1.2], [1.2, 0]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            conditional_expectation_h(w, EDGE)
+            containment_probability(EDGE, [1.2])
 
 
 class TestConfig:
