@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import netmoments
-from netmoments import graphon_from_config, load_edge_list, sample_graph
+from netmoments import (EDGE, EdgeworthCoefficients, compute_stats, expansion_cdf,
+                        graphon_from_config, load_edge_list, sample_graph)
+from netmoments.edgeworth import DEFAULT_GRID
 from netmoments.cli import main
 
 
@@ -109,6 +111,24 @@ class TestStatsCommands:
         assert len(rows) == 42
         values = np.array([float(r[1]) for r in rows[1:]])
         assert values[0] < 0.2 and values[-1] > 0.8
+
+    # An 11-node graph whose raw edge expansion reaches 1.0115 on the default grid.
+    OVERSHOOT_EDGES = "1 4\n1 6\n1 11\n4 6\n5 6\n6 9\n6 11\n7 9\n7 10\n7 11\n8 11\n"
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["raw", "clamp"])
+    def test_edgeworth_csv_bytes(self, tmp_path, capsys, clamp):
+        graph, out = tmp_path / "overshoot.edges", tmp_path / "grid.csv"
+        graph.write_text(self.OVERSHOOT_EDGES)
+        code, _ = run_cli(capsys, ["edgeworth", "--graph", str(graph), "--motif", "edge",
+                                   "--out", str(out), *(["--clamp"] if clamp else [])])
+        assert code == 0
+        stats = compute_stats(load_edge_list(graph), EDGE)
+        values = expansion_cdf(EdgeworthCoefficients.from_moment_stats(stats), DEFAULT_GRID)
+        assert values.max() > 1.0
+        if clamp:
+            values = np.clip(values, 0.0, 1.0)
+        rows = "".join(f"{float(x)!r},{float(v)!r}\r\n" for x, v in zip(DEFAULT_GRID, values))
+        assert out.read_bytes() == ("x,value\r\n" + rows).encode("utf-8")
 
     @pytest.mark.parametrize("grid", [("0", "1", "0"), ("0", "1", "-0.1"), ("1", "0", "0.1"),
                                       ("0", "inf", "0.1"), ("nan", "1", "0.1")],
