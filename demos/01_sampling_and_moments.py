@@ -34,7 +34,7 @@ for g in graphons:
 # shifts the moment) and the variance estimate built from it.
 bm = graphons[0]
 A = nm.sample_graph(bm, 12, 1.0, seed=7)
-g1 = nm.local_projection(A, nm.TRIANGLE)
+g1 = nm.compute_stats(A, nm.TRIANGLE).g1_hat
 print("\nPer-node projections on a 12-node block-model draw (triangle):")
 print(np.array2string(g1, precision=4))
 print("sum(g1) =", f"{g1.sum():.2e}", "(identically zero up to rounding)")

@@ -26,10 +26,9 @@ from .harness import (ExperimentConfig, ExperimentRecord, TrueCdf, monte_carlo_t
                       sup_grid_error, write_records_csv)
 from .inference import ConfidenceInterval, TestResult, confidence_interval, one_sample_test
 from .moments import (MomentStats, compute_stats, edgeworth_coefficients, jackknife_variance,
-                      local_projection, motif_counts, motif_counts_block, pair_projection,
-                      sample_moment, studentize, variance_estimator)
-from .motif import (EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, builtin_motif, make_motif,
-                    motif_from_config)
+                      motif_counts, motif_counts_block, pair_projection, sample_moment,
+                      studentize, variance_estimator)
+from .motif import EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, builtin_motif, motif_from_config
 from .rng import stream, substream_seed
 
 __version__ = "0.1.0"

@@ -92,14 +92,24 @@ def _grid(value):
     if not np.isfinite(value).all() or step <= 0 or stop < start:
         raise ValueError(f"--grid needs finite START <= STOP and STEP > 0, "
                          f"got {start:g} {stop:g} {step:g}")
-    return np.arange(start, stop + step / 2, step)
+    try:
+        return np.arange(start, stop + step / 2, step)
+    except MemoryError:
+        raise ValueError(f"--grid {start:g} {stop:g} {step:g} has too many points to "
+                         "hold in memory; use a larger STEP") from None
 
 
 def _cmd_edgeworth(args) -> int:
     grid = _grid(args.grid)
     _, motif, stats = _stats_for(args)
     coeffs = ew.EdgeworthCoefficients.from_moment_stats(stats)
-    ew.write_grid_csv(args.out, grid, ew.expansion_cdf(coeffs, grid, clamp=args.clamp))
+    values = ew.expansion_cdf(coeffs, grid)
+    if args.clamp:
+        values = np.clip(values, 0.0, 1.0)
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "value"])
+        writer.writerows([repr(float(x)), repr(float(v))] for x, v in zip(grid, values))
     _emit({"motif": motif.name, "n": stats.n, "xi1": coeffs.xi1,
            "e_g1_cubed": coeffs.e_g1_cubed, "e_g1g1g2": coeffs.e_g1g1g2,
            "out": args.out})
@@ -125,6 +135,9 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    if args.nstar is not None and args.scheme != "subsample":
+        raise ValueError(f"--nstar has no effect on the {args.scheme} scheme, only on "
+                         "subsample; drop --nstar")
     A = load_edge_list(args.graph)
     motif = _motif_arg(args.motif)
     if args.scheme == "subsample":
@@ -225,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--motif", required=True)
     p.add_argument("--scheme", required=True, choices=("subsample", "resample"))
-    p.add_argument("--nstar", type=int, default=None, help="sub-sample size (default n/2)")
+    p.add_argument("--nstar", type=int, default=None,
+                   help="sub-sample size (subsample only; default n/2)")
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV of replicates plus quantiles")

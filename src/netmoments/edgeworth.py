@@ -13,7 +13,6 @@ Cornish-Fisher inversion instead of clamping.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ __all__ = [
     "expansion_cdf",
     "cornish_fisher_quantile",
     "rate_bound",
-    "write_grid_csv",
     "check_expansion_applicability",
     "DEFAULT_GRID",
 ]
@@ -82,16 +80,10 @@ def _correction(c: EdgeworthCoefficients, x: np.ndarray) -> np.ndarray:
     return bracket / (math.sqrt(c.n) * c.xi1 ** 3)
 
 
-def expansion_cdf(c: EdgeworthCoefficients, x, clamp: bool = False):
-    """Evaluate the one-term expansion at ``x`` (scalar or array).
-
-    ``clamp`` clips the result to [0, 1] for plotting only; quantile
-    and p-value code works with the raw value.
-    """
+def expansion_cdf(c: EdgeworthCoefficients, x):
+    """Evaluate the one-term expansion at ``x`` (scalar or array)."""
     x = np.asarray(x, dtype=np.float64)
     out = ndtr(x) + _phi(x) * _correction(c, x)
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -125,19 +117,6 @@ def rate_bound(rho: float, n: int, motif: Motif) -> float:
     if motif.shape_class == "acyclic":
         return math.sqrt(log_n) / (rho * n) + tail
     return rho ** (-motif.r / 2.0) * math.sqrt(log_n) / n + tail
-
-
-def write_grid_csv(path, grid, values) -> None:
-    """Write (x, value) rows as CSV for plotting."""
-    grid = np.asarray(grid)
-    values = np.asarray(values)
-    if grid.shape != values.shape:
-        raise ValueError("grid and values must have equal length")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(grid, values):
-            writer.writerow([repr(float(x)), repr(float(v))])
 
 
 def check_expansion_applicability(rho: float, n: int) -> bool:

@@ -57,15 +57,13 @@ class Graphon:
     """
 
     def __init__(self, evaluator, kind: str, name: str | None = None,
-                 pi: np.ndarray | None = None, B: np.ndarray | None = None,
-                 check: bool = True):
+                 pi: np.ndarray | None = None, B: np.ndarray | None = None):
         self._evaluator = evaluator
         self.kind = kind
         self.name = name or kind
         self.pi = pi
         self.B = B
-        if check:
-            self._check_pointwise()
+        self._check_pointwise()
 
     @property
     def is_block_model(self) -> bool:
@@ -81,10 +79,10 @@ class Graphon:
         u, v = rng.random((2, n_pairs))
         fu = np.asarray(self.evaluate(u, v), dtype=np.float64)
         fv = np.asarray(self.evaluate(v, u), dtype=np.float64)
+        if not ((fu >= 0) & (fu <= 1)).all():
+            raise ValueError("graphon values leave [0, 1] on sampled pairs")
         if not np.allclose(fu, fv, atol=1e-9, rtol=0.0):
             raise ValueError("graphon is not symmetric: f(u,v) != f(v,u) on sampled pairs")
-        if (fu < 0).any() or (fu > 1).any():
-            raise ValueError("graphon values leave [0, 1] on sampled pairs")
 
     def __repr__(self) -> str:
         return f"Graphon({self.name!r}, kind={self.kind})"
@@ -104,17 +102,17 @@ def block_model(pi, B, name: str | None = None) -> Graphon:
     """Stochastic block model graphon with membership probabilities ``pi``."""
     pi = np.asarray(pi, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    if pi.ndim != 1 or (pi < 0).any():
+    if pi.ndim != 1 or not (pi >= 0).all():
         raise ValueError("pi must be a vector of nonnegative membership probabilities")
     if abs(pi.sum() - 1.0) > 1e-12:
         raise ValueError(f"membership probabilities must sum to 1, got {pi.sum()!r}")
     K = pi.size
     if B.shape != (K, K):
         raise ValueError(f"B must be {K}x{K} to match pi, got {B.shape}")
+    if not ((B >= 0) & (B <= 1)).all():
+        raise ValueError("B entries must lie in [0, 1]")
     if (B != B.T).any():
         raise ValueError("B must be symmetric")
-    if (B < 0).any() or (B > 1).any():
-        raise ValueError("B entries must lie in [0, 1]")
 
     def evaluate(u, v):
         return B[_block_labels(pi, u), _block_labels(pi, v)]
@@ -156,9 +154,9 @@ def nonsmooth_graphon() -> Graphon:
     return Graphon(evaluate, kind="NonSmoothGraphon", name="NonSmoothGraphon")
 
 
-def custom_graphon(fn, name: str = "Custom", check: bool = True) -> Graphon:
+def custom_graphon(fn, name: str = "Custom") -> Graphon:
     """Wrap a vectorized symmetric function ``[0,1]^2 -> [0,1]``."""
-    return Graphon(fn, kind="Custom", name=name, check=check)
+    return Graphon(fn, kind="Custom", name=name)
 
 
 # Paper-default block model: two equal communities, B = (0.6, 0.2; 0.2, 0.2).
@@ -363,9 +361,6 @@ class MomentEstimate:
     value: float
     standard_error: float
     method: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _containment_given(motif: Motif, rho: float, f, x: np.ndarray) -> np.ndarray:

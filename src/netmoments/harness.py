@@ -113,8 +113,9 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
         self.grid = np.asarray(self.grid, dtype=np.float64)
-        if self.grid.size < 1 or (np.diff(self.grid) <= 0).any():
-            raise ValueError("grid must be strictly increasing")
+        grid_ok = np.isfinite(self.grid).all() and (np.diff(self.grid) > 0).all()
+        if self.grid.size < 1 or not grid_ok:
+            raise ValueError("grid must be finite and strictly increasing")
         if not isinstance(self.output, (str, type(None))):
             raise ValueError(f"output must be a path string or null, got {self.output!r}")
         for n in self.n_list:
@@ -169,7 +170,7 @@ class ExperimentRecord:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.metric in ("coverage", "power", "degenerate") and not (0.0 <= self.value <= 1.0):
             raise ValueError(f"{self.metric} must lie in [0, 1], got {self.value}")
-        if self.metric in ("sup_error", "length", "time_seconds") and self.value < 0.0:
+        if self.metric in ("sup_error", "length", "time_seconds") and not (self.value >= 0.0):
             raise ValueError(f"{self.metric} must be nonnegative, got {self.value}")
 
 
@@ -219,21 +220,19 @@ class TrueCdf:
 def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
                          n_mc: int, seed: int, grid=None,
                          mu: float | None = None,
-                         max_degenerate_fraction: float = 0.01,
-                         threads: int = 1) -> TrueCdf:
+                         max_degenerate_fraction: float = 0.01) -> TrueCdf:
     """Sample ``n_mc`` networks and tabulate the studentized moment's CDF.
 
     Replicate ``k`` is the network ``sample_graph(g, n, rho,
     substream_seed(seed, "mc-truth", k))``, centred at ``mu`` (default:
     :func:`population_mean`).  The bootstraps' replicate engine samples,
-    counts and studentizes the networks in blocks, in the calling thread.
-    ``threads`` has no effect: it is accepted until the benchmark's
-    ``sim_truth`` stops passing it, because two workers were slower than
-    one at every size the paper's protocols run.  Every network keeps its
-    own stream, so the bytes do not depend on the block size.  Replicates
-    with a zero variance estimate are skipped and counted; more than
-    ``max_degenerate_fraction`` of them (the message says to raise it),
-    or all of them, raise ``DegenerateReplicatesError``.
+    counts and studentizes the networks in blocks, in the calling thread:
+    two workers were slower than one at every size the paper's protocols
+    run.  Every network keeps its own stream, so the bytes do not depend
+    on the block size.  Replicates with a zero variance estimate are
+    skipped and counted; more than ``max_degenerate_fraction`` of them
+    (the message says to raise it), or all of them, raise
+    ``DegenerateReplicatesError``.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     if mu is None:
@@ -319,14 +318,14 @@ def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
     sweep's list): build the Monte-Carlo truth, then per repetition sample
     one network and record every method's sup-grid error and wall-clock
     time, or ``degenerate`` (for example, too sparse for the motif).
-    ``threads`` has no effect (see :func:`monte_carlo_true_cdf`).
+    ``threads`` has no effect; it is kept because the benchmark passes it.
     """
     def evaluator(n, rho, mu):
         truth = monte_carlo_true_cdf(
             cfg.graphon, rho, cfg.motif, n, cfg.n_mc,
             seed=substream_seed(cfg.seed, "truth", n, repr(rho)),
             grid=cfg.grid, mu=mu,
-            max_degenerate_fraction=max_degenerate_fraction, threads=threads)
+            max_degenerate_fraction=max_degenerate_fraction)
 
         def evaluate(A, method, boot_seed):
             if method == "normal":

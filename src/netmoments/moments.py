@@ -36,7 +36,6 @@ from .motif import Motif, _PAIRS
 __all__ = [
     "MomentStats",
     "sample_moment",
-    "local_projection",
     "pair_projection",
     "variance_estimator",
     "jackknife_variance",
@@ -213,18 +212,6 @@ def sample_moment(A: AdjacencyMatrix, motif: Motif) -> float:
     """Sample network moment: fraction of r-subsets containing the motif."""
     total, _ = motif_counts(A, motif)
     return total / math.comb(A.n, motif.r)
-
-
-def local_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
-    """Per-node projection estimates ``g1_hat``.
-
-    For node ``i``: the average of the containment indicator over all
-    (r-1)-subsets of the other nodes joined with ``i``, minus the sample
-    moment.  Sums to zero up to rounding because each r-subset hits
-    exactly r nodes and ``n * C(n-1, r-1) = r * C(n, r)``.
-    """
-    total, per = motif_counts(A, motif)
-    return studentize(total, per, A.n, motif.r)[1]
 
 
 def _enumerated_inner_counts(a: np.ndarray, motif: Motif) -> np.ndarray:
@@ -442,10 +429,6 @@ class MomentStats:
     @property
     def s_hat(self) -> float:
         return math.sqrt(self.s_hat_sq)
-
-    @property
-    def r(self) -> int:
-        return self.motif.r
 
 
 def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:

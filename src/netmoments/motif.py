@@ -20,7 +20,6 @@ from .errors import NotConnectedError
 
 __all__ = [
     "Motif",
-    "make_motif",
     "containment_probability",
     "builtin_motif",
     "motif_from_config",
@@ -54,8 +53,8 @@ def _is_connected(adj: np.ndarray) -> bool:
 class Motif:
     """A connected pattern graph, classified as acyclic or cyclic.
 
-    Use :func:`make_motif` (or the built-in instances) rather than the
-    constructor; the factory validates its input.
+    The constructor checks that ``adjacency`` is a connected simple graph
+    on 2 to ``MAX_MOTIF_NODES`` nodes.
 
     Attributes
     ----------
@@ -116,11 +115,6 @@ class Motif:
         return np.flatnonzero(self.h_table).astype(np.int64)
 
 
-def make_motif(adjacency, name: str | None = None) -> Motif:
-    """Validate an adjacency matrix and build a :class:`Motif`."""
-    return Motif(np.asarray(adjacency), name=name)
-
-
 def containment_probability(motif: Motif, pair_probs: np.ndarray) -> np.ndarray:
     """Containment probability under independent Bernoulli edges.
 
@@ -151,10 +145,10 @@ def containment_probability(motif: Motif, pair_probs: np.ndarray) -> np.ndarray:
     return total
 
 
-EDGE = make_motif([[0, 1], [1, 0]], name="edge")
-TRIANGLE = make_motif([[0, 1, 1], [1, 0, 1], [1, 1, 0]], name="triangle")
-VSHAPE = make_motif([[0, 1, 1], [1, 0, 0], [1, 0, 0]], name="vshape")
-THREESTAR = make_motif(
+EDGE = Motif([[0, 1], [1, 0]], name="edge")
+TRIANGLE = Motif([[0, 1, 1], [1, 0, 1], [1, 1, 0]], name="triangle")
+VSHAPE = Motif([[0, 1, 1], [1, 0, 0], [1, 0, 0]], name="vshape")
+THREESTAR = Motif(
     [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]], name="threestar"
 )
 
@@ -206,4 +200,4 @@ def motif_from_config(spec) -> Motif:
         if i == j:
             raise ValueError(f"self-loop {edge} not allowed")
         adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1
-    return make_motif(adj, name=name)
+    return Motif(adj, name=name)

@@ -92,7 +92,7 @@ class TestResample:
         # draws (i_a == i_b) contribute no edge.
         import math
         from netmoments import AdjacencyMatrix, stream
-        from netmoments.moments import local_projection, sample_moment, variance_estimator
+        from netmoments.moments import compute_stats, sample_moment, variance_estimator
 
         A = graph80
         n = A.n
@@ -107,7 +107,7 @@ class TestResample:
         B_star = AdjacencyMatrix(a_star)
         u_full = sample_moment(A, EDGE)
         u_star = sample_moment(B_star, EDGE)
-        s_sq = variance_estimator(local_projection(B_star, EDGE), 2)
+        s_sq = variance_estimator(compute_stats(B_star, EDGE).g1_hat, 2)
         expected_t = (u_star - u_full) / math.sqrt(s_sq)
         F = resample_distribution(A, EDGE, B=1, seed=seed)
         assert F.samples[0] == pytest.approx(expected_t, abs=1e-12)
@@ -182,7 +182,7 @@ class TestReplicateEngine:
 
         def fingerprint():
             truth = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=12, n_mc=1_000, seed=3,
-                                         mu=0.1, max_degenerate_fraction=1.0, threads=2)
+                                         mu=0.1, max_degenerate_fraction=1.0)
             boots = [subsample_distribution(A, TRIANGLE, n_star=20, B=60, seed=4),
                      resample_distribution(A, THREESTAR, B=60, seed=4)]
             return (truth.values.tobytes(), truth.n_degenerate, repr(truth.t_mean),

@@ -130,15 +130,21 @@ class TestStatsCommands:
         rows = "".join(f"{float(x)!r},{float(v)!r}\r\n" for x, v in zip(DEFAULT_GRID, values))
         assert out.read_bytes() == ("x,value\r\n" + rows).encode("utf-8")
 
-    @pytest.mark.parametrize("grid", [("0", "1", "0"), ("0", "1", "-0.1"), ("1", "0", "0.1"),
-                                      ("0", "inf", "0.1"), ("nan", "1", "0.1")],
-                             ids=["zero-step", "negative-step", "stop-below-start",
-                                  "infinite-stop", "nan-start"])
-    def test_bad_grid_rejected(self, graph_file, tmp_path, capsys, grid):
+    BAD_ORDER = "--grid needs finite START <= STOP"
+
+    @pytest.mark.parametrize("grid,message", [
+        (("0", "1", "0"), BAD_ORDER), (("0", "1", "-0.1"), BAD_ORDER),
+        (("1", "0", "0.1"), BAD_ORDER), (("0", "inf", "0.1"), BAD_ORDER),
+        (("nan", "1", "0.1"), BAD_ORDER),
+        # 10^18 points: numpy refuses the array at once, without allocating.
+        (("0", "1e9", "1e-9"), "--grid 0 1e+09 1e-09 has too many points to hold in memory"),
+    ], ids=["zero-step", "negative-step", "stop-below-start", "infinite-stop", "nan-start",
+            "too-many-points"])
+    def test_bad_grid_rejected(self, graph_file, tmp_path, capsys, grid, message):
         out = tmp_path / "grid.csv"
         err = usage_error(capsys, ["edgeworth", "--graph", str(graph_file), "--motif",
                                    "triangle", "--grid", *grid, "--out", str(out)])
-        assert err.startswith("netmoments edgeworth: error: --grid needs finite START <= STOP")
+        assert err.startswith(f"netmoments edgeworth: error: {message}")
         assert not out.exists()
 
     def test_one_sample_test(self, graph_file, capsys):
@@ -220,6 +226,16 @@ class TestBootstrapCommand:
             "bootstrap", "--graph", str(graph_file), "--motif", "edge",
             "--scheme", "resample", "--B", "10", "--seed", "9", "--out", str(out)])
         assert code == 0 and msgs[-1]["B"] >= 9
+
+    def test_resample_rejects_nstar(self, graph_file, tmp_path, capsys):
+        out = tmp_path / "boot.csv"
+        err = usage_error(capsys, [
+            "bootstrap", "--graph", str(graph_file), "--motif", "edge",
+            "--scheme", "resample", "--nstar", "3", "--B", "10", "--seed", "9",
+            "--out", str(out)])
+        assert err == ("netmoments bootstrap: error: --nstar has no effect on the resample "
+                       "scheme, only on subsample; drop --nstar\n")
+        assert not out.exists()
 
 
 def experiment_config(tmp_path, **overrides) -> Path:

@@ -8,7 +8,7 @@ from scipy.special import ndtr, ndtri
 
 from netmoments import (EDGE, TRIANGLE, DegeneracyError, EdgeworthCoefficients,
                         cornish_fisher_quantile, expansion_cdf, rate_bound)
-from netmoments.edgeworth import DEFAULT_GRID, check_expansion_applicability, write_grid_csv
+from netmoments.edgeworth import DEFAULT_GRID, check_expansion_applicability
 
 
 def coeffs(xi1=1.0, e3=0.0, e112=0.0, r=3, n=100):
@@ -41,13 +41,10 @@ class TestExpansionCdf:
         assert np.allclose(d2, d1 / 2.0, atol=1e-15)
 
     def test_clamp_is_opt_in(self):
-        # Oversized corrections push the raw expansion out of [0, 1].
-        low = coeffs(e3=-40.0, n=9, r=2)
-        assert expansion_cdf(low, -2.5) < 0.0
-        assert expansion_cdf(low, -2.5, clamp=True) == 0.0
-        high = coeffs(e3=40.0, n=9, r=2)
-        assert expansion_cdf(high, -1.5) > 1.0
-        assert expansion_cdf(high, -1.5, clamp=True) == 1.0
+        # Oversized corrections push the expansion out of [0, 1], and it
+        # is returned as it is: only `edgeworth --clamp` clips, for plots.
+        assert expansion_cdf(coeffs(e3=-40.0, n=9, r=2), -2.5) < 0.0
+        assert expansion_cdf(coeffs(e3=40.0, n=9, r=2), -1.5) > 1.0
 
     def test_degenerate_xi_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -145,22 +142,6 @@ class TestGridHelpers:
         assert DEFAULT_GRID[0] == -2.0 and DEFAULT_GRID[-1] == 2.0
         assert len(DEFAULT_GRID) == 41
         assert np.allclose(np.diff(DEFAULT_GRID), 0.1)
-
-    def test_grid_csv(self, tmp_path):
-        c = coeffs(e3=0.2)
-        values = expansion_cdf(c, DEFAULT_GRID)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(path, DEFAULT_GRID, values)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x,value"
-        assert len(rows) == 42
-        x0, v0 = rows[1].split(",")
-        assert float(x0) == -2.0
-        assert float(v0) == pytest.approx(values[0], abs=0.0)
-
-    def test_grid_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError, match="equal length"):
-            write_grid_csv(tmp_path / "x.csv", [0.0, 1.0], [0.5])
 
 
 class TestApplicability:

@@ -17,15 +17,15 @@ them regenerates it with
 import dataclasses
 from pathlib import Path
 
-from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, block_model, from_edges,
-                        make_motif, population_edgeworth_coefficients,
-                        population_moment, smooth_graphon)
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, block_model, from_edges,
+                        population_edgeworth_coefficients, population_moment,
+                        smooth_graphon)
 from conftest import paper_block_model
 
 GOLDEN = Path(__file__).parent / "data" / "golden_population.csv"
 
-FOUR_PATH = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a, name="four_path")
-BULL = make_motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a, name="bull")
+FOUR_PATH = Motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a, name="four_path")
+BULL = Motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a, name="bull")
 
 PAPER = paper_block_model()
 THREE_BLOCK = block_model([0.2, 0.3, 0.5], [[0.7, 0.3, 0.1], [0.3, 0.5, 0.2], [0.1, 0.2, 0.4]],

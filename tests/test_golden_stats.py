@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from netmoments import EDGE, THREESTAR, TRIANGLE, VSHAPE, compute_stats, from_edges, make_motif
+from netmoments import EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, compute_stats, from_edges
 from conftest import random_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden_stats.csv"
 
-FOUR_PATH = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a, name="four_path")
-BULL = make_motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a, name="bull")
+FOUR_PATH = Motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a, name="four_path")
+BULL = Motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a, name="bull")
 
 FIELDS = ("u_hat", "s_hat_sq", "xi1_hat_sq", "e_g1_cubed", "e_g1g1g2", "degenerate")
 

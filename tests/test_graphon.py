@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import re
 import sys
@@ -19,6 +20,13 @@ from netmoments.graphon import _block_labels, _edge_probabilities
 from netmoments.rng import KeyedStreams, thread_streams
 
 from conftest import expected_h, paper_block_model
+
+
+@pytest.fixture
+def unchecked(monkeypatch):
+    """Skip the spot check every graphon runs when built, so that one whose
+    values leave [0, 1] reaches the sampler's own range check."""
+    monkeypatch.setattr(Graphon, "_check_pointwise", lambda self: None)
 
 
 def const_graphon(c: float):
@@ -118,9 +126,8 @@ class TestSampling:
         for k, seed in enumerate(seeds):
             assert block[k].tobytes() == sample_graph(g, 13, 0.6, seed).a.tobytes()
 
-    def test_block_range_check(self):
-        bad = custom_graphon(lambda u, v: 0.5 + 0.0 * u * v + 2.0 * (u > 0.9) * (v > 0.9),
-                             check=False)
+    def test_block_range_check(self, unchecked):
+        bad = custom_graphon(lambda u, v: 0.5 + 0.0 * u * v + 2.0 * (u > 0.9) * (v > 0.9))
         with pytest.raises(ValueError, match="leave"):
             sample_graph_block(bad, 60, 1.0, [1, 2])
         with pytest.raises(ValueError, match="rho"):
@@ -129,11 +136,11 @@ class TestSampling:
             sample_graph(paper_block_model(), 1, 1.0, 1)
 
 
-def blocks_graphon(pi, B, **kwargs) -> Graphon:
-    """A block model built by hand, so ``B`` may leave [0, 1]."""
+def blocks_graphon(pi, B) -> Graphon:
+    """A block model built by hand, so ``B`` may leave [0, 1] (with ``unchecked``)."""
     pi, B = np.asarray(pi), np.asarray(B)
     return Graphon(lambda u, v: B[_block_labels(pi, u), _block_labels(pi, v)],
-                   kind="BlockModel", pi=pi, B=B, **kwargs)
+                   kind="BlockModel", pi=pi, B=B)
 
 
 class TestBlockProbabilities:
@@ -173,8 +180,8 @@ class TestBlockProbabilities:
         assert _block_labels(np.array([0.5, 0.5]), [0.5, np.nextafter(0.5, 0.0)]).tolist() \
             == [1, 0]
 
-    def test_table_range_check(self):
-        bad = blocks_graphon([0.5, 0.5], [[0.6, 1.2], [1.2, 0.2]], check=False)
+    def test_table_range_check(self, unchecked):
+        bad = blocks_graphon([0.5, 0.5], [[0.6, 1.2], [1.2, 0.2]])
         with pytest.raises(ValueError, match=re.escape("edge probabilities leave [0, 1]")):
             sample_graph(bad, 10, 1.0, 1)
         # At rho = 0.5 every value is a probability, and the evaluator agrees.
@@ -182,10 +189,9 @@ class TestBlockProbabilities:
         assert (_edge_probabilities(bad, x, 0.5).tobytes()
                 == (0.5 * bad.evaluate(x[:, None], x[None, :])).tobytes())
 
-    def test_nan_is_not_a_probability(self):
-        nan_block = blocks_graphon([0.5, 0.5], [[0.6, np.nan], [np.nan, 0.2]], check=False)
-        nan_custom = custom_graphon(lambda u, v: np.where(u + v > 1.0, np.nan, 0.5),
-                                    check=False)
+    def test_nan_is_not_a_probability(self, unchecked):
+        nan_block = blocks_graphon([0.5, 0.5], [[0.6, np.nan], [np.nan, 0.2]])
+        nan_custom = custom_graphon(lambda u, v: np.where(u + v > 1.0, np.nan, 0.5))
         for g in (nan_block, nan_custom):
             with pytest.raises(ValueError, match="edge probabilities leave"):
                 sample_graph(g, 10, 1.0, 1)
@@ -256,6 +262,14 @@ class TestGraphonValidation:
             graphon_from_config({"kind": "BlockModel", "pi": [0.5, 0.5],
                                  "B": [[0.5, 0.1], [0.2, 0.5]]})
 
+    def test_block_model_rejects_nan(self):
+        # JSON configs may hold NaN; no comparison with it is true.
+        with pytest.raises(ValueError, match="nonnegative membership probabilities"):
+            graphon_from_config(json.loads(
+                '{"kind": "BlockModel", "pi": [0.5, NaN], "B": [[0.5, 0.1], [0.1, 0.5]]}'))
+        with pytest.raises(ValueError, match=re.escape("B entries must lie in [0, 1]")):
+            block_model([0.5, 0.5], [[0.6, np.nan], [np.nan, 0.2]])
+
     @pytest.mark.parametrize("spec, missing", [
         ({"kind": "BlockModel", "pi": [0.3, 0.7]}, "['B']"),
         ({"kind": "BlockModel", "B": [[0.5, 0.1], [0.1, 0.5]]}, "['pi']"),
@@ -285,6 +299,8 @@ class TestGraphonValidation:
     def test_custom_range_check(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             custom_graphon(lambda u, v: 1.5 * np.ones(np.broadcast(u, v).shape))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            custom_graphon(lambda u, v: np.where(u + v > 1.0, np.nan, 0.5))
 
     def test_builtins_evaluate(self):
         for name in ("blockmodel", "smoothgraphon", "nonsmoothgraphon"):

@@ -9,11 +9,10 @@ import pytest
 import scipy.sparse
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
-                        CostCapError, compute_stats, edgeworth_coefficients,
+                        CostCapError, Motif, compute_stats, edgeworth_coefficients,
                         from_edges, jackknife_variance, load_edge_list,
-                        local_projection, make_motif, motif_counts,
-                        motif_counts_block, pair_projection, sample_graph,
-                        sample_moment, studentize, variance_estimator)
+                        motif_counts, motif_counts_block, pair_projection,
+                        sample_graph, sample_moment, studentize, variance_estimator)
 from netmoments import moments
 from netmoments.moments import _threestar_inner_counts
 from conftest import Oracle, paper_block_model, random_graph, relabel
@@ -23,10 +22,10 @@ K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 MOTIFS = (EDGE, TRIANGLE, VSHAPE, THREESTAR)
 # Generic (enumerated) motifs: no closed form, and the cost cap applies.
-FOUR_PATH = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a)
-FOUR_CYCLE = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).a)
-PAW = make_motif(from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]).a)
-BULL = make_motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a)
+FOUR_PATH = Motif(from_edges(4, [(0, 1), (1, 2), (2, 3)]).a)
+FOUR_CYCLE = Motif(from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).a)
+PAW = Motif(from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]).a)
+BULL = Motif(from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]).a)
 GENERIC = (FOUR_PATH, FOUR_CYCLE, PAW, BULL)
 
 
@@ -55,7 +54,7 @@ class TestSampleMoment:
 
 class TestLocalProjection:
     def test_path_edge_values(self):
-        g1 = local_projection(PATH3, EDGE)
+        g1 = compute_stats(PATH3, EDGE).g1_hat
         assert np.allclose(g1, [-1 / 6, 1 / 3, -1 / 6], atol=1e-15)
 
     def test_sums_to_zero(self):
@@ -63,10 +62,10 @@ class TestLocalProjection:
         for _ in range(25):
             A = random_graph(rng, int(rng.integers(4, 11)))
             for motif in MOTIFS:
-                assert abs(local_projection(A, motif).sum()) <= 1e-9
+                assert abs(compute_stats(A, motif).g1_hat.sum()) <= 1e-9
 
     def test_vertex_transitive_zero(self):
-        assert np.allclose(local_projection(C5, EDGE), 0.0, atol=1e-15)
+        assert np.allclose(compute_stats(C5, EDGE).g1_hat, 0.0, atol=1e-15)
 
 
 class TestPairProjection:
@@ -86,7 +85,7 @@ class TestPairProjection:
 
 class TestVariance:
     def test_path_edge(self):
-        g1 = local_projection(PATH3, EDGE)
+        g1 = compute_stats(PATH3, EDGE).g1_hat
         assert variance_estimator(g1, 2) == pytest.approx(2 / 27, abs=1e-15)
 
     def test_zero_and_scaling(self):
@@ -569,8 +568,8 @@ class TestSparseTables:
 class TestCostCaps:
     # The cap is read at call time, so patching the module constant
     # reaches every entry point.
-    @pytest.mark.parametrize("entry", [motif_counts, sample_moment, local_projection,
-                                       pair_projection, jackknife_variance, compute_stats],
+    @pytest.mark.parametrize("entry", [motif_counts, sample_moment, pair_projection,
+                                        jackknife_variance, compute_stats],
                              ids=lambda f: f.__name__)
     def test_generic_subset_cap(self, entry, monkeypatch):
         A = random_graph(np.random.default_rng(11), 12, 0.5)

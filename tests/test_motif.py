@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
-                        NotConnectedError, from_edges, make_motif, motif_from_config)
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix, Motif,
+                        NotConnectedError, from_edges, motif_from_config)
 from netmoments.motif import containment_probability
 from conftest import Oracle, expected_h, pattern_mask
 
@@ -15,15 +15,15 @@ PATH3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 class TestMakeMotif:
     def test_triangle_is_cyclic(self):
-        assert make_motif(TRI).shape_class == "cyclic"
+        assert Motif(TRI).shape_class == "cyclic"
 
     def test_three_star_is_acyclic(self):
-        m = make_motif([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+        m = Motif([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
         assert m.shape_class == "acyclic"
         assert (m.r, m.s) == (4, 3)
 
     def test_four_cycle_is_cyclic(self):
-        m = make_motif([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+        m = Motif([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
         assert m.shape_class == "cyclic"
 
     def test_disconnected_rejected(self):
@@ -31,22 +31,22 @@ class TestMakeMotif:
         two_edges[0, 1] = two_edges[1, 0] = 1
         two_edges[2, 3] = two_edges[3, 2] = 1
         with pytest.raises(NotConnectedError):
-            make_motif(two_edges)
+            Motif(two_edges)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            make_motif([[0, 1], [0, 0]])
+            Motif([[0, 1], [0, 0]])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
-            make_motif([[1, 1], [1, 0]])
+            Motif([[1, 1], [1, 0]])
 
     def test_size_cap(self):
         a = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
         with pytest.raises(ValueError, match="capped"):
-            make_motif(a)
+            Motif(a)
         with pytest.raises(ValueError, match="at least 2"):
-            make_motif([[0]])
+            Motif([[0]])
 
     def test_builtin_shapes(self):
         assert (EDGE.r, EDGE.s, EDGE.shape_class) == (2, 1, "acyclic")
@@ -55,7 +55,7 @@ class TestMakeMotif:
         assert (THREESTAR.r, THREESTAR.s, THREESTAR.shape_class) == (4, 3, "acyclic")
 
 
-@pytest.mark.parametrize("build", [AdjacencyMatrix, make_motif])
+@pytest.mark.parametrize("build", [AdjacencyMatrix, Motif])
 @pytest.mark.parametrize("bad, match", [
     ([[0, 1, 0], [1, 0, 1]], "square"),
     ([[0, 2], [2, 0]], "binary"),
@@ -151,7 +151,7 @@ class TestContains:
         # Every pattern on 3 and 4 nodes; a fixed sample of the 1024 on 5.
         rng = np.random.default_rng(14)
         for name, (r, edges) in CONNECTED.items():
-            motif, cases = make_motif(from_edges(r, edges).a), list(patterns(r))
+            motif, cases = Motif(from_edges(r, edges).a), list(patterns(r))
             if r == 5:
                 cases = [cases[k] for k in sorted(rng.choice(len(cases), 96, replace=False))]
             masks = np.array([mask for mask, _ in cases])

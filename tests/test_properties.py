@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix, DegeneracyError,
-                        block_model, compute_stats, local_projection, make_motif,
-                        motif_counts, pair_projection, population_edgeworth_coefficients,
-                        population_moment, sample_moment)
+                        Motif, block_model, compute_stats, motif_counts, pair_projection,
+                        population_edgeworth_coefficients, population_moment, sample_moment)
 from netmoments import moments
 from netmoments.moments import _threestar_inner_counts
 from conftest import Oracle, expected_h, pattern_mask, relabel
@@ -49,7 +48,7 @@ def motif_probability_matrices(draw):
 @SETTINGS
 @given(graphs(), st.sampled_from(MOTIFS))
 def test_local_projection_sums_to_zero(A, motif):
-    assert abs(local_projection(A, motif).sum()) <= 1e-9
+    assert abs(compute_stats(A, motif).g1_hat.sum()) <= 1e-9
 
 
 @SETTINGS
@@ -172,7 +171,7 @@ def small_motifs(draw):
     for u, v in itertools.combinations(range(r), 2):
         if draw(st.booleans()):
             a[u, v] = a[v, u] = 1
-    return make_motif(a)
+    return Motif(a)
 
 
 @st.composite
