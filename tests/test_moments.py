@@ -16,6 +16,7 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
 from netmoments import moments
 from netmoments.moments import _threestar_inner_counts
 from conftest import Oracle, paper_block_model, random_graph, relabel
+from test_golden_stats import CASES as GOLDEN_STATS_CASES
 
 PATH3 = from_edges(3, [(0, 1), (1, 2)])
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -139,6 +140,33 @@ class TestEdgeworthCoefficients:
                 oracle = Oracle(motif)
                 stats = compute_stats(A, motif)
                 assert stats.e_g1g1g2 == pytest.approx(oracle.e_g1g1g2(A), abs=1e-12)
+
+
+def _gate_cases():
+    """Graphs for the E[g1 g1 g2] tolerance gate: the golden graphs, CSR-route
+    sparse graphs to n = 4000, the three-star to n = 300, four-path and bull."""
+    yield from ((label, A, motif) for label, A, motif in GOLDEN_STATS_CASES)
+    rng = np.random.default_rng(72)
+    for n, degree in ((300, 5), (1000, 10), (2000, 20), (4000, 8)):
+        A = random_graph(rng, n, degree / (n - 1))
+        assert moments._sparse_route(A.a)
+        for motif in (EDGE, TRIANGLE, VSHAPE):
+            yield f"csr{n}", A, motif
+    for n, p in ((40, 0.3), (120, 0.1), (300, 0.04)):
+        yield f"random{n}", random_graph(rng, n, p), THREESTAR
+    yield "random30", random_graph(rng, 30, 0.2), FOUR_PATH
+    yield "random18", random_graph(rng, 18, 0.35), BULL
+
+
+def test_e_g1g1g2_within_tolerance_of_dense_form():
+    # The bound scales with the absolute terms: on near-regular graphs the
+    # value itself is a cancellation of much larger terms.
+    for label, A, motif in _gate_cases():
+        stats = compute_stats(A, motif)
+        g1, g2, pairs = stats.g1_hat, stats.g2_hat, 2.0 * math.comb(stats.n, 2)
+        dense = g1 @ (g2 @ g1) / pairs
+        scale = np.abs(g1) @ (np.abs(g2) @ np.abs(g1)) / pairs
+        assert abs(stats.e_g1g1g2 - dense) <= 1e-12 * scale, (label, motif.name)
 
 
 class TestComputeStats:
