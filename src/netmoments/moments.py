@@ -5,24 +5,24 @@ completion counts: ``inner[i, j]`` is the number of (r-2)-subsets that
 complete the pair {i, j} to an r-node subset whose induced subgraph
 holds the motif.  Every containing r-set through node ``i`` pairs
 ``i`` with its other r - 1 members, so the table fixes the per-node
-counts, ``per_node = inner.sum(1) / (r - 1)``, and the total,
-``per_node.sum() / r``; ``g2`` follows from the table itself.  One
-kernel, :func:`_inner_counts`, builds it for one graph or a stack of
-graphs.  Edge, triangle, V-shape and three-star tables use closed
+counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
+``per_node.sum() / r``, and E[g1 g1 g2], through the exact sums
+``inner @ per_node``; the n x n ``g2`` is built only when read.  One
+kernel, :func:`_inner_counts`, builds the table for one graph or a stack
+of graphs.  Edge, triangle, V-shape and three-star tables use closed
 counting formulas evaluated with matrix products of 0/1 matrices, whose
-values stay exact integers.  The triangle and V-shape tables are built
-in float32: every value they form is an integer of size at most 2n,
-exact for n < 2^23.  The three-star's terms reach n^2, so it stays in
-float64.  Row sums reach 2n^2 and are accumulated in float64, and
-``g2`` divides in float64.  Other motifs enumerate the r-subsets once,
-refused with ``CostCapError`` above ``MAX_GENERIC_SUBSETS`` subsets.
-On one large sparse graph (:func:`_sparse_route`) the triangle and
-V-shape tables and the three-star's ``A @ A`` are scipy CSR products;
-counts are exact, so the route never changes a byte.
+values stay exact integers (float32 for the triangle and V-shape, exact
+for n < 2^23; row sums and ``g2`` are formed in float64).  Other motifs
+enumerate the r-subsets once, refused with ``CostCapError`` above
+``MAX_GENERIC_SUBSETS`` subsets.  On one large sparse graph
+(:func:`_sparse_route`) the triangle and V-shape tables and the
+three-star's ``A @ A`` are scipy CSR products; counts are exact, so the
+route never changes a byte.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -178,7 +178,6 @@ def _counts_from_inner(inner: np.ndarray, r: int):
     For one graph ``total`` is an int and ``per_node`` an int64 array
     ``(n,)``; for a stack they are int64 arrays ``(b,)`` and ``(b, n)``.
     """
-    # A float32 row sum would be inexact from 2n^2 > 2^24 (n ~ 2900) on.
     per = _round_int(inner.sum(axis=-1, dtype=np.float64)) // (r - 1)
     total = per.sum(axis=-1) // r
     return (int(total) if per.ndim == 1 else total), per
@@ -314,13 +313,8 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
     """Pairwise projection estimates ``g2_hat`` (symmetric, zero diagonal).
 
     ``g2_hat[i, j]`` is the fraction of (r-2)-subsets that complete the
-    pair {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``.
-    For ``r = 2`` the inner average is the adjacency entry itself (the
-    remaining subset is empty).  The completion counts come from the
-    pair-count kernel (closed forms for edge, triangle, V-shape and
-    three-star; one enumeration of the r-subsets, refused above
-    ``MAX_GENERIC_SUBSETS`` subsets, for other motifs); ``g1`` and
-    ``u_hat`` come from the same counts, as in :func:`compute_stats`.
+    pair {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``,
+    all from the one table of pair completion counts (module docstring).
     """
     return compute_stats(A, motif).g2_hat
 
@@ -348,6 +342,27 @@ def _pair_projection_from_inner(inner, g1: np.ndarray, u_hat: float, r: int) -> 
         g2[start:start + step] -= g1[start:start + step, None] + g1[None, :]
     np.fill_diagonal(g2, 0.0)
     return g2
+
+
+def _pair_table_sums(inner, per: np.ndarray, r: int) -> np.ndarray:
+    """``inner @ per`` in exact integers, whatever the route or BLAS thread count.
+
+    Row i sums nonnegative integers to at most ``(r-1) * per_i * max(per)``,
+    so float64 is exact in any order below 2^53, then int64 to 2^63, then
+    Python ints (dense three-star graphs from n ~ 2200).  einsum casts dense
+    tables in its buffers: none is copied into an n x n float64 array."""
+    top = (r - 1) * int(per.max(initial=0)) ** 2
+    dtype = np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
+    if isinstance(inner, np.ndarray):
+        table = inner if dtype is np.float64 else inner.astype(np.int64, copy=False)
+        return np.einsum("ij,j->i", table, per, dtype=dtype, casting="unsafe")
+    if dtype is np.float64:
+        return inner @ per.astype(dtype)
+    # A CSR table past 2^53 has a hub of degree ~12k; scipy has no object dtype.
+    out, terms = np.zeros(per.size, dtype), inner.data.astype(np.int64).astype(dtype)
+    np.add.at(out, np.repeat(np.arange(per.size), np.diff(inner.indptr)),
+              terms * per[inner.indices].astype(dtype))
+    return out
 
 
 def variance_estimator(g1: np.ndarray, r: int):
@@ -420,7 +435,6 @@ class MomentStats:
     u_hat: float
     s_hat_sq: float
     g1_hat: np.ndarray = field(repr=False)
-    g2_hat: np.ndarray = field(repr=False)
     xi1_hat_sq: float
     e_g1_cubed: float
     e_g1g1g2: float
@@ -430,25 +444,31 @@ class MomentStats:
     def s_hat(self) -> float:
         return math.sqrt(self.s_hat_sq)
 
+    @functools.cached_property
+    def g2_hat(self) -> np.ndarray:  # not a field: built on first read
+        return _pair_projection_from_inner(self._pair_table, self.g1_hat, self.u_hat, self.motif.r)
+
 
 def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
     The pair completion counts are computed once and give the per-node
-    counts too (see the module docstring).  Sets
+    counts, ``e_g1g1g2`` and, when read, ``g2_hat`` (module docstring).  Sets
     ``degenerate`` when the variance estimate is exactly zero (e.g.
     empty or complete graphs); downstream studentization must check the
     flag rather than divide.
     """
     n, r = A.n, motif.r
     inner = _inner_counts(A.a, motif)
-    u_hat, g1, s_hat_sq, degenerate = studentize(*_counts_from_inner(inner, r), n, r)
+    total, per = _counts_from_inner(inner, r)
+    u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
     u_hat = float(u_hat)
-    g2 = _pair_projection_from_inner(inner, g1, u_hat, r)
-    xi1_sq, e3, e112 = edgeworth_coefficients(g1, g2)
-    return MomentStats(
-        n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq,
-        g1_hat=g1, g2_hat=g2, xi1_hat_sq=xi1_sq,
-        e_g1_cubed=e3, e_g1g1g2=e112,
-        degenerate=bool(degenerate),
-    )
+    # y = inner @ g1 (row i of inner sums to (r - 1) * per_i); q = g1' g2 g1.
+    y = _pair_table_sums(inner, per, r) / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
+    s1, s2, s3 = np.sum(g1), np.sum(g1 * g1), np.sum(g1 ** 3)
+    q = np.sum(g1 * y) / math.comb(n - 2, r - 2) - u_hat * (s1 * s1 - s2) - 2.0 * (s1 * s2 - s3)
+    stats = MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,
+                        xi1_hat_sq=float(s2 / n), e_g1_cubed=float(s3 / n),
+                        e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate))
+    stats._pair_table = inner
+    return stats

@@ -15,7 +15,7 @@ def synthetic_stats(u_hat=0.5, s_hat_sq=0.01, xi1_sq=None, e3=0.0, e112=0.0,
     xi1_sq = n * s_hat_sq / r ** 2 if xi1_sq is None else xi1_sq
     return MomentStats(
         n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq,
-        g1_hat=np.zeros(n), g2_hat=np.zeros((n, n)),
+        g1_hat=np.zeros(n),
         xi1_hat_sq=xi1_sq, e_g1_cubed=e3, e_g1g1g2=e112,
         degenerate=(s_hat_sq == 0.0),
     )

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -167,6 +171,49 @@ def test_e_g1g1g2_within_tolerance_of_dense_form():
         dense = g1 @ (g2 @ g1) / pairs
         scale = np.abs(g1) @ (np.abs(g2) @ np.abs(g1)) / pairs
         assert abs(stats.e_g1g1g2 - dense) <= 1e-12 * scale, (label, motif.name)
+
+
+def test_e_g1g1g2_bytes_independent_of_blas_threads():
+    # A BLAS product with g1 once gave 2.399294640659426e-08 at one thread
+    # and 2.3992946406594262e-08 at two for this graph.
+    code = ("import numpy as np; from conftest import random_graph; "
+            "from netmoments import EDGE, compute_stats; "
+            "A = random_graph(np.random.default_rng(0), 722, 10 / 721); "
+            "print(repr(compute_stats(A, EDGE).e_g1g1g2))")
+    tests = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(Path(moments.__file__).parents[1]), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path,
+                                                  OPENBLAS_NUM_THREADS=threads,
+                                                  OMP_NUM_THREADS=threads)).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1] != ""
+
+
+class TestPairTableSums:
+    """``inner @ per`` is exact in float64 below 2^53, in int64 up to 2^63 and
+    in Python ints beyond, for dense and CSR tables."""
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_exact_on_both_sides_of_each_bound(self, kind):
+        rng = np.random.default_rng(73)
+        s = np.triu(rng.integers(0, 1000, (6, 6)), 1)
+        s += s.T
+        # A V-shape-like table: rows sum to (r - 1) * per with r = 3.
+        top = 2 * int(s.sum(1).max()) ** 2
+        for bound, below, above in ((2 ** 53, np.float64, np.int64), (2 ** 63, np.int64, object)):
+            c = math.isqrt(bound // top)
+            for scale, dtype in ((c, below), (c + 1, above)):
+                table, per = 2 * scale * s, scale * s.sum(1)
+                assert (2 * int(per.max()) ** 2 < bound) == (dtype is below)
+                if kind == "csr":
+                    table = scipy.sparse.csr_array(table.astype(np.float64))
+                got = moments._pair_table_sums(table, per, 3)
+                assert got.dtype == dtype
+                exact = [sum(int(x) * int(p) for x, p in zip(row, per.tolist()))
+                         for row in (2 * scale * s).tolist()]
+                assert [int(v) for v in got] == exact
 
 
 class TestComputeStats:
@@ -579,8 +626,8 @@ class TestSparseTables:
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_peak_memory(self, motif):
-        # One n x n float64 g2 plus tables of O(sum of squared degrees);
-        # the dense route's n x n temporaries would take three or four.
+        # Tables of O(sum of squared degrees) and no n x n float64 array:
+        # half of one, as g2 would take, is the bound.
         n = 2000
         A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
         compute_stats(A, motif)  # loads scipy.sparse outside the measurement
@@ -590,7 +637,7 @@ class TestSparseTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * n * n
+        assert peak <= 4 * n * n
 
 
 class TestCostCaps:
