@@ -354,7 +354,7 @@ def _pair_table_sums(inner, per: np.ndarray, r: int) -> np.ndarray:
     top = (r - 1) * int(per.max(initial=0)) ** 2
     dtype = np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
     if isinstance(inner, np.ndarray):
-        table = inner if dtype is np.float64 else inner.astype(np.int64, copy=False)
+        table = inner.astype(np.int64, copy=False) if dtype is object else inner
         return np.einsum("ij,j->i", table, per, dtype=dtype, casting="unsafe")
     if dtype is np.float64:
         return inner @ per.astype(dtype)

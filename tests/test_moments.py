@@ -627,7 +627,7 @@ class TestSparseTables:
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_peak_memory(self, motif):
         # Tables of O(sum of squared degrees) and no n x n float64 array:
-        # half of one, as g2 would take, is the bound.
+        # the bound, 4 n^2 bytes, is half of one.
         n = 2000
         A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
         compute_stats(A, motif)  # loads scipy.sparse outside the measurement
