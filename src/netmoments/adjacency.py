@@ -33,6 +33,14 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _check_keys(spec, allowed, required, what: str) -> None:
+    """Reject a ``what`` mapping with keys outside ``allowed``, then one lacking ``required``."""
+    for problem, keys in (("unknown", set(spec) - set(allowed)),
+                          ("missing", set(required) - set(spec))):
+        if keys:
+            raise ValueError(f"{problem} {what} keys: {sorted(keys)}")
+
+
 class AdjacencyMatrix:
     """Adjacency matrix of a simple undirected graph.
 

@@ -29,18 +29,13 @@ from .moments import compute_stats
 from .motif import motif_from_config
 
 
-def _graphon_arg(value: str):
+def _spec(value: str):
+    """A ``--graphon`` or ``--motif`` value: inline JSON, a ``.json`` file, or a name."""
     if value.strip().startswith("{"):
-        return graphon_from_config(json.loads(value))
+        return json.loads(value)
     if value.endswith(".json"):
-        return graphon_from_config(json.loads(Path(value).read_text()))
-    return graphon_from_config(value)
-
-
-def _motif_arg(value: str):
-    if value.strip().startswith("{"):
-        return motif_from_config(json.loads(value))
-    return motif_from_config(value)
+        return json.loads(Path(value).read_text())
+    return value
 
 
 def _emit(obj) -> None:
@@ -48,8 +43,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_sample(args) -> int:
-    g = _graphon_arg(args.graphon)
-    rho = resolve_rho(_maybe_number(args.rho), args.n)
+    g = graphon_from_config(_spec(args.graphon))
+    rho = resolve_rho(args.rho, args.n)
     A = sample_graph(g, args.n, rho, args.seed)
     # Row-major nonzeros of the upper triangle: edges ordered by (i, j).
     i, j = np.nonzero(np.triu(A.a, 1))
@@ -59,16 +54,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _maybe_number(value: str):
-    try:
-        return float(value)
-    except ValueError:
-        return value
-
-
 def _stats_for(args):
     A = load_edge_list(args.graph)
-    motif = _motif_arg(args.motif)
+    motif = motif_from_config(_spec(args.motif))
     return A, motif, compute_stats(A, motif)
 
 
@@ -138,8 +126,7 @@ def _cmd_bootstrap(args) -> int:
     if args.nstar is not None and args.scheme != "subsample":
         raise ValueError(f"--nstar has no effect on the {args.scheme} scheme, only on "
                          "subsample; drop --nstar")
-    A = load_edge_list(args.graph)
-    motif = _motif_arg(args.motif)
+    A, motif = load_edge_list(args.graph), motif_from_config(_spec(args.motif))
     if args.scheme == "subsample":
         n_star = args.nstar if args.nstar is not None else A.n // 2
         F = subsample_distribution(A, motif, n_star=n_star, B=args.B, seed=args.seed)
@@ -211,32 +198,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    for name, fn, extra in (
-        ("moments", _cmd_moments, ()),
-        ("edgeworth", _cmd_edgeworth, ("grid", "clamp", "out")),
-        ("test", _cmd_test, ("null", "alternative")),
-        ("ci", _cmd_ci, ("alpha", "method")),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--graph", required=True, help="edge-list file (1-based ids)")
-        p.add_argument("--motif", required=True, help="built-in name or inline JSON")
-        if "grid" in extra:
-            p.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "STEP"))
-            p.add_argument("--clamp", action="store_true",
-                           help="clip grid values to [0,1] (plotting only)")
-            p.add_argument("--out", required=True, help="CSV of (x, value) pairs")
-        if "null" in extra:
-            p.add_argument("--null", type=float, required=True, help="null value c_n")
-            p.add_argument("--alternative", default="two-sided",
-                           choices=("two-sided", "greater", "less"))
-        if "alpha" in extra:
-            p.add_argument("--alpha", type=float, required=True)
-            p.add_argument("--method", default="edgeworth", choices=("edgeworth", "normal"))
-        p.set_defaults(func=fn)
+    observed = argparse.ArgumentParser(add_help=False)
+    observed.add_argument("--graph", required=True, help="edge-list file (1-based ids)")
+    observed.add_argument("--motif", required=True,
+                          help="built-in name, inline JSON, or path to a .json spec")
 
-    p = sub.add_parser("bootstrap", help="bootstrap the studentized moment")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--motif", required=True)
+    sub.add_parser("moments", parents=[observed]).set_defaults(func=_cmd_moments)
+
+    p = sub.add_parser("edgeworth", parents=[observed])
+    p.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "STEP"))
+    p.add_argument("--clamp", action="store_true",
+                   help="clip grid values to [0,1] (plotting only)")
+    p.add_argument("--out", required=True, help="CSV of (x, value) pairs")
+    p.set_defaults(func=_cmd_edgeworth)
+
+    p = sub.add_parser("test", parents=[observed])
+    p.add_argument("--null", type=float, required=True, help="null value c_n")
+    p.add_argument("--alternative", default="two-sided", choices=("two-sided", "greater", "less"))
+    p.set_defaults(func=_cmd_test)
+
+    p = sub.add_parser("ci", parents=[observed])
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--method", default="edgeworth", choices=("edgeworth", "normal"))
+    p.set_defaults(func=_cmd_ci)
+
+    p = sub.add_parser("bootstrap", parents=[observed], help="bootstrap the studentized moment")
     p.add_argument("--scheme", required=True, choices=("subsample", "resample"))
     p.add_argument("--nstar", type=int, default=None,
                    help="sub-sample size (subsample only; default n/2)")

@@ -32,8 +32,9 @@ __all__ = [
     "DEFAULT_GRID",
 ]
 
-# Lattice u in [-2, 2] with 10u integer.
+# Lattice u in [-2, 2] with 10u integer; read-only, as every truth shares it.
 DEFAULT_GRID = np.round(np.arange(-20, 21) / 10.0, 1)
+DEFAULT_GRID.setflags(write=False)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -94,7 +95,7 @@ def cornish_fisher_quantile(c: EdgeworthCoefficients, alpha):
     one-term expansion, with ``z_alpha`` the normal quantile.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if (alpha <= 0.0).any() or (alpha >= 1.0).any():
+    if not ((alpha > 0.0) & (alpha < 1.0)).all():
         raise ValueError("alpha must lie strictly inside (0, 1)")
     z = ndtri(alpha)
     out = z - _correction(c, z)

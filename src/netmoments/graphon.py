@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyMatrix
+from .adjacency import AdjacencyMatrix, _check_keys
 from .errors import DegeneracyError
 from .motif import Motif, _PAIRS, containment_probability
 from .rng import stream, substream_seed, thread_streams
@@ -196,14 +196,11 @@ def graphon_from_config(spec) -> Graphon:
         raise ValueError("Custom graphons are constructed programmatically, not from config")
     if kind not in ("BlockModel", "SmoothGraphon", "NonSmoothGraphon"):
         raise ValueError(f"unknown graphon kind {kind!r}")
-    unknown = set(spec) - {"kind", "name"} - ({"pi", "B"} if kind == "BlockModel" else set())
-    if unknown:
-        raise ValueError(f"unknown graphon config keys: {sorted(unknown)}")
+    blocks = {"pi", "B"} if kind == "BlockModel" else set()
+    _check_keys(spec, {"kind", "name"} | blocks, blocks if blocks & set(spec) else (),
+                "graphon config")
     if kind == "BlockModel":
-        missing = {"pi", "B"} - set(spec)
-        if missing and missing != {"pi", "B"}:
-            raise ValueError(f"missing graphon config keys: {sorted(missing)}")
-        g = block_model(spec["pi"], spec["B"]) if not missing else _default_block_model()
+        g = block_model(spec["pi"], spec["B"]) if "pi" in spec else _default_block_model()
     else:
         g = smooth_graphon() if kind == "SmoothGraphon" else nonsmooth_graphon()
     g.name = spec.get("name") or g.name

@@ -3,8 +3,7 @@
 All experiments are driven by one JSON-loadable config and emit flat
 records ``(method, graphon, motif, n, rho, rep, metric, value)`` that
 serialize to CSV.  Randomness is derived per replicate from labeled
-substreams of the config seed, so reruns (including threaded ones)
-reproduce bit for bit.
+substreams of the config seed, so reruns reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ import json
 import math
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .adjacency import AdjacencyMatrix, _integer
+from .adjacency import AdjacencyMatrix, _check_keys, _integer
 from .bootstrap import (MAX_DROP_FRACTION, _studentized, resample_distribution,
                         subsample_distribution)
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
@@ -63,18 +62,14 @@ _RHO_SYMBOLS = {
 
 
 def resolve_rho(spec, n: int) -> float:
-    """Resolve a literal or symbolic sparsity spec against ``n``."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = float(spec)
-    elif isinstance(spec, str):
-        try:
-            value = _RHO_SYMBOLS[spec](n)
-        except KeyError:
-            raise ValueError(
-                f"unknown rho spec {spec!r}; use a number or one of "
-                f"{sorted(_RHO_SYMBOLS)}") from None
-    else:
+    """Resolve a sparsity spec against ``n``: a symbol, or a number or its string."""
+    if isinstance(spec, bool) or not isinstance(spec, (int, float, str)):
         raise ValueError(f"rho spec must be a number or string, got {type(spec).__name__}")
+    try:
+        value = _RHO_SYMBOLS[spec](n) if spec in _RHO_SYMBOLS else float(spec)
+    except ValueError:
+        raise ValueError(f"unknown rho spec {spec!r}; use a number or one of "
+                         f"{sorted(_RHO_SYMBOLS)}") from None
     if not (0.0 < value <= 1.0):
         raise ValueError(f"rho resolves to {value}, outside (0, 1]")
     return value
@@ -88,13 +83,12 @@ class ExperimentConfig:
     graphon: Graphon
     motif: Motif
     n_list: list[int]
-    rho: object  # literal, symbol, or list of either (sparsity sweeps)
+    rho: object  # number, symbol or numeric string, or a list of them (sparsity sweeps)
     seed: int
     n_mc: int = 100_000
     n_boot: int = 500
     repetitions: int = 30
     methods: tuple[str, ...] = ("edgeworth_empirical", "normal")
-    grid: np.ndarray = field(default_factory=lambda: DEFAULT_GRID.copy())
     output: str | None = None
 
     def __post_init__(self):
@@ -112,10 +106,6 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
-        self.grid = np.asarray(self.grid, dtype=np.float64)
-        grid_ok = np.isfinite(self.grid).all() and (np.diff(self.grid) > 0).all()
-        if self.grid.size < 1 or not grid_ok:
-            raise ValueError("grid must be finite and strictly increasing")
         if not isinstance(self.output, (str, type(None))):
             raise ValueError(f"output must be a path string or null, got {self.output!r}")
         for n in self.n_list:
@@ -128,13 +118,8 @@ class ExperimentConfig:
         if not isinstance(raw, Mapping):
             raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
         by_key = {"n" if f.name == "n_list" else f.name: f for f in fields(cls)}
-        unknown = set(raw) - set(by_key)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = {key for key, f in by_key.items()
-                   if f.default is MISSING and f.default_factory is MISSING} - set(raw)
-        if missing:
-            raise ValueError(f"missing config keys: {sorted(missing)}")
+        _check_keys(raw, by_key, [key for key, f in by_key.items() if f.default is MISSING],
+                    "config")
         kwargs = {by_key[key].name: value for key, value in raw.items()}
         kwargs["graphon"] = graphon_from_config(kwargs["graphon"])
         kwargs["motif"] = motif_from_config(kwargs["motif"])
@@ -218,10 +203,9 @@ class TrueCdf:
 
 
 def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
-                         n_mc: int, seed: int, grid=None,
-                         mu: float | None = None,
+                         n_mc: int, seed: int, mu: float | None = None,
                          max_degenerate_fraction: float = 0.01) -> TrueCdf:
-    """Sample ``n_mc`` networks and tabulate the studentized moment's CDF.
+    """Sample ``n_mc`` networks and tabulate the studentized moment's CDF on ``DEFAULT_GRID``.
 
     Replicate ``k`` is the network ``sample_graph(g, n, rho,
     substream_seed(seed, "mc-truth", k))``, centred at ``mu`` (default:
@@ -232,9 +216,11 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     on the block size.  Replicates with a zero variance estimate are
     skipped and counted; more than ``max_degenerate_fraction`` of them
     (the message says to raise it), or all of them, raise
-    ``DegenerateReplicatesError``.
+    ``DegenerateReplicatesError``; a cap outside [0, 1] raises ``ValueError``.
     """
-    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
+    if not 0.0 <= max_degenerate_fraction <= 1.0:
+        raise ValueError(f"max_degenerate_fraction must lie in [0, 1], "
+                         f"got {max_degenerate_fraction}")
     if mu is None:
         mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
 
@@ -250,7 +236,7 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
         raise DegenerateReplicatesError(
             f"{exc}; raise max_degenerate_fraction (--max-degenerate-fraction on the CLI)",
             n_dropped=exc.n_dropped, n_total=exc.n_total) from exc
-    return TrueCdf(grid=grid, values=F.evaluate(grid), n_total=n_mc,
+    return TrueCdf(grid=DEFAULT_GRID, values=F.evaluate(DEFAULT_GRID), n_total=n_mc,
                    n_degenerate=F.n_dropped, t_mean=float(F.samples.mean()),
                    t_sd=float(F.samples.std(ddof=1)))
 
@@ -323,19 +309,18 @@ def run_accuracy_experiment(cfg: ExperimentConfig, threads: int = 1,
     def evaluator(n, rho, mu):
         truth = monte_carlo_true_cdf(
             cfg.graphon, rho, cfg.motif, n, cfg.n_mc,
-            seed=substream_seed(cfg.seed, "truth", n, repr(rho)),
-            grid=cfg.grid, mu=mu,
+            seed=substream_seed(cfg.seed, "truth", n, repr(rho)), mu=mu,
             max_degenerate_fraction=max_degenerate_fraction)
 
         def evaluate(A, method, boot_seed):
             if method == "normal":
-                approx = ndtr(cfg.grid)
+                approx = ndtr(DEFAULT_GRID)
             elif method == "edgeworth_empirical":
                 stats = compute_stats(A, cfg.motif)
                 approx = expansion_cdf(EdgeworthCoefficients.from_moment_stats(stats),
-                                       cfg.grid)
+                                       DEFAULT_GRID)
             else:
-                approx = _bootstrap(method, A, cfg, boot_seed).evaluate(cfg.grid)
+                approx = _bootstrap(method, A, cfg, boot_seed).evaluate(DEFAULT_GRID)
             return {"sup_error": sup_grid_error(approx, truth.values)}
         return evaluate
     return _experiment(cfg, "accuracy",

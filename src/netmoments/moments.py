@@ -439,6 +439,7 @@ class MomentStats:
     e_g1_cubed: float
     e_g1g1g2: float
     degenerate: bool
+    _pair_table: object = field(default=None, repr=False, compare=False)
 
     @property
     def s_hat(self) -> float:
@@ -446,6 +447,8 @@ class MomentStats:
 
     @functools.cached_property
     def g2_hat(self) -> np.ndarray:  # not a field: built on first read
+        if self._pair_table is None:
+            raise ValueError("g2_hat needs the pair table of a record built by compute_stats")
         return _pair_projection_from_inner(self._pair_table, self.g1_hat, self.u_hat, self.motif.r)
 
 
@@ -467,8 +470,7 @@ def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     y = _pair_table_sums(inner, per, r) / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
     s1, s2, s3 = np.sum(g1), np.sum(g1 * g1), np.sum(g1 ** 3)
     q = np.sum(g1 * y) / math.comb(n - 2, r - 2) - u_hat * (s1 * s1 - s2) - 2.0 * (s1 * s2 - s3)
-    stats = MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,
-                        xi1_hat_sq=float(s2 / n), e_g1_cubed=float(s3 / n),
-                        e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate))
-    stats._pair_table = inner
-    return stats
+    return MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,
+                       xi1_hat_sq=float(s2 / n), e_g1_cubed=float(s3 / n),
+                       e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate),
+                       _pair_table=inner)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjacency import _check_square_binary, _integer
+from .adjacency import _check_keys, _check_square_binary, _integer
 from .errors import NotConnectedError
 
 __all__ = [
@@ -176,12 +176,7 @@ def motif_from_config(spec) -> Motif:
         return spec
     if not isinstance(spec, dict):
         raise ValueError(f"motif spec must be a name or mapping, got {type(spec).__name__}")
-    unknown = set(spec) - {"nodes", "edges", "name"}
-    if unknown:
-        raise ValueError(f"unknown motif config keys: {sorted(unknown)}")
-    missing = {"nodes", "edges"} - set(spec)
-    if missing:
-        raise ValueError(f"missing motif config keys: {sorted(missing)}")
+    _check_keys(spec, {"nodes", "edges", "name"}, {"nodes", "edges"}, "motif config")
     r = _integer("nodes", spec["nodes"])
     if not 2 <= r <= MAX_MOTIF_NODES:
         raise ValueError(f"nodes must be from 2 to {MAX_MOTIF_NODES}, got {r}")

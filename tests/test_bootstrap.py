@@ -49,6 +49,9 @@ class TestEmpiricalCdf:
         assert F.quantile(0.1) == 1.0
         assert F.quantile(0.5) == 5.0
         assert F.quantile(0.95) == 10.0
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="q must lie in"):
+                F.quantile(bad)
 
 
 class TestSubsample:

@@ -88,6 +88,15 @@ class TestSample:
             "--seed", "4", "--out", str(path)])
         assert code == 0 and msgs[-1]["edges"] > 0
 
+    def test_json_file_graphon(self, tmp_path, capsys):
+        spec = json.dumps({"kind": "SmoothGraphon", "name": "mine"})
+        (tmp_path / "graphon.json").write_text(spec)
+        for value, out in ((str(tmp_path / "graphon.json"), "file.edges"), (spec, "inline.edges")):
+            code, _ = run_cli(capsys, ["sample", "--graphon", value, "--n", "10", "--rho", "0.5",
+                                       "--seed", "4", "--out", str(tmp_path / out)])
+            assert code == 0
+        assert (tmp_path / "file.edges").read_bytes() == (tmp_path / "inline.edges").read_bytes()
+
 
 class TestStatsCommands:
     def test_moments(self, graph_file, capsys):
@@ -202,6 +211,15 @@ class TestStatsCommands:
         code, msgs = run_cli(capsys, [
             "moments", "--graph", str(graph_file), "--motif", spec])
         assert code == 0
+
+    def test_motif_json_file(self, graph_file, tmp_path, capsys):
+        spec = tmp_path / "motif.json"
+        spec.write_text(json.dumps({"nodes": 3, "edges": [[1, 2], [2, 3], [1, 3]], "name": "tri"}))
+        _, [from_file] = run_cli(capsys, [
+            "moments", "--graph", str(graph_file), "--motif", str(spec)])
+        _, [builtin] = run_cli(capsys, [
+            "moments", "--graph", str(graph_file), "--motif", "triangle"])
+        assert from_file == {**builtin, "motif": "tri"}
 
 
 class TestBootstrapCommand:
@@ -440,6 +458,14 @@ FAILURES = {
         lambda t: ["experiment", "coverage", "--config", str(experiment_config(t)),
                    "--out", str(t / "out.csv"), "--max-degenerate-fraction", "0.5"],
         "--max-degenerate-fraction has no effect on coverage experiments"),
+    "negative-degenerate-cap": (
+        lambda t: ["experiment", "accuracy", "--config", str(experiment_config(t)),
+                   "--out", str(t / "out.csv"), "--max-degenerate-fraction", "-0.5"],
+        "max_degenerate_fraction must lie in [0, 1], got -0.5"),
+    "nan-degenerate-cap": (
+        lambda t: ["experiment", "sparsity", "--config", str(experiment_config(t)),
+                   "--out", str(t / "out.csv"), "--max-degenerate-fraction", "nan"],
+        "max_degenerate_fraction must lie in [0, 1], got nan"),
     "no-output-path": (
         lambda t: ["experiment", "accuracy", "--config", str(experiment_config(t))],
         "no output path"),

@@ -64,7 +64,7 @@ class TestCornishFisher:
 
     def test_alpha_validation(self):
         c = coeffs()
-        for bad in (0.0, 1.0, -0.1, 1.1):
+        for bad in (0.0, 1.0, -0.1, 1.1, math.nan, [0.5, math.nan]):
             with pytest.raises(ValueError, match="alpha"):
                 cornish_fisher_quantile(c, bad)
 
@@ -142,6 +142,7 @@ class TestGridHelpers:
         assert DEFAULT_GRID[0] == -2.0 and DEFAULT_GRID[-1] == 2.0
         assert len(DEFAULT_GRID) == 41
         assert np.allclose(np.diff(DEFAULT_GRID), 0.1)
+        assert not DEFAULT_GRID.flags.writeable  # every truth shares it
 
 
 class TestApplicability:

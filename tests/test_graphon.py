@@ -244,6 +244,10 @@ class TestKeyedStreams:
         assert len({id(s) for s in streams}) == 3 and thread_streams() not in streams
         assert thread_streams() is thread_streams()
 
+    def test_labels_are_str_or_int(self):
+        with pytest.raises(TypeError, match="stream labels must be str or int, got float"):
+            stream(5, "edges", 0.5)
+
     def test_rekey_resets_state(self):
         streams = KeyedStreams()
         first = streams(5, "edges").random(3)
@@ -261,6 +265,8 @@ class TestGraphonValidation:
         with pytest.raises(ValueError, match="symmetric"):
             graphon_from_config({"kind": "BlockModel", "pi": [0.5, 0.5],
                                  "B": [[0.5, 0.1], [0.2, 0.5]]})
+        with pytest.raises(ValueError, match=re.escape("B must be 2x2 to match pi, got (1, 1)")):
+            graphon_from_config({"kind": "BlockModel", "pi": [0.5, 0.5], "B": [[0.5]]})
 
     def test_block_model_rejects_nan(self):
         # JSON configs may hold NaN; no comparison with it is true.
@@ -325,6 +331,12 @@ class TestGraphonValidation:
             graphon_from_config({"kind": "SmoothGraphon", "extra": 1})
         with pytest.raises(ValueError, match="Custom"):
             graphon_from_config({"kind": "Custom"})
+        with pytest.raises(ValueError, match="unknown graphon kind 'Smooth'"):
+            graphon_from_config({"kind": "Smooth"})
+        with pytest.raises(ValueError, match="unknown graphon 'erdos'"):
+            graphon_from_config("erdos")
+        with pytest.raises(ValueError, match="graphon spec must be a name or mapping, got list"):
+            graphon_from_config([0.5, 0.5])
 
 
 class TestPopulationMoment:

@@ -56,10 +56,11 @@ BAD_CONFIGS = [
                  id="rho-unknown"),
     pytest.param(small_config_dict(output=5), "output must be a path string or null, got 5",
                  id="output-number"),
-    pytest.param(small_config_dict(grid=[0.0, math.nan, 1.0]),
-                 "grid must be finite and strictly increasing", id="grid-nan"),
-    pytest.param(small_config_dict(grid=[0.0, math.inf]),
-                 "grid must be finite and strictly increasing", id="grid-inf"),
+    pytest.param(small_config_dict(rho=True), "rho spec must be a number or string, got bool",
+                 id="rho-bool"),
+    pytest.param(small_config_dict(n=[12, 1]), "all n must be >= 2", id="n-one"),
+    pytest.param(small_config_dict(grid=[-1.0, 0.0, 1.0]), r"unknown config keys: \['grid'\]",
+                 id="grid-key"),
     pytest.param(None, "a config must be a JSON object, got NoneType", id="null"),
 ]
 
@@ -74,6 +75,8 @@ class TestResolveRho:
     def test_literals(self):
         assert resolve_rho(0.3, 40) == 0.3
         assert resolve_rho(1, 40) == 1.0
+        assert resolve_rho("0.5", 40) == 0.5
+        assert small_config(rho="0.5").single_rho(12) == 0.5
 
     def test_invalid(self):
         with pytest.raises(ValueError, match="unknown rho"):
@@ -117,8 +120,8 @@ class TestConfig:
     def test_invariants(self):
         with pytest.raises(ValueError, match="n_mc"):
             small_config(n_mc=500)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            small_config(grid=[0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="needs a single rho, got a list"):
+            small_config(rho=[1, 0.5]).single_rho(12)
         with pytest.raises(ValueError, match="unknown methods"):
             small_config(methods=["edgeworth_empirical", "magic"])
         with pytest.raises(ValueError, match="repetitions"):
@@ -146,8 +149,7 @@ class TestConfig:
             "graphon": {"kind": "SmoothGraphon", "name": "smooth-1"},
             "motif": "vshape", "n": [15, 30], "rho": ["n^-1/4", 0.5], "seed": 77,
             "n_mc": 2_500, "n_boot": 99, "repetitions": 4,
-            "methods": ["resample", "subsample"], "grid": [-1.0, 0.0, 2.0],
-            "output": "sweep.csv",
+            "methods": ["resample", "subsample"], "output": "sweep.csv",
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert {"n" if f.name == "n_list" else f.name
@@ -156,14 +158,12 @@ class TestConfig:
         assert (cfg.n_list, cfg.rho, cfg.seed) == ([15, 30], ["n^-1/4", 0.5], 77)
         assert (cfg.n_mc, cfg.n_boot, cfg.repetitions) == (2_500, 99, 4)
         assert cfg.methods == ("resample", "subsample")
-        assert cfg.grid.tolist() == [-1.0, 0.0, 2.0]
         assert cfg.output == "sweep.csv"
         defaults = ExperimentConfig(graphon=cfg.graphon, motif=cfg.motif, n_list=[10],
                                     rho=1, seed=0)
         for f in dataclasses.fields(cfg):
             if f.default is not dataclasses.MISSING:
                 assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
-        assert not np.array_equal(cfg.grid, defaults.grid)
 
     def test_json_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -243,6 +243,14 @@ class TestTrueCdf:
                                      max_degenerate_fraction=0.25)
         assert truth.n_degenerate > 0.01 * truth.n_total
 
+    @pytest.mark.parametrize("cap", [-0.5, 1.5, math.nan, math.inf])
+    def test_cap_outside_unit_interval_rejected(self, monkeypatch, bm, cap):
+        # Raised before any network is sampled.
+        monkeypatch.setattr("netmoments.harness.sample_graph_block", None)
+        with pytest.raises(ValueError, match=r"max_degenerate_fraction must lie in \[0, 1\]"):
+            monte_carlo_true_cdf(bm, 1.0, EDGE, n=10, n_mc=1_000, seed=1,
+                                 max_degenerate_fraction=cap)
+
     def test_all_degenerate_raises(self, bm):
         # At rho = 0.01 and n = 5 no draw holds a triangle: with the cap
         # lifted there is still nothing to tabulate.
@@ -269,8 +277,8 @@ class TestAccuracyExperiment:
         truth = monte_carlo_true_cdf(
             bm, 1.0, EDGE, n=12, n_mc=cfg.n_mc,
             seed=substream_seed(cfg.seed, "truth", 12, repr(1.0)),
-            grid=cfg.grid, mu=population_mean(bm, 1.0, EDGE).value)
-        expected = sup_grid_error(ndtr(cfg.grid), truth.values)
+            mu=population_mean(bm, 1.0, EDGE).value)
+        expected = sup_grid_error(ndtr(truth.grid), truth.values)
         for r in sup:
             assert r.value == pytest.approx(expected, abs=1e-15)
 

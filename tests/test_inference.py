@@ -100,6 +100,10 @@ class TestConfidenceInterval:
         with pytest.raises(DegeneracyError):
             confidence_interval(synthetic_stats(s_hat_sq=0.0), 0.2)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bootstrap'"):
+            confidence_interval(synthetic_stats(), 0.2, method="bootstrap")
+
     def test_symmetric_interval_always_ordered(self):
         # The quantile correction is even in z, so it cancels between the
         # alpha/2 and 1-alpha/2 endpoints: even wild corrections cannot

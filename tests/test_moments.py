@@ -136,6 +136,10 @@ class TestEdgeworthCoefficients:
     def test_all_zero(self):
         assert edgeworth_coefficients(np.zeros(4), np.zeros((4, 4))) == (0.0, 0.0, 0.0)
 
+    def test_g2_shape_must_match_g1(self):
+        with pytest.raises(ValueError, match=re.escape("g2 must be 4x4 to match g1, got (3, 3)")):
+            edgeworth_coefficients(np.zeros(4), np.zeros((3, 3)))
+
     def test_matches_double_loop(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -238,6 +242,13 @@ class TestComputeStats:
         assert s1.u_hat == s2.u_hat
         assert np.array_equal(s1.g1_hat, s2.g1_hat)
         assert np.array_equal(s1.g2_hat, s2.g2_hat)
+
+    def test_replaced_record_keeps_its_pair_table(self):
+        stats = compute_stats(random_graph(np.random.default_rng(6), 9), TRIANGLE)
+        copy = dataclasses.replace(stats, u_hat=stats.u_hat)
+        assert copy.g2_hat.tobytes() == stats.g2_hat.tobytes()
+        with pytest.raises(ValueError, match="compute_stats"):
+            dataclasses.replace(stats, _pair_table=None).g2_hat
 
     def test_consistency_identities(self):
         rng = np.random.default_rng(7)
@@ -579,8 +590,11 @@ def _with_matching(A, pairs):
 def _outputs(A, motif):
     """Every public result for one graph and motif, as comparable bytes."""
     stats = compute_stats(A, motif)
+    # The dense and CSR pair tables differ in type by design; pair_projection
+    # compares the g2 they give.
     fields = [(f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
-              for f in dataclasses.fields(stats) for v in [getattr(stats, f.name)]]
+              for f in dataclasses.fields(stats) if f.name != "_pair_table"
+              for v in [getattr(stats, f.name)]]
     total, per = motif_counts(A, motif)
     return (fields, pair_projection(A, motif).tobytes(), type(total), total,
             per.dtype, per.tobytes(), repr(jackknife_variance(A, motif)))

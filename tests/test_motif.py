@@ -214,6 +214,8 @@ class TestConditionalExpectation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             containment_probability(EDGE, [1.2])
+        with pytest.raises(ValueError, match="expected 3 pair probabilities, got 2"):
+            containment_probability(TRIANGLE, [0.5, 0.5])
 
 
 class TestConfig:
@@ -251,8 +253,9 @@ class TestConfig:
         ({"nodes": 3, "edges": [12]}, "edge 12 must be a pair [i, j]"),
         ({"nodes": 3, "edges": "12"}, "edges must be a list of [i, j] pairs, got '12'"),
         ({"nodes": 3, "edges": [[1, 2]], "name": 5}, "name must be a string or null, got 5"),
+        ([[1, 2]], "motif spec must be a name or mapping, got list"),
     ], ids=["float-nodes", "string-nodes", "bool-nodes", "too-many-nodes", "float-id",
-            "string-id", "three-ids", "scalar-edge", "string-edges", "numeric-name"])
+            "string-id", "three-ids", "scalar-edge", "string-edges", "numeric-name", "list-spec"])
     def test_malformed_values_named(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             motif_from_config(spec)
