@@ -22,8 +22,9 @@ from . import edgeworth as ew
 from .adjacency import load_edge_list
 from .bootstrap import resample_distribution, subsample_distribution
 from .graphon import graphon_from_config, sample_graph
-from .harness import (ExperimentConfig, resolve_rho, run_accuracy_experiment,
-                      run_coverage_experiment, summarize_coverage, write_records_csv)
+from .harness import (ExperimentConfig, _check_degenerate_fraction, resolve_rho,
+                      run_accuracy_experiment, run_coverage_experiment, summarize_coverage,
+                      write_records_csv)
 from .inference import confidence_interval, one_sample_test
 from .moments import compute_stats
 from .motif import motif_from_config
@@ -156,6 +157,8 @@ def _cmd_experiment(args) -> int:
                              f"on {' and '.join(kinds)}; drop {flag}")
         if value is not None:
             options[name] = value
+    if "max_degenerate_fraction" in options:  # before any file is made or warning printed
+        _check_degenerate_fraction(options["max_degenerate_fraction"])
     cfg = ExperimentConfig.from_json(args.config)
     out = args.out or cfg.output
     if out is None:

@@ -202,6 +202,13 @@ class TrueCdf:
     t_sd: float
 
 
+def _check_degenerate_fraction(max_degenerate_fraction: float) -> None:
+    """A truth's degenerate cap must lie in [0, 1] (NaN does not)."""
+    if not 0.0 <= max_degenerate_fraction <= 1.0:
+        raise ValueError(f"max_degenerate_fraction must lie in [0, 1], "
+                         f"got {max_degenerate_fraction}")
+
+
 def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
                          n_mc: int, seed: int, mu: float | None = None,
                          max_degenerate_fraction: float = 0.01) -> TrueCdf:
@@ -218,9 +225,7 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     (the message says to raise it), or all of them, raise
     ``DegenerateReplicatesError``; a cap outside [0, 1] raises ``ValueError``.
     """
-    if not 0.0 <= max_degenerate_fraction <= 1.0:
-        raise ValueError(f"max_degenerate_fraction must lie in [0, 1], "
-                         f"got {max_degenerate_fraction}")
+    _check_degenerate_fraction(max_degenerate_fraction)
     if mu is None:
         mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
 

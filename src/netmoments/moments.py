@@ -15,9 +15,13 @@ values stay exact integers (float32 for the triangle and V-shape, exact
 for n < 2^23; row sums and ``g2`` are formed in float64).  Other motifs
 enumerate the r-subsets once, refused with ``CostCapError`` above
 ``MAX_GENERIC_SUBSETS`` subsets.  On one large sparse graph
-(:func:`_sparse_route`) the triangle and V-shape tables and the
-three-star's ``A @ A`` are scipy CSR products; counts are exact, so the
-route never changes a byte.
+(:func:`_sparse_route`) no table is built for the edge, triangle and
+V-shape counts: :func:`_listed_counts` forms the per-node counts and
+``inner @ per_node`` from the edges and the triangles listed on a
+degree-ordered orientation, in O(m sqrt(m)) time for m edges, and the
+CSR triangle or V-shape table is built only if ``g2`` is read.  There
+the three-star's ``A @ A`` is a scipy CSR product.  Counts are exact, so
+the route never changes a byte.
 """
 
 from __future__ import annotations
@@ -84,12 +88,14 @@ def _inner_counts(a: np.ndarray, motif: Motif):
     float32 for the triangle and V-shape and int64 for the three-star
     and generic motifs, which are counted one graph at a time; on the
     sparse route, triangle and V-shape tables are float64 CSR arrays
-    (:func:`_sparse_inner_counts`).  Every entry of ``A @ A``,
-    of the triangle table and of each V-shape intermediate is an integer
-    of size at most 2n, and every partial sum of the product is at most
-    n, so float32 is exact for n < 2^23 and halves the temporaries of a
-    replicate block.  Row sums reach 2n^2, past float32's exact range
-    from n ~ 2900, so consumers accumulate and divide in float64
+    (:func:`_sparse_inner_counts`), built only for ``g2`` and for sums
+    too large for :func:`_listed_counts`, which gives the counts there.
+    Every entry of ``A @ A``, of the triangle table and of each V-shape
+    intermediate is an integer of size at most 2n, and every partial sum
+    of the product is at most n, so float32 is exact for n < 2^23 and
+    halves the temporaries of a replicate block.  Row sums reach 2n^2,
+    past float32's exact range from n ~ 2900, so consumers accumulate
+    and divide in float64
     (:func:`_counts_from_inner`, :func:`_pair_projection_from_inner`).
     Raises ``CostCapError`` when a generic enumeration would visit more
     than ``MAX_GENERIC_SUBSETS`` subsets.
@@ -136,20 +142,28 @@ def _sparse_route(a: np.ndarray) -> bool:
         and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n
 
 
+def _csr_arrays(a: np.ndarray):
+    """``(rows, cols, indptr)`` of the nonzeros of one int8 adjacency ``a``.
+
+    Row-major nonzeros give CSR column indices in order; the row lengths
+    give the row pointer.  The 0/1 bytes read as bool are found 5x
+    faster than as int8.
+    """
+    n = a.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(a.view(np.bool_)), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return rows, cols, indptr
+
+
 def _csr(a: np.ndarray):
     """The int8 adjacency ``a`` of one graph as a float64 scipy CSR array."""
     # Imported here: the simulations never take the sparse route.
     from scipy import sparse
 
-    # Row-major nonzeros give CSR column indices in order; the row
-    # lengths give the row pointer.  Cheaper than csr_array(a), and
-    # the 0/1 bytes read as bool are found 5x faster than as int8.
     n = a.shape[0]
-    idx = np.flatnonzero(a.view(np.bool_))
-    rows, cols = np.divmod(idx, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_array((np.ones(idx.size), cols, indptr), shape=(n, n))
+    _, cols, indptr = _csr_arrays(a)
+    return sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
 
 
 def _sparse_inner_counts(a: np.ndarray, kind: str):
@@ -172,13 +186,130 @@ def _sparse_inner_counts(a: np.ndarray, kind: str):
     return codeg + ends - 2.0 * codeg.multiply(s) - degrees
 
 
+def _listed_route(a: np.ndarray, motif: Motif) -> bool:
+    """Whether counts and sums come from :func:`_listed_counts`, not a table."""
+    return _structural_kind(motif) in ("edge", "triangle", "vshape") and _sparse_route(a)
+
+
+# The triangle listing builds and closes its wedges in chunks of about
+# this many, so its temporaries stay a few MB whatever the graph.
+_WEDGE_CHUNK = 1 << 16
+
+# _listed_counts forms its sums in int64 below this top (see there).
+_LISTED_SUMS_MAX_TOP = 2 ** 59
+
+
+def _node_sums(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Exact int64 sums of ``values`` into their ``nodes``."""
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, nodes, values)
+    return out
+
+
+def _oriented(rows: np.ndarray, cols: np.ndarray, d: np.ndarray):
+    """Each edge once as ``(src, dst)``, from its lower-ranked end, grouped by ``src``.
+
+    ``rows``, ``cols`` are the nonzeros of one adjacency in row-major
+    order and ``d`` its degrees.  Nodes are ranked by (degree, id), so a
+    node with k out-edges has k neighbours of degree at least k: no
+    out-list is longer than sqrt(2m) (Chiba & Nishizeki 1985; Latapy
+    2008), wherever a hub sits among the ids.
+    """
+    rank = np.empty(d.size, dtype=np.int64)
+    rank[np.argsort(d, kind="stable")] = np.arange(d.size)
+    up = rank[rows] < rank[cols]
+    return rows[up], cols[up]
+
+
+def _triangles(a: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Every triangle of one graph once, as three int64 node arrays ``(k, i, j)``.
+
+    A triangle is listed at its lowest-ranked node k as the pair {i, j}
+    of k's out-neighbours (:func:`_oriented`) that the adjacency ``a``
+    joins: O(m sqrt(m)) wedges, and nothing of size the sum of squared
+    degrees.
+    """
+    n = a.shape[0]
+    # The wedges of edge e pair it with the later edges of its out-list.
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - 1 - np.arange(src.size)
+    cum = np.cumsum(later)
+    cuts = np.searchsorted(cum, np.arange(_WEDGE_CHUNK, cum[-1] if cum.size else 0, _WEDGE_CHUNK))
+    flat = a.reshape(-1).view(np.bool_)
+    found = []
+    for e0, e1 in zip([0, *cuts], [*cuts, src.size]):
+        w = later[e0:e1]
+        first = np.repeat(np.arange(e0, e1), w)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(w) - w, w)
+        i, j = dst[first], dst[second]
+        closed = flat[i * n + j]
+        found.append((src[first[closed]], i[closed], j[closed]))
+    k, i, j = (np.concatenate(x) for x in zip(*found))
+    return k, i, j
+
+
+def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
+    """``(per_node, inner @ per_node)`` of the edge, triangle or V-shape
+    from one graph's edges and listed triangles, without a pair table.
+
+    With ``d`` the degrees, ``tri`` the triangles at each node and
+    ``T(x)_i`` the sum over the triangles at i of ``x`` at their other
+    two nodes, ``per`` is ``d`` (edge), ``tri`` (triangle) or
+    ``C(d, 2) + A@d - d - 2*tri`` (V-shape: i as centre, then as an end
+    of a path that is not a triangle), and ``inner @ per`` is ``A@d``,
+    ``T(per)`` or, from the V-shape table's entries ``C_ij`` off edges
+    and ``d_i + d_j - 2 - C_ij`` on them,
+
+        A@(A@per) - d*per + (d - 2)*(A@per) + A@(d*per) - 2*T(per).
+
+    Everything is exact int64.  The sums come back in the dtype that
+    :func:`_pair_table_sums` picks.  Each of the five V-shape terms is at
+    most 2*top (``top = (r-1) * max(per)^2``), so every partial sum is
+    below 9*top, inside int64 for top < ``_LISTED_SUMS_MAX_TOP``; above
+    it (a hub of degree ~33k) the sums come from the CSR table.
+    ``sums=False`` returns ``(per, None)``.
+    """
+    n, kind = a.shape[0], _structural_kind(motif)
+    rows, cols, _ = _csr_arrays(a)
+    d = np.bincount(rows, minlength=n)
+
+    def adj(x):  # A @ x
+        return _node_sums(rows, x[cols], n)
+
+    if kind == "edge":
+        per = d
+    else:
+        k, i, j = _triangles(a, *_oriented(rows, cols, d))
+        corners = np.concatenate([k, i, j])
+        tri = np.bincount(corners, minlength=n)
+        per = tri if kind == "triangle" else d * (d - 1) // 2 + adj(d) - d - 2 * tri
+
+        def around(x):  # T(x)
+            return _node_sums(corners, np.concatenate([x[i] + x[j], x[k] + x[j], x[k] + x[i]]), n)
+    if not sums:
+        return per, None
+    if (motif.r - 1) * int(per.max(initial=0)) ** 2 >= _LISTED_SUMS_MAX_TOP:
+        return per, _pair_table_sums(_inner_counts(a, motif), per, motif.r)
+    if kind == "edge":
+        y = adj(d)
+    elif kind == "triangle":
+        y = around(per)
+    else:
+        a_per = adj(per)
+        y = adj(a_per) - d * per + (d - 2) * a_per + adj(d * per) - 2 * around(per)
+    return per, y.astype(_sums_dtype(per, motif.r), copy=False)
+
+
 def _counts_from_inner(inner: np.ndarray, r: int):
     """``(total, per_node)`` from the pair completion counts of an r-node motif.
 
     For one graph ``total`` is an int and ``per_node`` an int64 array
     ``(n,)``; for a stack they are int64 arrays ``(b,)`` and ``(b, n)``.
     """
-    per = _round_int(inner.sum(axis=-1, dtype=np.float64)) // (r - 1)
+    return _totals(_round_int(inner.sum(axis=-1, dtype=np.float64)) // (r - 1), r)
+
+
+def _totals(per: np.ndarray, r: int):
+    """``(total, per)``: each containing r-set is counted at its r nodes."""
     total = per.sum(axis=-1) // r
     return (int(total) if per.ndim == 1 else total), per
 
@@ -191,6 +322,8 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif) -> tuple[int, np.ndarray]:
     subsets that include node ``i``.  Every subset contributes to exactly
     ``r`` per-node counts, so ``per_node.sum() == r * total``.
     """
+    if _listed_route(A.a, motif):
+        return _totals(_listed_counts(A.a, motif, sums=False)[0], motif.r)
     return _counts_from_inner(_inner_counts(A.a, motif), motif.r)
 
 
@@ -344,6 +477,12 @@ def _pair_projection_from_inner(inner, g1: np.ndarray, u_hat: float, r: int) -> 
     return g2
 
 
+def _sums_dtype(per: np.ndarray, r: int):
+    """The exact dtype of ``inner @ per``, see :func:`_pair_table_sums`."""
+    top = (r - 1) * int(per.max(initial=0)) ** 2
+    return np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
+
+
 def _pair_table_sums(inner, per: np.ndarray, r: int) -> np.ndarray:
     """``inner @ per`` in exact integers, whatever the route or BLAS thread count.
 
@@ -351,8 +490,7 @@ def _pair_table_sums(inner, per: np.ndarray, r: int) -> np.ndarray:
     so float64 is exact in any order below 2^53, then int64 to 2^63, then
     Python ints (dense three-star graphs from n ~ 2200).  einsum casts dense
     tables in its buffers: none is copied into an n x n float64 array."""
-    top = (r - 1) * int(per.max(initial=0)) ** 2
-    dtype = np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
+    dtype = _sums_dtype(per, r)
     if isinstance(inner, np.ndarray):
         table = inner.astype(np.int64, copy=False) if dtype is object else inner
         return np.einsum("ij,j->i", table, per, dtype=dtype, casting="unsafe")
@@ -439,6 +577,7 @@ class MomentStats:
     e_g1_cubed: float
     e_g1g1g2: float
     degenerate: bool
+    # A zero-argument function that returns the pair table.
     _pair_table: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -449,28 +588,38 @@ class MomentStats:
     def g2_hat(self) -> np.ndarray:  # not a field: built on first read
         if self._pair_table is None:
             raise ValueError("g2_hat needs the pair table of a record built by compute_stats")
-        return _pair_projection_from_inner(self._pair_table, self.g1_hat, self.u_hat, self.motif.r)
+        return _pair_projection_from_inner(self._pair_table(), self.g1_hat, self.u_hat,
+                                           self.motif.r)
 
 
 def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
     The pair completion counts are computed once and give the per-node
-    counts, ``e_g1g1g2`` and, when read, ``g2_hat`` (module docstring).  Sets
+    counts, ``e_g1g1g2`` and, when read, ``g2_hat`` (module docstring); on
+    the sparse route the counts and ``e_g1g1g2`` come from the edges and
+    listed triangles (:func:`_listed_counts`), and the table is built
+    only if ``g2_hat`` is read.  Sets
     ``degenerate`` when the variance estimate is exactly zero (e.g.
     empty or complete graphs); downstream studentization must check the
     flag rather than divide.
     """
     n, r = A.n, motif.r
-    inner = _inner_counts(A.a, motif)
-    total, per = _counts_from_inner(inner, r)
+    if _listed_route(A.a, motif):
+        per, sums = _listed_counts(A.a, motif)
+        total, per = _totals(per, r)
+        table = functools.partial(_inner_counts, A.a, motif)
+    else:
+        inner = _inner_counts(A.a, motif)
+        total, per = _counts_from_inner(inner, r)
+        sums, table = _pair_table_sums(inner, per, r), lambda: inner
     u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
     u_hat = float(u_hat)
     # y = inner @ g1 (row i of inner sums to (r - 1) * per_i); q = g1' g2 g1.
-    y = _pair_table_sums(inner, per, r) / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
+    y = sums / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
     s1, s2, s3 = np.sum(g1), np.sum(g1 * g1), np.sum(g1 ** 3)
     q = np.sum(g1 * y) / math.comb(n - 2, r - 2) - u_hat * (s1 * s1 - s2) - 2.0 * (s1 * s2 - s3)
     return MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,
                        xi1_hat_sq=float(s2 / n), e_g1_cubed=float(s3 / n),
                        e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate),
-                       _pair_table=inner)
+                       _pair_table=table)

@@ -328,6 +328,17 @@ class TestExperimentCommand:
                               f"{kind} experiments")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["accuracy", "sparsity"])
+    def test_bad_degenerate_cap_fails_before_any_file_or_warning(self, tmp_path, kind):
+        # rho = 1 at n = 12 would print the 1/log n caveat if the run got that far.
+        proc = run_module(["experiment", kind, "--config", str(experiment_config(tmp_path)),
+                           "--out", str(tmp_path / "results.csv"),
+                           "--max-degenerate-fraction", "-0.5"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("netmoments experiment: error: max_degenerate_fraction "
+                               "must lie in [0, 1], got -0.5\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_accuracy_runs_a_rho_list_as_the_sweep(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, rho=[1, "n^-1/2"])
         outputs = {}

@@ -600,22 +600,28 @@ def _outputs(A, motif):
             per.dtype, per.tobytes(), repr(jackknife_variance(A, motif)))
 
 
+def _sparse_graphs():
+    """Sparse-route graphs: random, empty, a star, isolated nodes, two
+    components, and nodes in no V-shape."""
+    rng = np.random.default_rng(70)
+    return {
+        "random200": random_graph(rng, 200, 0.02),
+        "random600": random_graph(rng, 600, 0.012),
+        "empty": AdjacencyMatrix(np.zeros((250, 250), dtype=np.int8)),
+        "star": _star(300),
+        "isolated": _with_isolated(random_graph(rng, 300, 0.015), 200),
+        "components": _two_components(rng),
+        "matching": _with_matching(random_graph(rng, 300, 0.012), 20),
+    }
+
+
 class TestSparseTables:
     """On the sparse route the edge table is the adjacency itself, and the CSR
     triangle and V-shape tables give the dense route's bytes."""
 
     @pytest.fixture(scope="class")
     def graphs(self):
-        rng = np.random.default_rng(70)
-        return {
-            "random200": random_graph(rng, 200, 0.02),
-            "random600": random_graph(rng, 600, 0.012),
-            "empty": AdjacencyMatrix(np.zeros((250, 250), dtype=np.int8)),
-            "star": _star(300),
-            "isolated": _with_isolated(random_graph(rng, 300, 0.015), 200),
-            "components": _two_components(rng),
-            "matching": _with_matching(random_graph(rng, 300, 0.012), 20),
-        }
+        return _sparse_graphs()
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_equal_to_dense_route(self, graphs, motif, monkeypatch):
@@ -652,6 +658,111 @@ class TestSparseTables:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * n * n
+
+
+def _traced_peak(A, motif):
+    """Peak bytes traced by ``compute_stats(A, motif)``, scipy.sparse loaded first."""
+    compute_stats(A, motif)
+    tracemalloc.start()
+    try:
+        compute_stats(A, motif)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestListedCounts:
+    """On the sparse route the edge, triangle and V-shape counts and ``inner @ per``
+    come from edges and listed triangles, exactly as from the pair table."""
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_equal_to_table_route(self, motif):
+        graphs = {**_sparse_graphs(),
+                  "random2000": random_graph(np.random.default_rng(74), 2000, 40 / 1999)}
+        for name, A in graphs.items():
+            assert moments._sparse_route(A.a), name
+            per, sums = moments._listed_counts(A.a, motif)
+            inner = moments._inner_counts(A.a, motif)
+            _, table_per = moments._counts_from_inner(inner, motif.r)
+            table_sums = moments._pair_table_sums(inner, table_per, motif.r)
+            assert per.dtype == table_per.dtype and per.tobytes() == table_per.tobytes(), name
+            assert sums.dtype == table_sums.dtype, name
+            assert sums.tobytes() == table_sums.tobytes(), name
+
+    @pytest.mark.parametrize("n, dtype", [(11_400, np.float64), (11_700, np.int64)])
+    def test_vshape_star_on_both_sides_of_2_53(self, n, dtype, monkeypatch):
+        # The CSR table would hold (n - 1)^2 ~ 1.4e8 entries.
+        def no_table(*args):
+            raise AssertionError("pair table built")
+
+        monkeypatch.setattr(moments, "_sparse_inner_counts", no_table)
+        a = np.zeros((n, n), dtype=np.int8)
+        a[0, 1:] = a[1:, 0] = 1
+        assert moments._sparse_route(a)
+        per, sums = moments._listed_counts(a, VSHAPE)
+        # Hub-leaf pairs complete through any other leaf, leaf pairs through the hub.
+        hub, leaf = math.comb(n - 1, 2), n - 2
+        assert (2 * hub ** 2 < 2 ** 53) == (dtype is np.float64)
+        assert per.tolist() == [hub] + [leaf] * (n - 1)
+        assert sums.dtype == dtype
+        assert int(sums[0]) == (n - 1) * leaf * leaf
+        assert {int(v) for v in sums[1:].tolist()} == {leaf * hub + (n - 2) * leaf}
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_table_sums_above_the_int64_bound(self, motif, monkeypatch):
+        # Sums too large for the int64 partial sums come from the CSR table.
+        A = _sparse_graphs()["components"]
+        per, sums = moments._listed_counts(A.a, motif)
+        monkeypatch.setattr(moments, "_LISTED_SUMS_MAX_TOP", 0)
+        built = []
+        table = moments._inner_counts
+        monkeypatch.setattr(moments, "_inner_counts", lambda *args: built.append(1) or table(*args))
+        per_table, sums_table = moments._listed_counts(A.a, motif)
+        assert built == [1]
+        assert per_table.tobytes() == per.tobytes()
+        assert sums_table.dtype == sums.dtype and sums_table.tobytes() == sums.tobytes()
+
+    def test_hub_at_either_end_of_the_ids(self):
+        n = 3000
+        a = random_graph(np.random.default_rng(75), n, 10 / (n - 1)).a.copy()
+        a[0, 1:] = a[1:, 0] = 1
+        results = []
+        for hub_first in (a, a[::-1, ::-1].copy()):  # the hub at id 1, then at id n
+            rows, cols, _ = moments._csr_arrays(hub_first)
+            src, _ = moments._oriented(rows, cols, np.bincount(rows, minlength=n))
+            assert np.bincount(src).max() ** 2 <= rows.size  # out-degree <= sqrt(2m)
+            A = AdjacencyMatrix(hub_first)
+            for motif in (TRIANGLE, VSHAPE):
+                assert _traced_peak(A, motif) <= n * n
+                results.append(moments._listed_counts(hub_first, motif))
+        for (per, sums), (per_rev, sums_rev) in zip(results[:2], results[2:]):
+            assert np.array_equal(per, per_rev[::-1]) and np.array_equal(sums, sums_rev[::-1])
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_no_table_unless_g2_hat_is_read(self, motif, monkeypatch):
+        calls = []
+        table = moments._sparse_inner_counts
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(moments, "_sparse_inner_counts", counted)
+        A = random_graph(np.random.default_rng(76), 600, 0.012)
+        stats = compute_stats(A, motif)
+        motif_counts(A, motif)
+        jackknife_variance(A, motif)
+        assert calls == []
+        stats.g2_hat
+        # The edge's table is the adjacency itself.
+        assert len(calls) == (0 if motif is EDGE else 1)
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_peak_memory(self, motif):
+        # Edges and triangles only: ~2.2 MB measured, against n^2 = 4 MB.
+        n = 2000
+        A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
+        assert _traced_peak(A, motif) <= n * n
 
 
 class TestCostCaps:
