@@ -18,10 +18,10 @@ enumerate the r-subsets once, refused with ``CostCapError`` above
 (:func:`_sparse_route`) no table is built for the edge, triangle and
 V-shape counts: :func:`_listed_counts` forms the per-node counts and
 ``inner @ per_node`` from the edges and the triangles listed on a
-degree-ordered orientation, in O(m sqrt(m)) time for m edges, and the
-CSR triangle or V-shape table is built only if ``g2`` is read.  There
-the three-star's ``A @ A`` is a scipy CSR product.  Counts are exact, so
-the route never changes a byte.
+degree-ordered orientation, in O(m sqrt(m)) time for m edges.  Tables
+there (triangle and V-shape ones only if ``g2`` is read) are scattered
+from listed triangles and neighbour pairs, not BLAS products.  Counts are
+exact, so the route never changes a byte.
 """
 
 from __future__ import annotations
@@ -57,10 +57,15 @@ MAX_GENERIC_SUBSETS = 100_000_000
 
 # _sparse_route sends a single graph with at least this many nodes and
 # at most this share of nonzero adjacency entries (mean degree / n) to
-# sparse products.  Set from a measured crossover against BLAS (1 and 2
-# threads): the sparse product wins from n = 200 up to density 0.02
-# (1.3x at n = 200, 2.5-4x at n = 1000), is even at 0.03 and loses at
-# 0.05; below n = 200 either takes a fraction of a millisecond.
+# listed counting and scattered tables, other graphs to dense BLAS tables.
+# The values came from a crossover against a CSR product that is gone and
+# are not yet retuned.  Triangle and V-shape counts and sums, dense /
+# listed, best of 7 (ms), show listed counting winning at density 0.05
+# from n = 200 and losing 3x at 0.1:
+#
+#   n, density:  40, 0.3    200, 0.05  500, 0.05  1000, 0.05  1000, 0.1  2000, 0.05
+#   triangle     0.02/0.09  0.23/0.20  2.7/1.6    20/9.6      19/63      163/74
+#   V-shape      0.03/0.11  0.30/0.25  5.2/1.8    30/10.5     31/57      182/73
 _SPARSE_MIN_NODES = 200
 _SPARSE_MAX_DENSITY = 0.02
 
@@ -87,9 +92,8 @@ def _inner_counts(a: np.ndarray, motif: Motif):
     ``a``'s shape and holds exact integers: ``a`` itself for the edge,
     float32 for the triangle and V-shape and int64 for the three-star
     and generic motifs, which are counted one graph at a time; on the
-    sparse route, triangle and V-shape tables are float64 CSR arrays
-    (:func:`_sparse_inner_counts`), built only for ``g2`` and for sums
-    too large for :func:`_listed_counts`, which gives the counts there.
+    sparse route :func:`_listed_inner_counts` gives the same triangle and
+    V-shape bytes, built only for ``g2``.
     Every entry of ``A @ A``, of the triangle table and of each V-shape
     intermediate is an integer of size at most 2n, and every partial sum
     of the product is at most n, so float32 is exact for n < 2^23 and
@@ -107,7 +111,7 @@ def _inner_counts(a: np.ndarray, motif: Motif):
     if kind == "edge":
         return a
     if kind in ("triangle", "vshape") and _sparse_route(a):
-        return _sparse_inner_counts(a, kind)
+        return _listed_inner_counts(a, kind)
     if kind in ("threestar", "generic") and a.ndim == 3:
         # No batched form; reshape keeps the shape of an empty stack.
         return np.array([_inner_counts(g, motif) for g in a]).reshape(a.shape)
@@ -136,13 +140,13 @@ def _inner_counts(a: np.ndarray, motif: Motif):
 
 
 def _sparse_route(a: np.ndarray) -> bool:
-    """Whether ``a`` is one graph (not a stack) to count with CSR products."""
+    """Whether ``a`` is one graph (not a stack) to count from listed structures."""
     n = a.shape[-1]
     return a.ndim == 2 and n >= _SPARSE_MIN_NODES \
         and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n
 
 
-def _csr_arrays(a: np.ndarray):
+def _nonzeros(a: np.ndarray):
     """``(rows, cols, indptr)`` of the nonzeros of one int8 adjacency ``a``.
 
     Row-major nonzeros give CSR column indices in order; the row lengths
@@ -156,52 +160,21 @@ def _csr_arrays(a: np.ndarray):
     return rows, cols, indptr
 
 
-def _csr(a: np.ndarray):
-    """The int8 adjacency ``a`` of one graph as a float64 scipy CSR array."""
-    # Imported here: the simulations never take the sparse route.
-    from scipy import sparse
-
-    n = a.shape[0]
-    _, cols, indptr = _csr_arrays(a)
-    return sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
-
-
-def _sparse_inner_counts(a: np.ndarray, kind: str):
-    """Triangle or V-shape pair completion counts as a CSR array.
-
-    With ``C = A @ A`` and ``*`` elementwise: ``C*A`` and
-    ``C + A*(d_i + d_j - 2) - 2*C*A`` with a zero diagonal, the dense
-    route's exact integers in O(sum of squared degrees) memory.
-    """
-    s = _csr(a)
-    codeg = s @ s
-    if kind == "triangle":
-        return codeg.multiply(s)
-    from scipy import sparse
-
-    n, deg = a.shape[0], np.diff(s.indptr)
-    rows, d = np.repeat(np.arange(n), deg), deg.astype(np.float64)
-    ends = sparse.csr_array((d[rows] + d[s.indices] - 2.0, s.indices, s.indptr), shape=(n, n))
-    degrees = sparse.csr_array((d, np.arange(n), np.arange(n + 1)), shape=(n, n))
-    return codeg + ends - 2.0 * codeg.multiply(s) - degrees
-
-
 def _listed_route(a: np.ndarray, motif: Motif) -> bool:
     """Whether counts and sums come from :func:`_listed_counts`, not a table."""
     return _structural_kind(motif) in ("edge", "triangle", "vshape") and _sparse_route(a)
 
 
-# The triangle listing builds and closes its wedges in chunks of about
-# this many, so its temporaries stay a few MB whatever the graph.
-_WEDGE_CHUNK = 1 << 16
+# Wedges and codegree pairs come in chunks of about this many: a few MB.
+_PAIR_CHUNK = 1 << 16
 
 # _listed_counts forms its sums in int64 below this top (see there).
 _LISTED_SUMS_MAX_TOP = 2 ** 59
 
 
 def _node_sums(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Exact int64 sums of ``values`` into their ``nodes``."""
-    out = np.zeros(n, dtype=np.int64)
+    """Exact sums of int64 or Python-int ``values`` into their ``nodes``."""
+    out = np.zeros(n, dtype=values.dtype)
     np.add.at(out, nodes, values)
     return out
 
@@ -221,6 +194,17 @@ def _oriented(rows: np.ndarray, cols: np.ndarray, d: np.ndarray):
     return rows[up], cols[up]
 
 
+def _pair_chunks(start: np.ndarray, count: np.ndarray):
+    """Index pairs ``(e, f)``, f in ``start[e] .. start[e] + count[e] - 1``, as
+    arrays of about ``_PAIR_CHUNK`` pairs; at least one, empty if no pairs."""
+    cum = np.cumsum(count)
+    cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1] if cum.size else 0, _PAIR_CHUNK))
+    for e0, e1 in zip([0, *cuts], [*cuts, count.size]):
+        w = count[e0:e1]
+        e = np.repeat(np.arange(e0, e1), w)
+        yield e, np.repeat(start[e0:e1] - (np.cumsum(w) - w), w) + np.arange(e.size)
+
+
 def _triangles(a: np.ndarray, src: np.ndarray, dst: np.ndarray):
     """Every triangle of one graph once, as three int64 node arrays ``(k, i, j)``.
 
@@ -232,19 +216,48 @@ def _triangles(a: np.ndarray, src: np.ndarray, dst: np.ndarray):
     n = a.shape[0]
     # The wedges of edge e pair it with the later edges of its out-list.
     later = np.cumsum(np.bincount(src, minlength=n))[src] - 1 - np.arange(src.size)
-    cum = np.cumsum(later)
-    cuts = np.searchsorted(cum, np.arange(_WEDGE_CHUNK, cum[-1] if cum.size else 0, _WEDGE_CHUNK))
     flat = a.reshape(-1).view(np.bool_)
     found = []
-    for e0, e1 in zip([0, *cuts], [*cuts, src.size]):
-        w = later[e0:e1]
-        first = np.repeat(np.arange(e0, e1), w)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(w) - w, w)
+    for first, second in _pair_chunks(np.arange(1, src.size + 1), later):
         i, j = dst[first], dst[second]
         closed = flat[i * n + j]
         found.append((src[first[closed]], i[closed], j[closed]))
     k, i, j = (np.concatenate(x) for x in zip(*found))
     return k, i, j
+
+
+def _codegrees(rows: np.ndarray, cols: np.ndarray, indptr: np.ndarray, dtype) -> np.ndarray:
+    """``A @ A`` of one graph from its :func:`_nonzeros`, in exact integers.
+
+    Edge e = (i, k) adds 1 at (i, j) for every edge (k, j), so a chunk
+    fills a band of rows.  np.add.at of a scalar of the buffer's dtype took
+    half the time of np.unique counts at n = 2000."""
+    n = indptr.size - 1
+    codeg = np.zeros((n, n), dtype=dtype)
+    for e, f in _pair_chunks(indptr[cols], np.diff(indptr)[cols]):
+        np.add.at(codeg.reshape(-1), rows[e] * n + cols[f], codeg.dtype.type(1))
+    return codeg
+
+
+def _listed_inner_counts(a: np.ndarray, kind: str) -> np.ndarray:
+    """The dense route's float32 triangle or V-shape table, in its bytes, without
+    its n^2 passes: the codegrees C on the edges (triangles per edge) scattered
+    from the listed triangles, or C (:func:`_codegrees`) with
+    ``d_i + d_j - 2 - C_ij`` on the edges and a zero diagonal."""
+    n = a.shape[0]
+    rows, cols, indptr = _nonzeros(a)
+    d = np.diff(indptr)
+    if kind == "vshape":
+        inner = _codegrees(rows, cols, indptr, np.float32)
+        flat, on_edge = inner.reshape(-1), rows * n + cols
+        flat[on_edge] = (d[rows] + d[cols] - 2).astype(np.float32) - flat[on_edge]
+        np.fill_diagonal(inner, 0.0)
+        return inner
+    inner = np.zeros((n, n), dtype=np.float32)
+    k, i, j = _triangles(a, *_oriented(rows, cols, d))
+    ends = np.concatenate([k, i, k, j, i, j]) * n + np.concatenate([i, k, j, k, j, i])
+    np.add.at(inner.reshape(-1), ends, np.float32(1))
+    return inner
 
 
 def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
@@ -265,11 +278,11 @@ def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
     :func:`_pair_table_sums` picks.  Each of the five V-shape terms is at
     most 2*top (``top = (r-1) * max(per)^2``), so every partial sum is
     below 9*top, inside int64 for top < ``_LISTED_SUMS_MAX_TOP``; above
-    it (a hub of degree ~33k) the sums come from the CSR table.
+    it (a hub of degree ~33k) the same sums are formed in Python ints.
     ``sums=False`` returns ``(per, None)``.
     """
     n, kind = a.shape[0], _structural_kind(motif)
-    rows, cols, _ = _csr_arrays(a)
+    rows, cols, _ = _nonzeros(a)
     d = np.bincount(rows, minlength=n)
 
     def adj(x):  # A @ x
@@ -287,15 +300,15 @@ def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
             return _node_sums(corners, np.concatenate([x[i] + x[j], x[k] + x[j], x[k] + x[i]]), n)
     if not sums:
         return per, None
-    if (motif.r - 1) * int(per.max(initial=0)) ** 2 >= _LISTED_SUMS_MAX_TOP:
-        return per, _pair_table_sums(_inner_counts(a, motif), per, motif.r)
+    big = (motif.r - 1) * int(per.max(initial=0)) ** 2 >= _LISTED_SUMS_MAX_TOP
+    d, x = (d.astype(object), per.astype(object)) if big else (d, per)
     if kind == "edge":
         y = adj(d)
     elif kind == "triangle":
-        y = around(per)
+        y = around(x)
     else:
-        a_per = adj(per)
-        y = adj(a_per) - d * per + (d - 2) * a_per + adj(d * per) - 2 * around(per)
+        a_x = adj(x)
+        y = adj(a_x) - d * x + (d - 2) * a_x + adj(d * x) - 2 * around(x)
     return per, y.astype(_sums_dtype(per, motif.r), copy=False)
 
 
@@ -406,11 +419,8 @@ def _threestar_inner_counts(a: np.ndarray) -> np.ndarray:
     """
     af = a.astype(np.float64)
     d = af.sum(axis=1)
-    if _sparse_route(a):  # exact integers either way: the same bytes
-        s = _csr(a)
-        codeg = (s @ s).toarray()
-    else:
-        codeg = af @ af
+    # Exact integers either way: the same bytes.
+    codeg = _codegrees(*_nonzeros(a), np.float64) if _sparse_route(a) else af @ af
     np.fill_diagonal(codeg, 0.0)
     m = (af * (codeg - 1.0)) @ af
     e = _common_neighbour_edges(a, codeg)
@@ -459,20 +469,17 @@ _PAIR_SUM_ELEMENTS = 1 << 16
 
 def _pair_projection_from_inner(inner, g1: np.ndarray, u_hat: float, r: int) -> np.ndarray:
     """``g2`` in one buffer: ``(inner[i, j] / C(n-2, r-2) - u_hat) - (g1[i] + g1[j])``,
-    bitwise symmetric; an entry a CSR table omits gives ``0.0 - u_hat``."""
+    bitwise symmetric."""
     n = inner.shape[0]
     comb = math.comb(n - 2, r - 2)
-    if isinstance(inner, np.ndarray):
-        # In float64: a float32 table divided by an int would stay float32.
-        g2 = np.divide(inner, comb, dtype=np.float64)
-        g2 -= u_hat
-    else:
-        g2 = np.full((n, n), 0.0 - u_hat)
-        rows = np.repeat(np.arange(n), np.diff(inner.indptr))
-        g2.reshape(-1)[rows * n + inner.indices] = inner.data / comb - u_hat
+    g2 = np.empty((n, n))
     step = max(1, _PAIR_SUM_ELEMENTS // n)
     for start in range(0, n, step):
-        g2[start:start + step] -= g1[start:start + step, None] + g1[None, :]
+        block = g2[start:start + step]
+        # In float64: a float32 table divided by an int would stay float32.
+        np.divide(inner[start:start + step], comb, out=block, dtype=np.float64)
+        block -= u_hat
+        block -= g1[start:start + step, None] + g1[None, :]
     np.fill_diagonal(g2, 0.0)
     return g2
 
@@ -483,24 +490,16 @@ def _sums_dtype(per: np.ndarray, r: int):
     return np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
 
 
-def _pair_table_sums(inner, per: np.ndarray, r: int) -> np.ndarray:
-    """``inner @ per`` in exact integers, whatever the route or BLAS thread count.
+def _pair_table_sums(inner: np.ndarray, per: np.ndarray, r: int) -> np.ndarray:
+    """``inner @ per`` in exact integers, whatever the BLAS thread count.
 
     Row i sums nonnegative integers to at most ``(r-1) * per_i * max(per)``,
     so float64 is exact in any order below 2^53, then int64 to 2^63, then
-    Python ints (dense three-star graphs from n ~ 2200).  einsum casts dense
-    tables in its buffers: none is copied into an n x n float64 array."""
+    Python ints (dense three-star graphs from n ~ 2200).  einsum casts the
+    table in its buffers: it is not copied into an n x n float64 array."""
     dtype = _sums_dtype(per, r)
-    if isinstance(inner, np.ndarray):
-        table = inner.astype(np.int64, copy=False) if dtype is object else inner
-        return np.einsum("ij,j->i", table, per, dtype=dtype, casting="unsafe")
-    if dtype is np.float64:
-        return inner @ per.astype(dtype)
-    # A CSR table past 2^53 has a hub of degree ~12k; scipy has no object dtype.
-    out, terms = np.zeros(per.size, dtype), inner.data.astype(np.int64).astype(dtype)
-    np.add.at(out, np.repeat(np.arange(per.size), np.diff(inner.indptr)),
-              terms * per[inner.indices].astype(dtype))
-    return out
+    table = inner.astype(np.int64, copy=False) if dtype is object else inner
+    return np.einsum("ij,j->i", table, per, dtype=dtype, casting="unsafe")
 
 
 def variance_estimator(g1: np.ndarray, r: int):

@@ -10,7 +10,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         CostCapError, Motif, compute_stats, edgeworth_coefficients,
@@ -151,15 +150,15 @@ class TestEdgeworthCoefficients:
 
 
 def _gate_cases():
-    """Graphs for the E[g1 g1 g2] tolerance gate: the golden graphs, CSR-route
-    sparse graphs to n = 4000, the three-star to n = 300, four-path and bull."""
+    """Graphs for the E[g1 g1 g2] tolerance gate: the golden graphs, sparse-route
+    graphs to n = 4000, the three-star to n = 300, four-path and bull."""
     yield from ((label, A, motif) for label, A, motif in GOLDEN_STATS_CASES)
     rng = np.random.default_rng(72)
     for n, degree in ((300, 5), (1000, 10), (2000, 20), (4000, 8)):
         A = random_graph(rng, n, degree / (n - 1))
         assert moments._sparse_route(A.a)
         for motif in (EDGE, TRIANGLE, VSHAPE):
-            yield f"csr{n}", A, motif
+            yield f"sparse{n}", A, motif
     for n, p in ((40, 0.3), (120, 0.1), (300, 0.04)):
         yield f"random{n}", random_graph(rng, n, p), THREESTAR
     yield "random30", random_graph(rng, 30, 0.2), FOUR_PATH
@@ -197,10 +196,9 @@ def test_e_g1g1g2_bytes_independent_of_blas_threads():
 
 class TestPairTableSums:
     """``inner @ per`` is exact in float64 below 2^53, in int64 up to 2^63 and
-    in Python ints beyond, for dense and CSR tables."""
+    in Python ints beyond."""
 
-    @pytest.mark.parametrize("kind", ["dense", "csr"])
-    def test_exact_on_both_sides_of_each_bound(self, kind):
+    def test_exact_on_both_sides_of_each_bound(self):
         rng = np.random.default_rng(73)
         s = np.triu(rng.integers(0, 1000, (6, 6)), 1)
         s += s.T
@@ -211,8 +209,6 @@ class TestPairTableSums:
             for scale, dtype in ((c, below), (c + 1, above)):
                 table, per = 2 * scale * s, scale * s.sum(1)
                 assert (2 * int(per.max()) ** 2 < bound) == (dtype is below)
-                if kind == "csr":
-                    table = scipy.sparse.csr_array(table.astype(np.float64))
                 got = moments._pair_table_sums(table, per, 3)
                 assert got.dtype == dtype
                 exact = [sum(int(x) * int(p) for x, p in zip(row, per.tolist()))
@@ -517,31 +513,32 @@ class TestDenseTables:
 
 @pytest.fixture
 def sparse_route(monkeypatch):
-    """Send every single graph, however small or dense, through the CSR product."""
+    """Send every single graph, however small or dense, to listed counting and
+    scattered tables."""
     monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 0)
     monkeypatch.setattr(moments, "_SPARSE_MAX_DENSITY", 1.0)
 
 
 class TestCodegreeRoute:
-    """The three-star kernel's sparse and dense codegree products give the same bytes."""
+    """The three-star kernel's scattered and BLAS codegrees give the same bytes."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
         # Records which route each _threestar_inner_counts call takes.
         taken = []
-        csr_array = scipy.sparse.csr_array
+        codegrees = moments._codegrees
 
-        def spy(*args, **kwargs):
-            taken.append("csr")
-            return csr_array(*args, **kwargs)
+        def spy(*args):
+            taken.append("listed")
+            return codegrees(*args)
 
-        monkeypatch.setattr(scipy.sparse, "csr_array", spy)
+        monkeypatch.setattr(moments, "_codegrees", spy)
         return taken
 
     def assert_route(self, a, route, taken):
         taken.clear()
         inner = _threestar_inner_counts(a)
-        assert taken == (["csr"] if route == "csr" else [])
+        assert taken == (["listed"] if route == "listed" else [])
         with mock.patch.object(moments, "_SPARSE_MIN_NODES", 10 ** 9):
             dense = _threestar_inner_counts(a)
         assert inner.dtype == dense.dtype and inner.tobytes() == dense.tobytes()
@@ -549,12 +546,12 @@ class TestCodegreeRoute:
     def test_both_sides_of_the_threshold(self, routes):
         rng = np.random.default_rng(60)
         n_min, density = moments._SPARSE_MIN_NODES, moments._SPARSE_MAX_DENSITY
-        self.assert_route(random_graph(rng, 2 * n_min, density / 2).a, "csr", routes)
-        self.assert_route(random_graph(rng, 600, 0.01).a, "csr", routes)
-        self.assert_route(np.zeros((n_min, n_min), dtype=np.int8), "csr", routes)
+        self.assert_route(random_graph(rng, 2 * n_min, density / 2).a, "listed", routes)
+        self.assert_route(random_graph(rng, 600, 0.01).a, "listed", routes)
+        self.assert_route(np.zeros((n_min, n_min), dtype=np.int8), "listed", routes)
         self.assert_route(_with_isolated(random_graph(rng, n_min, 0.01), 50).a,
-                          "csr", routes)
-        self.assert_route(_star(n_min + 1).a, "csr", routes)
+                          "listed", routes)
+        self.assert_route(_star(n_min + 1).a, "listed", routes)
         # Dense or small: BLAS.
         self.assert_route(random_graph(rng, 300, 0.3).a, "blas", routes)
         self.assert_route(random_graph(rng, 300, 2 * density).a, "blas", routes)
@@ -564,7 +561,7 @@ class TestCodegreeRoute:
         rng = np.random.default_rng(61)
         for n in (1, 2, 5, 12):
             for p in (0.0, 0.4, 1.0):
-                self.assert_route(random_graph(rng, n, p).a, "csr", routes)
+                self.assert_route(random_graph(rng, n, p).a, "listed", routes)
 
     def test_forced_route_equals_brute_force(self, sparse_route):
         assert_fast_paths_equal_brute_force((EDGE, TRIANGLE, VSHAPE, THREESTAR))
@@ -590,8 +587,8 @@ def _with_matching(A, pairs):
 def _outputs(A, motif):
     """Every public result for one graph and motif, as comparable bytes."""
     stats = compute_stats(A, motif)
-    # The dense and CSR pair tables differ in type by design; pair_projection
-    # compares the g2 they give.
+    # The pair table is a function that builds it; pair_projection compares
+    # the g2 it gives.
     fields = [(f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
               for f in dataclasses.fields(stats) if f.name != "_pair_table"
               for v in [getattr(stats, f.name)]]
@@ -616,8 +613,8 @@ def _sparse_graphs():
 
 
 class TestSparseTables:
-    """On the sparse route the edge table is the adjacency itself, and the CSR
-    triangle and V-shape tables give the dense route's bytes."""
+    """On the sparse route the edge table is the adjacency itself, and the
+    triangle and V-shape tables are the dense route's float32 arrays."""
 
     @pytest.fixture(scope="class")
     def graphs(self):
@@ -628,15 +625,15 @@ class TestSparseTables:
         for name, A in graphs.items():
             assert moments._sparse_route(A.a), name
             table = moments._inner_counts(A.a, motif)
-            if motif is EDGE:
-                assert table is A.a, name
-            else:
-                assert isinstance(table, scipy.sparse.csr_array), name
+            assert motif is not EDGE or table is A.a, name
             sparse = _outputs(A, motif)
             with monkeypatch.context() as m:
                 m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
-                assert isinstance(moments._inner_counts(A.a, motif), np.ndarray)
+                dense_table = moments._inner_counts(A.a, motif)
                 dense = _outputs(A, motif)
+            assert type(table) is type(dense_table) is np.ndarray, name
+            assert table.dtype == dense_table.dtype == (np.int8 if motif is EDGE else np.float32)
+            assert table.tobytes() == dense_table.tobytes(), name
             assert sparse == dense, name
 
     def test_node_in_no_vshape(self, graphs):
@@ -650,7 +647,7 @@ class TestSparseTables:
         # the bound, 4 n^2 bytes, is half of one.
         n = 2000
         A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
-        compute_stats(A, motif)  # loads scipy.sparse outside the measurement
+        compute_stats(A, motif)  # warms up outside the measurement
         tracemalloc.start()
         try:
             compute_stats(A, motif)
@@ -660,8 +657,16 @@ class TestSparseTables:
         assert peak <= 4 * n * n
 
 
+def _hub_at_either_end(n):
+    """A degree-10 random graph plus a hub joined to every node, with the hub
+    at id 1, then at id n."""
+    a = random_graph(np.random.default_rng(75), n, 10 / (n - 1)).a.copy()
+    a[0, 1:] = a[1:, 0] = 1
+    return a, a[::-1, ::-1].copy()
+
+
 def _traced_peak(A, motif):
-    """Peak bytes traced by ``compute_stats(A, motif)``, scipy.sparse loaded first."""
+    """Peak bytes traced by ``compute_stats(A, motif)``, after one call to warm up."""
     compute_stats(A, motif)
     tracemalloc.start()
     try:
@@ -669,6 +674,23 @@ def _traced_peak(A, motif):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sparse_route_imports_no_scipy_sparse():
+    # g2_hat and the three-star on sparse-route graphs, in a fresh interpreter.
+    code = ("import sys; import numpy as np; from conftest import random_graph; "
+            "from netmoments import EDGE, TRIANGLE, VSHAPE, THREESTAR, compute_stats, moments; "
+            "A = random_graph(np.random.default_rng(78), 600, 0.012); "
+            "assert moments._sparse_route(A.a); "
+            "[compute_stats(A, m).g2_hat for m in (EDGE, TRIANGLE, VSHAPE)]; "
+            "compute_stats(A, THREESTAR); "
+            "print('scipy.sparse' in sys.modules)")
+    tests = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(Path(moments.__file__).parents[1]), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "False\n"
 
 
 class TestListedCounts:
@@ -691,11 +713,11 @@ class TestListedCounts:
 
     @pytest.mark.parametrize("n, dtype", [(11_400, np.float64), (11_700, np.int64)])
     def test_vshape_star_on_both_sides_of_2_53(self, n, dtype, monkeypatch):
-        # The CSR table would hold (n - 1)^2 ~ 1.4e8 entries.
+        # The pair table would be n x n float32, over 0.5 GB.
         def no_table(*args):
             raise AssertionError("pair table built")
 
-        monkeypatch.setattr(moments, "_sparse_inner_counts", no_table)
+        monkeypatch.setattr(moments, "_listed_inner_counts", no_table)
         a = np.zeros((n, n), dtype=np.int8)
         a[0, 1:] = a[1:, 0] = 1
         assert moments._sparse_route(a)
@@ -710,25 +732,25 @@ class TestListedCounts:
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_table_sums_above_the_int64_bound(self, motif, monkeypatch):
-        # Sums too large for the int64 partial sums come from the CSR table.
+        # Sums too large for the int64 partial sums are formed in Python ints
+        # from the same listed arrays, with no table.
         A = _sparse_graphs()["components"]
         per, sums = moments._listed_counts(A.a, motif)
         monkeypatch.setattr(moments, "_LISTED_SUMS_MAX_TOP", 0)
         built = []
-        table = moments._inner_counts
-        monkeypatch.setattr(moments, "_inner_counts", lambda *args: built.append(1) or table(*args))
-        per_table, sums_table = moments._listed_counts(A.a, motif)
-        assert built == [1]
-        assert per_table.tobytes() == per.tobytes()
-        assert sums_table.dtype == sums.dtype and sums_table.tobytes() == sums.tobytes()
+        for name in ("_inner_counts", "_listed_inner_counts", "_codegrees"):
+            table = getattr(moments, name)
+            monkeypatch.setattr(moments, name, lambda *args, f=table: built.append(1) or f(*args))
+        big_per, big_sums = moments._listed_counts(A.a, motif)
+        assert built == []
+        assert big_per.dtype == per.dtype and big_per.tobytes() == per.tobytes()
+        assert big_sums.dtype == sums.dtype and big_sums.tobytes() == sums.tobytes()
 
     def test_hub_at_either_end_of_the_ids(self):
         n = 3000
-        a = random_graph(np.random.default_rng(75), n, 10 / (n - 1)).a.copy()
-        a[0, 1:] = a[1:, 0] = 1
         results = []
-        for hub_first in (a, a[::-1, ::-1].copy()):  # the hub at id 1, then at id n
-            rows, cols, _ = moments._csr_arrays(hub_first)
+        for hub_first in _hub_at_either_end(n):
+            rows, cols, _ = moments._nonzeros(hub_first)
             src, _ = moments._oriented(rows, cols, np.bincount(rows, minlength=n))
             assert np.bincount(src).max() ** 2 <= rows.size  # out-degree <= sqrt(2m)
             A = AdjacencyMatrix(hub_first)
@@ -738,16 +760,63 @@ class TestListedCounts:
         for (per, sums), (per_rev, sums_rev) in zip(results[:2], results[2:]):
             assert np.array_equal(per, per_rev[::-1]) and np.array_equal(sums, sums_rev[::-1])
 
+    def test_hub_g2_hat_equals_dense_route(self, monkeypatch):
+        for a in _hub_at_either_end(3000):
+            A = AdjacencyMatrix(a)
+            for motif in (TRIANGLE, VSHAPE):
+                listed = compute_stats(A, motif).g2_hat
+                with monkeypatch.context() as m:
+                    m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
+                    assert listed.tobytes() == compute_stats(A, motif).g2_hat.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2 ** 30])
+    def test_pair_chunk_invariance(self, chunk, sparse_route, monkeypatch):
+        # Forced onto the listed route, so that one-pair chunks stay quick.
+        rng = np.random.default_rng(77)
+        graphs = [random_graph(rng, 40, 0.3).a, random_graph(rng, 60, 0.05).a, _star(30).a,
+                  np.zeros((12, 12), dtype=np.int8),
+                  _with_isolated(random_graph(rng, 25, 0.5), 5).a]
+
+        def outputs():
+            for a in graphs:
+                rows, cols, _ = moments._nonzeros(a)
+                yield from moments._triangles(a, *moments._oriented(
+                    rows, cols, np.bincount(rows, minlength=a.shape[0])))
+                yield moments._threestar_inner_counts(a)
+                for motif in (TRIANGLE, VSHAPE):
+                    yield moments._inner_counts(a, motif)
+
+        default = [(x.dtype, x.tobytes()) for x in outputs()]
+        monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
+        assert [(x.dtype, x.tobytes()) for x in outputs()] == default
+
+    @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_g2_hat_peak_memory(self, motif):
+        # The float32 table and the float64 g2 (12 n^2 bytes), with no dense
+        # BLAS table or other n x n temporary beside them.
+        n = 2000
+        A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
+        assert moments._sparse_route(A.a)
+        compute_stats(A, motif).g2_hat  # warms up outside the measurement
+        stats = compute_stats(A, motif)
+        tracemalloc.start()
+        try:
+            stats.g2_hat
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * n + 2 ** 20
+
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_no_table_unless_g2_hat_is_read(self, motif, monkeypatch):
         calls = []
-        table = moments._sparse_inner_counts
+        table = moments._listed_inner_counts
 
         def counted(*args):
             calls.append(args)
             return table(*args)
 
-        monkeypatch.setattr(moments, "_sparse_inner_counts", counted)
+        monkeypatch.setattr(moments, "_listed_inner_counts", counted)
         A = random_graph(np.random.default_rng(76), 600, 0.012)
         stats = compute_stats(A, motif)
         motif_counts(A, motif)
