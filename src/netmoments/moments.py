@@ -317,8 +317,15 @@ def _counts_from_inner(inner: np.ndarray, r: int):
 
     For one graph ``total`` is an int and ``per_node`` an int64 array
     ``(n,)``; for a stack they are int64 arrays ``(b,)`` and ``(b, n)``.
+    Integer tables (the int8 edge table, the int64 three-star and generic
+    ones) sum exactly in int64; float32 tables sum in float64 (exact below
+    2^53) and round.
     """
-    return _totals(_round_int(inner.sum(axis=-1, dtype=np.float64)) // (r - 1), r)
+    if inner.dtype.kind == "f":
+        sums = _round_int(inner.sum(axis=-1, dtype=np.float64))
+    else:
+        sums = inner.sum(axis=-1, dtype=np.int64)
+    return _totals(sums // (r - 1), r)
 
 
 def _totals(per: np.ndarray, r: int):

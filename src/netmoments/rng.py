@@ -16,6 +16,7 @@ draw identical numbers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import threading
@@ -25,17 +26,25 @@ import numpy as np
 __all__ = ["stream", "substream_seed", "KeyedStreams", "thread_streams"]
 
 
+@functools.lru_cache(maxsize=256)
+def _str_label(label: str) -> bytes:
+    """A string label's bytes in the key; the protocols reuse a few labels."""
+    return b"s" + label.encode("utf-8") + b"\x00"
+
+
 def _digest(seed: int, labels: tuple) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(int(seed).to_bytes(16, "little", signed=True))
+    """BLAKE2b-128 of the seed and each label, as 16-byte two's complement
+    little-endian ints (labels prefixed ``i``) and NUL-terminated UTF-8
+    strings (prefixed ``s``), joined and hashed in one call."""
+    parts = [int(seed).to_bytes(16, "little", signed=True)]
     for lab in labels:
-        if isinstance(lab, (int, np.integer)):
-            h.update(b"i" + int(lab).to_bytes(16, "little", signed=True))
-        elif isinstance(lab, str):
-            h.update(b"s" + lab.encode("utf-8") + b"\x00")
+        if isinstance(lab, str):
+            parts.append(_str_label(lab))
+        elif isinstance(lab, (int, np.integer)):
+            parts.append(b"i" + int(lab).to_bytes(16, "little", signed=True))
         else:
             raise TypeError(f"stream labels must be str or int, got {type(lab).__name__}")
-    return h.digest()
+    return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
 
 
 def stream(seed: int, *labels) -> np.random.Generator:

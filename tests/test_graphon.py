@@ -15,9 +15,9 @@ from netmoments import (EDGE, TRIANGLE, DegeneracyError, Graphon, LatentSample,
                         nonsmooth_graphon, population_edgeworth_coefficients,
                         population_moment, probability_matrix, sample_adjacency,
                         sample_graph, sample_graph_block, sample_latent, smooth_graphon,
-                        stream)
-from netmoments.graphon import _block_labels, _edge_probabilities
-from netmoments.rng import KeyedStreams, thread_streams
+                        stream, substream_seed)
+from netmoments.graphon import _bernoulli_adjacency, _block_labels, _edge_probabilities
+from netmoments.rng import KeyedStreams, _digest, thread_streams
 
 from conftest import expected_h, paper_block_model
 
@@ -119,12 +119,53 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", ["blockmodel", "smoothgraphon", "nonsmoothgraphon"])
     def test_block_rows_equal_single_samples(self, name):
+        # n = 2 and 3 have one and three pairs; n = 181 is the last size
+        # whose network fits in a truth block's 2^15 entries.
         g = builtin_graphon(name)
         seeds = [3, 99, 2 ** 62 + 5, 0, 17]
-        block = sample_graph_block(g, 13, 0.6, seeds)
-        assert block.shape == (5, 13, 13) and not block.flags.writeable
+        for n in (2, 3, 13, 181, 182):
+            block = sample_graph_block(g, n, 0.6, seeds)
+            assert block.shape == (5, n, n) and not block.flags.writeable
+            for k, seed in enumerate(seeds):
+                assert block[k].tobytes() == sample_graph(g, n, 0.6, seed).a.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 7), (3, 7, 7), (2, 2)], ids=["one", "stack", "n2"])
+    def test_adjacency_reads_only_upper_triangle(self, shape):
+        # Below and on the diagonal, W holds the value that flips each
+        # pair's draw (and would put a loop on every node); the graph must
+        # come from the strict upper triangle alone.
+        n = shape[-1]
+        rng = stream(8, "upper-triangle")
+        upper = np.triu(rng.random(shape), 1)
+        u = rng.random(shape[:-2] + (n * (n - 1) // 2,))
+        expected = np.zeros(shape, dtype=np.int8)
+        for idx in np.ndindex(shape[:-2]):
+            for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+                expected[idx + (i, j)] = expected[idx + (j, i)] = u[idx + (p,)] < upper[idx + (i, j)]
+        flipped = np.where(np.swapaxes(expected, -1, -2) == 1, 0.0, 1.0)
+        W = upper + np.tril(flipped)
+        for given in (W, upper + np.swapaxes(upper, -1, -2)):
+            a = _bernoulli_adjacency(given, u)
+            assert a.dtype == np.int8 and not a.flags.writeable
+            assert a.tobytes() == expected.tobytes()
+
+    def test_block_rows_of_ulp_asymmetric_graphon(self):
+        # f(u, v) and f(v, u) differ by an ulp, which the spot check
+        # allows; the sampler still returns symmetric, hollow graphs.
+        def f(u, v):
+            s = 0.25 + 0.5 * u * v
+            return np.where(u < v, s, np.nextafter(s, 0.0))
+
+        g = custom_graphon(f, name="ulp-asymmetric")
+        x = stream(4, "ulp").random(30)
+        W = g.evaluate(x[:, None], x[None, :])
+        assert (W != W.T).any()
+        seeds = [5, 2 ** 62 + 5, 77]
+        block = sample_graph_block(g, 30, 1.0, seeds)
+        assert (block == np.swapaxes(block, -1, -2)).all()
+        assert not np.diagonal(block, axis1=-2, axis2=-1).any()
         for k, seed in enumerate(seeds):
-            assert block[k].tobytes() == sample_graph(g, 13, 0.6, seed).a.tobytes()
+            assert block[k].tobytes() == sample_graph(g, 30, 1.0, seed).a.tobytes()
 
     def test_block_range_check(self, unchecked):
         bad = custom_graphon(lambda u, v: 0.5 + 0.0 * u * v + 2.0 * (u > 0.9) * (v > 0.9))
@@ -247,6 +288,34 @@ class TestKeyedStreams:
     def test_labels_are_str_or_int(self):
         with pytest.raises(TypeError, match="stream labels must be str or int, got float"):
             stream(5, "edges", 0.5)
+        with pytest.raises(TypeError, match="stream labels must be str or int, got bytes"):
+            substream_seed(5, b"edges")
+
+    # (seed, labels, key digest, first two doubles of the stream, substream
+    # seed): every sampled network and bootstrap replicate is keyed here,
+    # so these bytes must never move.
+    STREAM_PINS = (
+        (0, (), "463be1d58a72e9618ea59884367c4358",
+         "0a026ca3fbadd73f3c15e03ba7d3d93f", 3527648115935976867),
+        (7, ("latent",), "667d6f2827714842886c5983c87982f1",
+         "08a0edb6720cee3f704e4232fcaba93f", 2388095908911234739),
+        (-3, ("mc-truth", 12), "f85001f49719c1b9ce5fed24cabaf0a2",
+         "006247793a298e3fc5968b80bcb8ee3f", 6692503853973153916),
+        (2 ** 62 + 5, ("edges", np.int64(-9), "x"), "f89c7126df8268b85412dbdf14cbf7cc",
+         "2c507fa2f32cda3f5c1032308888d73f", 6644007297745473148),
+        (-(2 ** 40), ("π-ü→", np.uint8(200)), "78cda1a9c91d921d3db04d9cb15bef18",
+         "307dfd9738eed53f38a1bb518c62b43f", 1065399162835625660),
+        (0, (True,), "8e07800670fc63c4b91b7f5b673f35f7",
+         "083399862021cc3ff2cd866f3127d93f", 7075716006101910471),
+    )
+
+    @pytest.mark.parametrize("seed,labels,digest,draws,sub", STREAM_PINS)
+    def test_stream_pinned_bytes(self, seed, labels, digest, draws, sub):
+        for _ in range(2):  # the second pass reads any cached label bytes
+            assert _digest(seed, labels).hex() == digest
+            assert stream(seed, *labels).random(2).tobytes().hex() == draws
+            assert KeyedStreams()(seed, *labels).random(2).tobytes().hex() == draws
+            assert substream_seed(seed, *labels) == sub
 
     def test_rekey_resets_state(self):
         streams = KeyedStreams()
