@@ -199,11 +199,14 @@ def graphon_from_config(spec) -> Graphon:
     blocks = {"pi", "B"} if kind == "BlockModel" else set()
     _check_keys(spec, {"kind", "name"} | blocks, blocks if blocks & set(spec) else (),
                 "graphon config")
+    name = spec.get("name")
+    if not isinstance(name, (str, type(None))):
+        raise ValueError(f"name must be a string or null, got {name!r}")
     if kind == "BlockModel":
         g = block_model(spec["pi"], spec["B"]) if "pi" in spec else _default_block_model()
     else:
         g = smooth_graphon() if kind == "SmoothGraphon" else nonsmooth_graphon()
-    g.name = spec.get("name") or g.name
+    g.name = name or g.name
     return g
 
 

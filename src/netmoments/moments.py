@@ -7,21 +7,21 @@ holds the motif.  Every containing r-set through node ``i`` pairs
 ``i`` with its other r - 1 members, so the table fixes the per-node
 counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
 ``per_node.sum() / r``, and E[g1 g1 g2], through the exact sums
-``inner @ per_node``; the n x n ``g2`` is built only when read.  One
-kernel, :func:`_inner_counts`, builds the table for one graph or a stack
-of graphs.  Edge, triangle, V-shape and three-star tables use closed
-counting formulas evaluated with matrix products of 0/1 matrices, whose
+``inner @ per_node``; the n x n ``g2`` is built only when read.
+:func:`_graph_counts` alone picks one graph's counting route.  A large
+sparse graph (:func:`_sparse_route`) has its nonzeros listed once: the
+edge, triangle and V-shape are counted from them and the triangles
+listed on a degree-ordered orientation, in O(m sqrt(m)) time for m
+edges, with a table scattered only if ``g2`` is read
+(:func:`_listed_counts`); the three-star scatters its codegrees from
+them.  Other graphs, and stacks, get their table from
+:func:`_inner_counts`: closed formulas for the edge, triangle, V-shape
+and three-star, evaluated with matrix products of 0/1 matrices whose
 values stay exact integers (float32 for the triangle and V-shape, exact
-for n < 2^23; row sums and ``g2`` are formed in float64).  Other motifs
-enumerate the r-subsets once, refused with ``CostCapError`` above
-``MAX_GENERIC_SUBSETS`` subsets.  On one large sparse graph
-(:func:`_sparse_route`) no table is built for the edge, triangle and
-V-shape counts: :func:`_listed_counts` forms the per-node counts and
-``inner @ per_node`` from the edges and the triangles listed on a
-degree-ordered orientation, in O(m sqrt(m)) time for m edges.  Tables
-there (triangle and V-shape ones only if ``g2`` is read) are scattered
-from listed triangles and neighbour pairs, not BLAS products.  Counts are
-exact, so the route never changes a byte.
+for n < 2^23; row sums and ``g2`` are formed in float64), and one pass
+over the r-subsets for other motifs, refused with ``CostCapError`` above
+``MAX_GENERIC_SUBSETS`` subsets.  Counts are exact, so the route never
+changes a byte.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ __all__ = [
 # motifs ignore it.  Read at call time, so every entry point shares it.
 MAX_GENERIC_SUBSETS = 100_000_000
 
-# _sparse_route sends a single graph with at least this many nodes and
-# at most this share of nonzero adjacency entries (mean degree / n) to
-# listed counting and scattered tables, other graphs to dense BLAS tables.
+# _graph_counts sends a graph with at least this many nodes and at most
+# this share of nonzero adjacency entries (mean degree / n) to listed
+# counting and scattered tables, other graphs to dense BLAS tables.
 # The values came from a crossover against a CSR product that is gone and
 # are not yet retuned.  Triangle and V-shape counts and sums, dense /
 # listed, best of 7 (ms), show listed counting winning at density 0.05
@@ -88,12 +88,11 @@ def _round_int(x: np.ndarray | float):
 def _inner_counts(a: np.ndarray, motif: Motif):
     """Pair completion counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
 
+    The table kernel, which picks no route (:func:`_graph_counts` does).
     ``a`` is the int8 adjacency of valid simple graphs.  The table has
     ``a``'s shape and holds exact integers: ``a`` itself for the edge,
     float32 for the triangle and V-shape and int64 for the three-star
-    and generic motifs, which are counted one graph at a time; on the
-    sparse route :func:`_listed_inner_counts` gives the same triangle and
-    V-shape bytes, built only for ``g2``.
+    and generic motifs, which are counted one graph at a time.
     Every entry of ``A @ A``, of the triangle table and of each V-shape
     intermediate is an integer of size at most 2n, and every partial sum
     of the product is at most n, so float32 is exact for n < 2^23 and
@@ -110,8 +109,6 @@ def _inner_counts(a: np.ndarray, motif: Motif):
     kind = _structural_kind(motif)
     if kind == "edge":
         return a
-    if kind in ("triangle", "vshape") and _sparse_route(a):
-        return _listed_inner_counts(a, kind)
     if kind in ("threestar", "generic") and a.ndim == 3:
         # No batched form; reshape keeps the shape of an empty stack.
         return np.array([_inner_counts(g, motif) for g in a]).reshape(a.shape)
@@ -140,10 +137,10 @@ def _inner_counts(a: np.ndarray, motif: Motif):
 
 
 def _sparse_route(a: np.ndarray) -> bool:
-    """Whether ``a`` is one graph (not a stack) to count from listed structures."""
-    n = a.shape[-1]
-    return a.ndim == 2 and n >= _SPARSE_MIN_NODES \
-        and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n
+    """Whether the one graph ``a`` is large and sparse enough to count from
+    listed structures; asked only by :func:`_graph_counts`."""
+    n = a.shape[0]
+    return n >= _SPARSE_MIN_NODES and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n
 
 
 def _nonzeros(a: np.ndarray):
@@ -158,11 +155,6 @@ def _nonzeros(a: np.ndarray):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return rows, cols, indptr
-
-
-def _listed_route(a: np.ndarray, motif: Motif) -> bool:
-    """Whether counts and sums come from :func:`_listed_counts`, not a table."""
-    return _structural_kind(motif) in ("edge", "triangle", "vshape") and _sparse_route(a)
 
 
 # Wedges and codegree pairs come in chunks of about this many: a few MB.
@@ -239,30 +231,9 @@ def _codegrees(rows: np.ndarray, cols: np.ndarray, indptr: np.ndarray, dtype) ->
     return codeg
 
 
-def _listed_inner_counts(a: np.ndarray, kind: str) -> np.ndarray:
-    """The dense route's float32 triangle or V-shape table, in its bytes, without
-    its n^2 passes: the codegrees C on the edges (triangles per edge) scattered
-    from the listed triangles, or C (:func:`_codegrees`) with
-    ``d_i + d_j - 2 - C_ij`` on the edges and a zero diagonal."""
-    n = a.shape[0]
-    rows, cols, indptr = _nonzeros(a)
-    d = np.diff(indptr)
-    if kind == "vshape":
-        inner = _codegrees(rows, cols, indptr, np.float32)
-        flat, on_edge = inner.reshape(-1), rows * n + cols
-        flat[on_edge] = (d[rows] + d[cols] - 2).astype(np.float32) - flat[on_edge]
-        np.fill_diagonal(inner, 0.0)
-        return inner
-    inner = np.zeros((n, n), dtype=np.float32)
-    k, i, j = _triangles(a, *_oriented(rows, cols, d))
-    ends = np.concatenate([k, i, k, j, i, j]) * n + np.concatenate([i, k, j, k, j, i])
-    np.add.at(inner.reshape(-1), ends, np.float32(1))
-    return inner
-
-
-def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
-    """``(per_node, inner @ per_node)`` of the edge, triangle or V-shape
-    from one graph's edges and listed triangles, without a pair table.
+def _listed_counts(a: np.ndarray, nonzeros, motif: Motif):
+    """:func:`_graph_counts` for the edge, triangle or V-shape on the sparse
+    route: from one graph's :func:`_nonzeros` and listed triangles.
 
     With ``d`` the degrees, ``tri`` the triangles at each node and
     ``T(x)_i`` the sum over the triangles at i of ``x`` at their other
@@ -279,17 +250,19 @@ def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
     most 2*top (``top = (r-1) * max(per)^2``), so every partial sum is
     below 9*top, inside int64 for top < ``_LISTED_SUMS_MAX_TOP``; above
     it (a hub of degree ~33k) the same sums are formed in Python ints.
-    ``sums=False`` returns ``(per, None)``.
+    The table is the dense one, in its bytes, without its n^2 passes: C on
+    the edges scattered from the triangles, or C (:func:`_codegrees`) with
+    ``d_i + d_j - 2 - C_ij`` on the edges and a zero diagonal.
     """
-    n, kind = a.shape[0], _structural_kind(motif)
-    rows, cols, _ = _nonzeros(a)
-    d = np.bincount(rows, minlength=n)
+    n, kind, r = a.shape[0], _structural_kind(motif), motif.r
+    rows, cols, indptr = nonzeros
+    d = np.diff(indptr)
 
     def adj(x):  # A @ x
         return _node_sums(rows, x[cols], n)
 
     if kind == "edge":
-        per = d
+        per, table = d, lambda: a
     else:
         k, i, j = _triangles(a, *_oriented(rows, cols, d))
         corners = np.concatenate([k, i, j])
@@ -298,18 +271,52 @@ def _listed_counts(a: np.ndarray, motif: Motif, sums: bool = True):
 
         def around(x):  # T(x)
             return _node_sums(corners, np.concatenate([x[i] + x[j], x[k] + x[j], x[k] + x[i]]), n)
-    if not sums:
-        return per, None
-    big = (motif.r - 1) * int(per.max(initial=0)) ** 2 >= _LISTED_SUMS_MAX_TOP
-    d, x = (d.astype(object), per.astype(object)) if big else (d, per)
-    if kind == "edge":
-        y = adj(d)
-    elif kind == "triangle":
-        y = around(x)
+
+        def table():
+            if kind == "vshape":
+                inner = _codegrees(rows, cols, indptr, np.float32)
+                flat, on_edge = inner.reshape(-1), rows * n + cols
+                flat[on_edge] = (d[rows] + d[cols] - 2).astype(np.float32) - flat[on_edge]
+                np.fill_diagonal(inner, 0.0)
+                return inner
+            inner = np.zeros((n, n), dtype=np.float32)
+            ends = np.concatenate([k, i, k, j, i, j]) * n + np.concatenate([i, k, j, k, j, i])
+            np.add.at(inner.reshape(-1), ends, np.float32(1))
+            return inner
+
+    def sums():
+        big = (r - 1) * int(per.max(initial=0)) ** 2 >= _LISTED_SUMS_MAX_TOP
+        dx, x = (d.astype(object), per.astype(object)) if big else (d, per)
+        if kind == "edge":
+            y = adj(dx)
+        elif kind == "triangle":
+            y = around(x)
+        else:
+            a_x = adj(x)
+            y = adj(a_x) - dx * x + (dx - 2) * a_x + adj(dx * x) - 2 * around(x)
+        return y.astype(_sums_dtype(per, r), copy=False)
+
+    return per, sums, table
+
+
+def _graph_counts(a: np.ndarray, motif: Motif):
+    """``(per_node, sums, table)`` of one graph: its per-node counts, and
+    functions of no argument that give the exact ``inner @ per_node`` (in
+    :func:`_sums_dtype`) and the pair table.  The one place that picks a
+    graph's route: listed counts on a :func:`_sparse_route` graph, from
+    nonzeros listed once, or else :func:`_inner_counts`' table.
+    """
+    kind = _structural_kind(motif)
+    # A graph smaller than the motif goes to _inner_counts' error.
+    if kind == "generic" or a.shape[0] < motif.r or not _sparse_route(a):
+        inner = _inner_counts(a, motif)
     else:
-        a_x = adj(x)
-        y = adj(a_x) - d * x + (d - 2) * a_x + adj(d * x) - 2 * around(x)
-    return per, y.astype(_sums_dtype(per, motif.r), copy=False)
+        nonzeros = _nonzeros(a)
+        if kind != "threestar":
+            return _listed_counts(a, nonzeros, motif)
+        inner = _threestar_inner_counts(a, nonzeros)
+    per = _counts_from_inner(inner, motif.r)[1]
+    return per, functools.partial(_pair_table_sums, inner, per, motif.r), lambda: inner
 
 
 def _counts_from_inner(inner: np.ndarray, r: int):
@@ -342,9 +349,7 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif) -> tuple[int, np.ndarray]:
     subsets that include node ``i``.  Every subset contributes to exactly
     ``r`` per-node counts, so ``per_node.sum() == r * total``.
     """
-    if _listed_route(A.a, motif):
-        return _totals(_listed_counts(A.a, motif, sums=False)[0], motif.r)
-    return _counts_from_inner(_inner_counts(A.a, motif), motif.r)
+    return _totals(_graph_counts(A.a, motif)[0], motif.r)
 
 
 def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +408,7 @@ def _enumerated_inner_counts(a: np.ndarray, motif: Motif) -> np.ndarray:
 _EDGE_PRODUCT_ELEMENTS = 1 << 18
 
 
-def _threestar_inner_counts(a: np.ndarray) -> np.ndarray:
+def _threestar_inner_counts(a: np.ndarray, nonzeros=None) -> np.ndarray:
     """Three-star pair completion counts in closed form.
 
     ``inner[i, j]`` is the number of pairs {k, l} for which {i, j, k, l}
@@ -422,12 +427,12 @@ def _threestar_inner_counts(a: np.ndarray) -> np.ndarray:
     centre k or l.  Sum C(c, 2), pairs of centres: {i, j}, {i or j, k or
     l} (the M terms) and {k, l} (the E term).  K4s: 3*A*E.  Every value
     is an exact integer in float64.  Per-node counts follow as
-    ``inner.sum(1) // 3``.  ``a`` is one int8 adjacency ``(n, n)``.
+    ``inner.sum(1) // 3``.  ``a`` is one int8 adjacency ``(n, n)``; given
+    its :func:`_nonzeros`, the codegrees are scattered, with the same bytes.
     """
     af = a.astype(np.float64)
     d = af.sum(axis=1)
-    # Exact integers either way: the same bytes.
-    codeg = _codegrees(*_nonzeros(a), np.float64) if _sparse_route(a) else af @ af
+    codeg = af @ af if nonzeros is None else _codegrees(*nonzeros, np.float64)
     np.fill_diagonal(codeg, 0.0)
     m = (af * (codeg - 1.0)) @ af
     e = _common_neighbour_edges(a, codeg)
@@ -601,28 +606,19 @@ class MomentStats:
 def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
-    The pair completion counts are computed once and give the per-node
-    counts, ``e_g1g1g2`` and, when read, ``g2_hat`` (module docstring); on
-    the sparse route the counts and ``e_g1g1g2`` come from the edges and
-    listed triangles (:func:`_listed_counts`), and the table is built
-    only if ``g2_hat`` is read.  Sets
-    ``degenerate`` when the variance estimate is exactly zero (e.g.
-    empty or complete graphs); downstream studentization must check the
-    flag rather than divide.
+    One :func:`_graph_counts` pass gives the per-node counts, the sums
+    behind ``e_g1g1g2`` and, when ``g2_hat`` is read, the pair table
+    (module docstring).  Sets ``degenerate`` when the variance estimate is
+    exactly zero (e.g. empty or complete graphs); downstream
+    studentization must check the flag rather than divide.
     """
     n, r = A.n, motif.r
-    if _listed_route(A.a, motif):
-        per, sums = _listed_counts(A.a, motif)
-        total, per = _totals(per, r)
-        table = functools.partial(_inner_counts, A.a, motif)
-    else:
-        inner = _inner_counts(A.a, motif)
-        total, per = _counts_from_inner(inner, r)
-        sums, table = _pair_table_sums(inner, per, r), lambda: inner
+    per, sums, table = _graph_counts(A.a, motif)
+    total, per = _totals(per, r)
     u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
     u_hat = float(u_hat)
     # y = inner @ g1 (row i of inner sums to (r - 1) * per_i); q = g1' g2 g1.
-    y = sums / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
+    y = sums() / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
     s1, s2, s3 = np.sum(g1), np.sum(g1 * g1), np.sum(g1 ** 3)
     q = np.sum(g1 * y) / math.comb(n - 2, r - 2) - u_hat * (s1 * s1 - s2) - 2.0 * (s1 * s2 - s3)
     return MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,

@@ -366,6 +366,15 @@ class TestGraphonValidation:
     def test_config_name_is_honoured(self, spec):
         assert graphon_from_config(spec).name == spec["kind"]
         assert graphon_from_config({**spec, "name": "mine"}).name == "mine"
+        assert graphon_from_config({**spec, "name": None}).name == spec["kind"]
+
+    @pytest.mark.parametrize("name", [["x"], 7, {"a": 1}, True], ids=repr)
+    def test_config_name_must_be_a_string(self, name):
+        # The name becomes the graphon column of experiment records.
+        message = re.escape(f"name must be a string or null, got {name!r}")
+        for kind in ("SmoothGraphon", "BlockModel"):
+            with pytest.raises(ValueError, match=message):
+                graphon_from_config({"kind": kind, "name": name})
 
     def test_custom_symmetry_check(self):
         with pytest.raises(ValueError, match="not symmetric"):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -520,11 +521,11 @@ def sparse_route(monkeypatch):
 
 
 class TestCodegreeRoute:
-    """The three-star kernel's scattered and BLAS codegrees give the same bytes."""
+    """The three-star's scattered and BLAS codegrees give the same bytes."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        # Records which route each _threestar_inner_counts call takes.
+        # Records which route each _graph_counts call takes.
         taken = []
         codegrees = moments._codegrees
 
@@ -537,11 +538,14 @@ class TestCodegreeRoute:
 
     def assert_route(self, a, route, taken):
         taken.clear()
-        inner = _threestar_inner_counts(a)
+        per, sums, table = moments._graph_counts(a, THREESTAR)
         assert taken == (["listed"] if route == "listed" else [])
         with mock.patch.object(moments, "_SPARSE_MIN_NODES", 10 ** 9):
-            dense = _threestar_inner_counts(a)
-        assert inner.dtype == dense.dtype and inner.tobytes() == dense.tobytes()
+            dense_per, dense_sums, dense_table = moments._graph_counts(a, THREESTAR)
+        assert taken == (["listed"] if route == "listed" else [])
+        for x, y in ((per, dense_per), (sums(), dense_sums()), (table(), dense_table())):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert np.array_equal(table(), _threestar_inner_counts(a))
 
     def test_both_sides_of_the_threshold(self, routes):
         rng = np.random.default_rng(60)
@@ -561,7 +565,16 @@ class TestCodegreeRoute:
         rng = np.random.default_rng(61)
         for n in (1, 2, 5, 12):
             for p in (0.0, 0.4, 1.0):
-                self.assert_route(random_graph(rng, n, p).a, "listed", routes)
+                a = random_graph(rng, n, p).a
+                if n >= THREESTAR.r:
+                    self.assert_route(a, "listed", routes)
+                    continue
+                # Too small for the motif, on either route; the kernel itself
+                # still gives the same bytes.
+                with pytest.raises(ValueError, match="motif needs 4"):
+                    moments._graph_counts(a, THREESTAR)
+                scattered = _threestar_inner_counts(a, moments._nonzeros(a))
+                assert scattered.tobytes() == _threestar_inner_counts(a).tobytes()
 
     def test_forced_route_equals_brute_force(self, sparse_route):
         assert_fast_paths_equal_brute_force((EDGE, TRIANGLE, VSHAPE, THREESTAR))
@@ -624,13 +637,14 @@ class TestSparseTables:
     def test_equal_to_dense_route(self, graphs, motif, monkeypatch):
         for name, A in graphs.items():
             assert moments._sparse_route(A.a), name
-            table = moments._inner_counts(A.a, motif)
+            table = moments._graph_counts(A.a, motif)[2]()
             assert motif is not EDGE or table is A.a, name
             sparse = _outputs(A, motif)
             with monkeypatch.context() as m:
                 m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
-                dense_table = moments._inner_counts(A.a, motif)
+                dense_table = moments._graph_counts(A.a, motif)[2]()
                 dense = _outputs(A, motif)
+            assert np.array_equal(dense_table, moments._inner_counts(A.a, motif)), name
             assert type(table) is type(dense_table) is np.ndarray, name
             assert table.dtype == dense_table.dtype == (np.int8 if motif is EDGE else np.float32)
             assert table.tobytes() == dense_table.tobytes(), name
@@ -703,7 +717,8 @@ class TestListedCounts:
                   "random2000": random_graph(np.random.default_rng(74), 2000, 40 / 1999)}
         for name, A in graphs.items():
             assert moments._sparse_route(A.a), name
-            per, sums = moments._listed_counts(A.a, motif)
+            per, sums, _ = moments._graph_counts(A.a, motif)
+            sums = sums()
             inner = moments._inner_counts(A.a, motif)
             _, table_per = moments._counts_from_inner(inner, motif.r)
             table_sums = moments._pair_table_sums(inner, table_per, motif.r)
@@ -717,11 +732,13 @@ class TestListedCounts:
         def no_table(*args):
             raise AssertionError("pair table built")
 
-        monkeypatch.setattr(moments, "_listed_inner_counts", no_table)
+        for name in ("_inner_counts", "_codegrees"):
+            monkeypatch.setattr(moments, name, no_table)
         a = np.zeros((n, n), dtype=np.int8)
         a[0, 1:] = a[1:, 0] = 1
         assert moments._sparse_route(a)
-        per, sums = moments._listed_counts(a, VSHAPE)
+        per, sums, _ = moments._graph_counts(a, VSHAPE)
+        sums = sums()
         # Hub-leaf pairs complete through any other leaf, leaf pairs through the hub.
         hub, leaf = math.comb(n - 1, 2), n - 2
         assert (2 * hub ** 2 < 2 ** 53) == (dtype is np.float64)
@@ -735,14 +752,22 @@ class TestListedCounts:
         # Sums too large for the int64 partial sums are formed in Python ints
         # from the same listed arrays, with no table.
         A = _sparse_graphs()["components"]
-        per, sums = moments._listed_counts(A.a, motif)
+        per, sums, _ = moments._graph_counts(A.a, motif)
+        sums = sums()
         monkeypatch.setattr(moments, "_LISTED_SUMS_MAX_TOP", 0)
         built = []
-        for name in ("_inner_counts", "_listed_inner_counts", "_codegrees"):
+        for name in ("_inner_counts", "_codegrees"):
             table = getattr(moments, name)
             monkeypatch.setattr(moments, name, lambda *args, f=table: built.append(1) or f(*args))
-        big_per, big_sums = moments._listed_counts(A.a, motif)
-        assert built == []
+        big_per, big_sums, _ = moments._graph_counts(A.a, motif)
+        # A scattered triangle table would be 4 n^2 bytes.
+        tracemalloc.start()
+        try:
+            big_sums = big_sums()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [] and peak < 4 * A.n * A.n
         assert big_per.dtype == per.dtype and big_per.tobytes() == per.tobytes()
         assert big_sums.dtype == sums.dtype and big_sums.tobytes() == sums.tobytes()
 
@@ -756,7 +781,8 @@ class TestListedCounts:
             A = AdjacencyMatrix(hub_first)
             for motif in (TRIANGLE, VSHAPE):
                 assert _traced_peak(A, motif) <= n * n
-                results.append(moments._listed_counts(hub_first, motif))
+                per, sums, _ = moments._graph_counts(hub_first, motif)
+                results.append((per, sums()))
         for (per, sums), (per_rev, sums_rev) in zip(results[:2], results[2:]):
             assert np.array_equal(per, per_rev[::-1]) and np.array_equal(sums, sums_rev[::-1])
 
@@ -782,9 +808,10 @@ class TestListedCounts:
                 rows, cols, _ = moments._nonzeros(a)
                 yield from moments._triangles(a, *moments._oriented(
                     rows, cols, np.bincount(rows, minlength=a.shape[0])))
-                yield moments._threestar_inner_counts(a)
-                for motif in (TRIANGLE, VSHAPE):
-                    yield moments._inner_counts(a, motif)
+                # Listed tables and the three-star's scattered codegrees.
+                for motif in (TRIANGLE, VSHAPE, THREESTAR):
+                    per, sums, table = moments._graph_counts(a, motif)
+                    yield from (per, sums(), table())
 
         default = [(x.dtype, x.tobytes()) for x in outputs()]
         monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
@@ -809,22 +836,47 @@ class TestListedCounts:
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_no_table_unless_g2_hat_is_read(self, motif, monkeypatch):
-        calls = []
-        table = moments._listed_inner_counts
+        calls, built = [], []
+        listed = moments._listed_counts
 
         def counted(*args):
-            calls.append(args)
-            return table(*args)
+            per, sums, table = listed(*args)
+            return per, sums, lambda: calls.append(1) or table()
 
-        monkeypatch.setattr(moments, "_listed_inner_counts", counted)
+        monkeypatch.setattr(moments, "_listed_counts", counted)
+        for name in ("_inner_counts", "_codegrees"):
+            kernel = getattr(moments, name)
+            monkeypatch.setattr(moments, name, lambda *args, f=kernel: built.append(1) or f(*args))
         A = random_graph(np.random.default_rng(76), 600, 0.012)
         stats = compute_stats(A, motif)
         motif_counts(A, motif)
         jackknife_variance(A, motif)
-        assert calls == []
-        stats.g2_hat
+        assert calls == [] and built == []
+        g2 = stats.g2_hat
+        assert len(calls) == 1
         # The edge's table is the adjacency itself.
-        assert len(calls) == (0 if motif is EDGE else 1)
+        assert len(built) == (1 if motif is VSHAPE else 0)
+        assert g2.tobytes() == pair_projection(A, motif).tobytes()
+
+    @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_g2_hat_read_repeats_no_listing(self, motif, monkeypatch):
+        calls = collections.Counter()
+        for name in ("_sparse_route", "_nonzeros", "_triangles", "_sums_dtype"):
+            f = getattr(moments, name)
+            monkeypatch.setattr(moments, name,
+                                lambda *args, f=f, name=name: calls.update([name]) or f(*args))
+        A = random_graph(np.random.default_rng(76), 600, 0.012)
+        stats = compute_stats(A, motif)
+        stats.g2_hat
+        # The sums dtype is asked once per set of sums formed.
+        assert calls == {"_sparse_route": 1, "_nonzeros": 1, "_triangles": 1, "_sums_dtype": 1}
+        # motif_counts forms no sums, on either route.
+        for graph in (A, random_graph(np.random.default_rng(79), 40, 0.3)):
+            calls.clear()
+            motif_counts(graph, motif)
+            assert calls["_sums_dtype"] == 0 and calls["_sparse_route"] == 1
+            compute_stats(graph, motif)
+            assert calls["_sums_dtype"] == 1
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_peak_memory(self, motif):
