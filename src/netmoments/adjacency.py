@@ -90,12 +90,19 @@ def from_edges(n: int, edges) -> AdjacencyMatrix:
     ``edges`` is an iterable of integer pairs or an ``(m, 2)`` integer
     array.  Duplicates collapse.  A ``ValueError`` names the first pair,
     in input order, that has a non-integer id, an id outside
-    ``[0, n)`` or equal ids.  Both triangles are set from the checked
-    pairs, so the matrix is symmetric, hollow and 0/1 by construction
-    and is not validated again.
+    ``[0, n)`` or equal ids; before any pair, a ``ValueError`` refuses
+    an ``n`` whose n x n matrix of n^2 bytes cannot be allocated.  Both
+    triangles are set from the checked pairs, so the matrix is
+    symmetric, hollow and 0/1 by construction and is not validated again.
     """
+    try:  # numpy refuses a size past intp with a ValueError of its own
+        if n * n > np.iinfo(np.intp).max:
+            raise MemoryError
+        a = np.zeros((n, n), dtype=np.int8)
+    except MemoryError:
+        raise ValueError(f"a graph on n = {n} nodes needs an n x n matrix of n^2 = "
+                         f"{n * n:.3g} bytes, more than can be allocated") from None
     pairs = _checked_pairs(n, edges)
-    a = np.zeros((n, n), dtype=np.int8)
     a[pairs[:, 0], pairs[:, 1]] = 1
     a[pairs[:, 1], pairs[:, 0]] = 1
     return AdjacencyMatrix._trusted(a)

@@ -7,12 +7,12 @@ holds the motif.  Every containing r-set through node ``i`` pairs
 ``i`` with its other r - 1 members, so the table fixes the per-node
 counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
 ``per_node.sum() / r``, and E[g1 g1 g2], through the exact sums
-``inner @ per_node``; the n x n ``g2`` is built only when read.
+``inner @ per_node``; only :func:`pair_projection` builds the n x n ``g2``.
 :func:`_graph_counts` alone picks one graph's counting route.  A large
 sparse graph (:func:`_sparse_route`) has its nonzeros listed once: the
 edge, triangle and V-shape are counted from them and the triangles
 listed on a degree-ordered orientation, in O(m sqrt(m)) time for m
-edges, with a table scattered only if ``g2`` is read
+edges, with a table scattered only for :func:`pair_projection`
 (:func:`_listed_counts`); the three-star scatters its codegrees from
 them.  Other graphs, and stacks, get their table from
 :func:`_inner_counts`: closed formulas for the edge, triangle, V-shape
@@ -465,13 +465,15 @@ def _common_neighbour_edges(a: np.ndarray, codeg: np.ndarray) -> np.ndarray:
 
 
 def pair_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
-    """Pairwise projection estimates ``g2_hat`` (symmetric, zero diagonal).
+    """Pairwise projection estimates ``g2`` (n x n, symmetric, zero diagonal).
 
-    ``g2_hat[i, j]`` is the fraction of (r-2)-subsets that complete the
-    pair {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``,
-    all from the one table of pair completion counts (module docstring).
+    ``g2[i, j]`` is the fraction of (r-2)-subsets that complete the pair
+    {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``, all
+    from the one table of pair completion counts (module docstring).
     """
-    return compute_stats(A, motif).g2_hat
+    per, _, table = _graph_counts(A.a, motif)
+    u_hat, g1, _, _ = studentize(*_totals(per, motif.r), A.n, motif.r)
+    return _pair_projection_from_inner(table(), g1, float(u_hat), motif.r)
 
 
 # Row chunks of g2's pair sums: at n = 1000, 2^16 float64 elements took
@@ -588,32 +590,23 @@ class MomentStats:
     e_g1_cubed: float
     e_g1g1g2: float
     degenerate: bool
-    # A zero-argument function that returns the pair table.
-    _pair_table: object = field(default=None, repr=False, compare=False)
 
     @property
     def s_hat(self) -> float:
         return math.sqrt(self.s_hat_sq)
 
-    @functools.cached_property
-    def g2_hat(self) -> np.ndarray:  # not a field: built on first read
-        if self._pair_table is None:
-            raise ValueError("g2_hat needs the pair table of a record built by compute_stats")
-        return _pair_projection_from_inner(self._pair_table(), self.g1_hat, self.u_hat,
-                                           self.motif.r)
-
 
 def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     """All moment statistics of one graph in a single record.
 
-    One :func:`_graph_counts` pass gives the per-node counts, the sums
-    behind ``e_g1g1g2`` and, when ``g2_hat`` is read, the pair table
-    (module docstring).  Sets ``degenerate`` when the variance estimate is
-    exactly zero (e.g. empty or complete graphs); downstream
+    One :func:`_graph_counts` pass gives the per-node counts and the sums
+    behind ``e_g1g1g2`` (module docstring); only :func:`pair_projection`
+    builds the n x n ``g2``.  Sets ``degenerate`` when the variance
+    estimate is exactly zero (e.g. empty or complete graphs); downstream
     studentization must check the flag rather than divide.
     """
     n, r = A.n, motif.r
-    per, sums, table = _graph_counts(A.a, motif)
+    per, sums, _ = _graph_counts(A.a, motif)
     total, per = _totals(per, r)
     u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
     u_hat = float(u_hat)
@@ -623,5 +616,4 @@ def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     q = np.sum(g1 * y) / math.comb(n - 2, r - 2) - u_hat * (s1 * s1 - s2) - 2.0 * (s1 * s2 - s3)
     return MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,
                        xi1_hat_sq=float(s2 / n), e_g1_cubed=float(s3 / n),
-                       e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate),
-                       _pair_table=table)
+                       e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate))

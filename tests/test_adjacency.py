@@ -156,5 +156,6 @@ class TestExplicitCases:
 
     def test_id_beyond_int64(self, edge_file):
         # Read whole by the line parser, then refused by the matrix build.
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match=re.escape(
+                "n = 99999999999999999999 nodes needs an n x n matrix of n^2 = 1e+40 bytes")):
             self.load(edge_file, "1 99999999999999999999\n")

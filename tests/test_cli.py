@@ -433,6 +433,18 @@ class TestFileErrors:
         assert err.startswith("netmoments experiment: error:") and str(path) in err
         assert not out.exists()
 
+    # Ids whose n x n int8 matrix cannot be allocated: past int64, and
+    # 2^31 (n^2 = 4.6e18 bytes, refused by any allocator).
+    @pytest.mark.parametrize("line, n, size", [
+        ("3 1180591620717411303424", 1180591620717411303424, "1.39e+42"),
+        ("1 2147483648", 2147483648, "4.61e+18")], ids=["beyond-int64", "2^31"])
+    def test_oversized_node_id(self, tmp_path, capsys, line, n, size):
+        path = tmp_path / "huge.edges"
+        path.write_text(line + "\n")
+        err = usage_error(capsys, ["moments", "--graph", str(path), "--motif", "edge"])
+        assert err == (f"netmoments moments: error: a graph on n = {n} nodes needs an n x n "
+                       f"matrix of n^2 = {size} bytes, more than can be allocated\n")
+
     def test_output_in_missing_directory_as_a_module(self, tmp_path):
         # Through `python -m netmoments`, which runs __main__.py.
         out = tmp_path / "no-such-dir" / "g.edges"

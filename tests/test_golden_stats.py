@@ -2,7 +2,7 @@
 
 ``tests/data/golden_stats.csv`` holds, for fixed small graphs, the
 ``repr`` of every scalar of :class:`MomentStats` and the sha256 of the
-``g1_hat`` and ``g2_hat`` bytes.  The cases cover the edge, triangle,
+``g1_hat`` bytes and of the ``pair_projection`` (g2) bytes.  The cases cover the edge, triangle,
 V-shape and three-star closed forms and the generic enumeration (a
 four-node path and the five-node bull), with an empty and a complete
 graph among them.  Counts are exact integers, so any change to how they
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from netmoments import EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, compute_stats, from_edges
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, Motif, compute_stats, from_edges,
+                        pair_projection)
 from conftest import random_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden_stats.csv"
@@ -68,7 +69,7 @@ def render() -> bytes:
         rows.append(",".join(
             [label, motif.name, str(stats.n)]
             + [repr(getattr(stats, f)) for f in FIELDS]
-            + [sha256(stats.g1_hat), sha256(stats.g2_hat)]))
+            + [sha256(stats.g1_hat), sha256(pair_projection(A, motif))]))
     return ("\n".join(rows) + "\n").encode("utf-8")
 
 

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
-                        CostCapError, Motif, compute_stats, edgeworth_coefficients,
+                        CostCapError, MomentStats, Motif, compute_stats, edgeworth_coefficients,
                         from_edges, jackknife_variance, load_edge_list,
                         motif_counts, motif_counts_block, pair_projection,
                         sample_graph, sample_moment, studentize, variance_estimator)
@@ -170,8 +171,8 @@ def test_e_g1g1g2_within_tolerance_of_dense_form():
     # The bound scales with the absolute terms: on near-regular graphs the
     # value itself is a cancellation of much larger terms.
     for label, A, motif in _gate_cases():
-        stats = compute_stats(A, motif)
-        g1, g2, pairs = stats.g1_hat, stats.g2_hat, 2.0 * math.comb(stats.n, 2)
+        stats, g2 = compute_stats(A, motif), pair_projection(A, motif)
+        g1, pairs = stats.g1_hat, 2.0 * math.comb(stats.n, 2)
         dense = g1 @ (g2 @ g1) / pairs
         scale = np.abs(g1) @ (np.abs(g2) @ np.abs(g1)) / pairs
         assert abs(stats.e_g1g1g2 - dense) <= 1e-12 * scale, (label, motif.name)
@@ -238,14 +239,30 @@ class TestComputeStats:
         s2 = compute_stats(A, TRIANGLE)
         assert s1.u_hat == s2.u_hat
         assert np.array_equal(s1.g1_hat, s2.g1_hat)
-        assert np.array_equal(s1.g2_hat, s2.g2_hat)
+        assert np.array_equal(pair_projection(A, TRIANGLE), pair_projection(A, TRIANGLE))
 
-    def test_replaced_record_keeps_its_pair_table(self):
-        stats = compute_stats(random_graph(np.random.default_rng(6), 9), TRIANGLE)
-        copy = dataclasses.replace(stats, u_hat=stats.u_hat)
-        assert copy.g2_hat.tobytes() == stats.g2_hat.tobytes()
-        with pytest.raises(ValueError, match="compute_stats"):
-            dataclasses.replace(stats, _pair_table=None).g2_hat
+    @pytest.mark.parametrize("n, p", [(40, 0.3), (600, 0.012)], ids=["table", "listed"])
+    def test_record_pickles(self, n, p):
+        A = random_graph(np.random.default_rng(80), n, p)
+        assert moments._sparse_route(A.a) == (n == 600)
+        for motif in MOTIFS:
+            stats = compute_stats(A, motif)
+            copy = pickle.loads(pickle.dumps(stats))
+            assert type(copy) is MomentStats and _fields(copy) == _fields(stats)
+
+    @pytest.mark.parametrize("motif", [TRIANGLE, THREESTAR], ids=lambda m: m.name)
+    def test_records_hold_no_pair_table(self, motif):
+        # 20 records at n = 300 hold their g1 (2.4 KB each) and scalars, not
+        # the n x n table (360 KB float32 triangle, 720 KB int64 three-star).
+        A = random_graph(np.random.default_rng(81), 300, 0.05)
+        compute_stats(A, motif)  # warms up outside the measurement
+        tracemalloc.start()
+        try:
+            records = [compute_stats(A, motif) for _ in range(20)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 20 and held < 20 * 10_000
 
     def test_consistency_identities(self):
         rng = np.random.default_rng(7)
@@ -440,7 +457,6 @@ class TestThreestarKernel:
             assert stats.g1_hat.tobytes() == g1.tobytes()
             g2 = moments._pair_projection_from_inner(_threestar_inner_counts(A.a), g1,
                                                      float(u), 4)
-            assert stats.g2_hat.tobytes() == g2.tobytes()
             assert pair_projection(A, THREESTAR).tobytes() == g2.tobytes()
 
     def test_default_caps_at_300_nodes(self):
@@ -462,7 +478,8 @@ class TestThreestarKernel:
         assert sb.u_hat == stats.u_hat
         assert sb.s_hat_sq == pytest.approx(stats.s_hat_sq, rel=1e-12)
         assert np.array_equal(sb.g1_hat[perm], stats.g1_hat)
-        assert np.array_equal(sb.g2_hat[np.ix_(perm, perm)], stats.g2_hat)
+        assert np.array_equal(pair_projection(relabel(A, perm), THREESTAR)[np.ix_(perm, perm)],
+                              pair_projection(A, THREESTAR))
 
 
 class TestDenseTables:
@@ -597,14 +614,15 @@ def _with_matching(A, pairs):
     return AdjacencyMatrix(a)
 
 
+def _fields(stats):
+    """Every field of a ``MomentStats``, as comparable bytes."""
+    return [(f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+            for f in dataclasses.fields(stats) for v in [getattr(stats, f.name)]]
+
+
 def _outputs(A, motif):
     """Every public result for one graph and motif, as comparable bytes."""
-    stats = compute_stats(A, motif)
-    # The pair table is a function that builds it; pair_projection compares
-    # the g2 it gives.
-    fields = [(f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
-              for f in dataclasses.fields(stats) if f.name != "_pair_table"
-              for v in [getattr(stats, f.name)]]
+    fields = _fields(compute_stats(A, motif))
     total, per = motif_counts(A, motif)
     return (fields, pair_projection(A, motif).tobytes(), type(total), total,
             per.dtype, per.tobytes(), repr(jackknife_variance(A, motif)))
@@ -691,12 +709,13 @@ def _traced_peak(A, motif):
 
 
 def test_sparse_route_imports_no_scipy_sparse():
-    # g2_hat and the three-star on sparse-route graphs, in a fresh interpreter.
+    # g2 and the three-star on sparse-route graphs, in a fresh interpreter.
     code = ("import sys; import numpy as np; from conftest import random_graph; "
-            "from netmoments import EDGE, TRIANGLE, VSHAPE, THREESTAR, compute_stats, moments; "
+            "from netmoments import (EDGE, TRIANGLE, VSHAPE, THREESTAR, compute_stats, "
+            "moments, pair_projection); "
             "A = random_graph(np.random.default_rng(78), 600, 0.012); "
             "assert moments._sparse_route(A.a); "
-            "[compute_stats(A, m).g2_hat for m in (EDGE, TRIANGLE, VSHAPE)]; "
+            "[pair_projection(A, m) for m in (EDGE, TRIANGLE, VSHAPE)]; "
             "compute_stats(A, THREESTAR); "
             "print('scipy.sparse' in sys.modules)")
     tests = Path(__file__).parent
@@ -790,10 +809,10 @@ class TestListedCounts:
         for a in _hub_at_either_end(3000):
             A = AdjacencyMatrix(a)
             for motif in (TRIANGLE, VSHAPE):
-                listed = compute_stats(A, motif).g2_hat
+                listed = pair_projection(A, motif)
                 with monkeypatch.context() as m:
                     m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
-                    assert listed.tobytes() == compute_stats(A, motif).g2_hat.tobytes()
+                    assert listed.tobytes() == pair_projection(A, motif).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 2 ** 30])
     def test_pair_chunk_invariance(self, chunk, sparse_route, monkeypatch):
@@ -820,15 +839,15 @@ class TestListedCounts:
     @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_g2_hat_peak_memory(self, motif):
         # The float32 table and the float64 g2 (12 n^2 bytes), with no dense
-        # BLAS table or other n x n temporary beside them.
+        # BLAS table or other n x n temporary beside them: pair_projection,
+        # listing included.
         n = 2000
         A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
         assert moments._sparse_route(A.a)
-        compute_stats(A, motif).g2_hat  # warms up outside the measurement
-        stats = compute_stats(A, motif)
+        pair_projection(A, motif)  # warms up outside the measurement
         tracemalloc.start()
         try:
-            stats.g2_hat
+            pair_projection(A, motif)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -848,15 +867,17 @@ class TestListedCounts:
             kernel = getattr(moments, name)
             monkeypatch.setattr(moments, name, lambda *args, f=kernel: built.append(1) or f(*args))
         A = random_graph(np.random.default_rng(76), 600, 0.012)
-        stats = compute_stats(A, motif)
+        compute_stats(A, motif)
         motif_counts(A, motif)
         jackknife_variance(A, motif)
         assert calls == [] and built == []
-        g2 = stats.g2_hat
+        g2 = pair_projection(A, motif)
         assert len(calls) == 1
         # The edge's table is the adjacency itself.
         assert len(built) == (1 if motif is VSHAPE else 0)
+        monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
         assert g2.tobytes() == pair_projection(A, motif).tobytes()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_g2_hat_read_repeats_no_listing(self, motif, monkeypatch):
@@ -866,15 +887,19 @@ class TestListedCounts:
             monkeypatch.setattr(moments, name,
                                 lambda *args, f=f, name=name: calls.update([name]) or f(*args))
         A = random_graph(np.random.default_rng(76), 600, 0.012)
-        stats = compute_stats(A, motif)
-        stats.g2_hat
-        # The sums dtype is asked once per set of sums formed.
-        assert calls == {"_sparse_route": 1, "_nonzeros": 1, "_triangles": 1, "_sums_dtype": 1}
-        # motif_counts forms no sums, on either route.
+        # Each call lists once; the sums dtype is asked once per set of sums formed.
+        listing = {"_sparse_route": 1, "_nonzeros": 1, "_triangles": 1}
+        compute_stats(A, motif)
+        assert calls == {**listing, "_sums_dtype": 1}
+        calls.clear()
+        pair_projection(A, motif)
+        assert calls == listing
+        # motif_counts and pair_projection form no sums, on either route.
         for graph in (A, random_graph(np.random.default_rng(79), 40, 0.3)):
             calls.clear()
             motif_counts(graph, motif)
-            assert calls["_sums_dtype"] == 0 and calls["_sparse_route"] == 1
+            pair_projection(graph, motif)
+            assert calls["_sums_dtype"] == 0 and calls["_sparse_route"] == 2
             compute_stats(graph, motif)
             assert calls["_sums_dtype"] == 1
 
