@@ -8,20 +8,22 @@ holds the motif.  Every containing r-set through node ``i`` pairs
 counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
 ``per_node.sum() / r``, and E[g1 g1 g2], through the exact sums
 ``inner @ per_node``; only :func:`pair_projection` builds the n x n ``g2``.
-:func:`_graph_counts` alone picks one graph's counting route.  A large
-sparse graph (:func:`_sparse_route`) has its nonzeros listed once: the
-edge, triangle and V-shape are counted from them and the triangles
-listed on a degree-ordered orientation, in O(m sqrt(m)) time for m
-edges, with a table scattered only for :func:`pair_projection`
-(:func:`_listed_counts`); the three-star scatters its codegrees from
-them.  Other graphs, and stacks, get their table from
-:func:`_inner_counts`: closed formulas for the edge, triangle, V-shape
-and three-star, evaluated with matrix products of 0/1 matrices whose
-values stay exact integers (float32 for the triangle and V-shape, exact
-for n < 2^23; row sums and ``g2`` are formed in float64), and one pass
-over the r-subsets for other motifs, refused with ``CostCapError`` above
-``MAX_GENERIC_SUBSETS`` subsets.  Counts are exact, so the route never
-changes a byte.
+:func:`_graph_counts` alone picks one graph's counting route, from the
+``AdjacencyMatrix``.  A large sparse graph (:func:`_sparse_route`) has
+its nonzeros listed once and kept (``AdjacencyMatrix._nonzeros``); an
+edge-list graph lists them, and its edge count, from its checked pairs,
+with no pass over the n^2 adjacency bytes.  The edge, triangle and
+V-shape are counted from them and the triangles listed on a
+degree-ordered orientation, in O(m sqrt(m)) time for m edges, with a
+table scattered only for :func:`pair_projection` (:func:`_listed_counts`);
+the three-star scatters its codegrees from them.  Other graphs, and
+stacks, get their table from :func:`_inner_counts`: closed formulas for
+the edge, triangle, V-shape and three-star, evaluated with matrix
+products of 0/1 matrices whose values stay exact integers (float32 for
+the triangle and V-shape, exact for n < 2^23; row sums and ``g2`` are
+formed in float64), and one pass over the r-subsets for other motifs,
+refused with ``CostCapError`` above ``MAX_GENERIC_SUBSETS`` subsets.
+Counts are exact, so the route never changes a byte.
 """
 
 from __future__ import annotations
@@ -136,25 +138,11 @@ def _inner_counts(a: np.ndarray, motif: Motif):
     return inner
 
 
-def _sparse_route(a: np.ndarray) -> bool:
-    """Whether the one graph ``a`` is large and sparse enough to count from
+def _sparse_route(A: AdjacencyMatrix) -> bool:
+    """Whether the one graph ``A`` is large and sparse enough to count from
     listed structures; asked only by :func:`_graph_counts`."""
-    n = a.shape[0]
-    return n >= _SPARSE_MIN_NODES and np.count_nonzero(a) <= _SPARSE_MAX_DENSITY * n * n
-
-
-def _nonzeros(a: np.ndarray):
-    """``(rows, cols, indptr)`` of the nonzeros of one int8 adjacency ``a``.
-
-    Row-major nonzeros give CSR column indices in order; the row lengths
-    give the row pointer.  The 0/1 bytes read as bool are found 5x
-    faster than as int8.
-    """
-    n = a.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(a.view(np.bool_)), n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return rows, cols, indptr
+    n = A.n
+    return n >= _SPARSE_MIN_NODES and 2 * A.edge_count <= _SPARSE_MAX_DENSITY * n * n
 
 
 # Wedges and codegree pairs come in chunks of about this many: a few MB.
@@ -219,7 +207,7 @@ def _triangles(a: np.ndarray, src: np.ndarray, dst: np.ndarray):
 
 
 def _codegrees(rows: np.ndarray, cols: np.ndarray, indptr: np.ndarray, dtype) -> np.ndarray:
-    """``A @ A`` of one graph from its :func:`_nonzeros`, in exact integers.
+    """``A @ A`` of one graph from its nonzeros ``(rows, cols, indptr)``, in exact integers.
 
     Edge e = (i, k) adds 1 at (i, j) for every edge (k, j), so a chunk
     fills a band of rows.  np.add.at of a scalar of the buffer's dtype took
@@ -231,9 +219,9 @@ def _codegrees(rows: np.ndarray, cols: np.ndarray, indptr: np.ndarray, dtype) ->
     return codeg
 
 
-def _listed_counts(a: np.ndarray, nonzeros, motif: Motif):
+def _listed_counts(A: AdjacencyMatrix, motif: Motif):
     """:func:`_graph_counts` for the edge, triangle or V-shape on the sparse
-    route: from one graph's :func:`_nonzeros` and listed triangles.
+    route: from the graph's nonzeros (``A._nonzeros``) and listed triangles.
 
     With ``d`` the degrees, ``tri`` the triangles at each node and
     ``T(x)_i`` the sum over the triangles at i of ``x`` at their other
@@ -254,8 +242,8 @@ def _listed_counts(a: np.ndarray, nonzeros, motif: Motif):
     the edges scattered from the triangles, or C (:func:`_codegrees`) with
     ``d_i + d_j - 2 - C_ij`` on the edges and a zero diagonal.
     """
-    n, kind, r = a.shape[0], _structural_kind(motif), motif.r
-    rows, cols, indptr = nonzeros
+    a, n, kind, r = A.a, A.n, _structural_kind(motif), motif.r
+    rows, cols, indptr = A._nonzeros
     d = np.diff(indptr)
 
     def adj(x):  # A @ x
@@ -299,22 +287,22 @@ def _listed_counts(a: np.ndarray, nonzeros, motif: Motif):
     return per, sums, table
 
 
-def _graph_counts(a: np.ndarray, motif: Motif):
-    """``(per_node, sums, table)`` of one graph: its per-node counts, and
+def _graph_counts(A: AdjacencyMatrix, motif: Motif):
+    """``(per_node, sums, table)`` of the graph ``A``: its per-node counts, and
     functions of no argument that give the exact ``inner @ per_node`` (in
     :func:`_sums_dtype`) and the pair table.  The one place that picks a
-    graph's route: listed counts on a :func:`_sparse_route` graph, from
-    nonzeros listed once, or else :func:`_inner_counts`' table.
+    graph's route: listed counts on a :func:`_sparse_route` graph, from the
+    nonzeros ``A`` lists once (from its edge pairs when it was built from
+    them, with no n^2 pass), or else :func:`_inner_counts`' table.
     """
     kind = _structural_kind(motif)
     # A graph smaller than the motif goes to _inner_counts' error.
-    if kind == "generic" or a.shape[0] < motif.r or not _sparse_route(a):
-        inner = _inner_counts(a, motif)
+    if kind == "generic" or A.n < motif.r or not _sparse_route(A):
+        inner = _inner_counts(A.a, motif)
+    elif kind != "threestar":
+        return _listed_counts(A, motif)
     else:
-        nonzeros = _nonzeros(a)
-        if kind != "threestar":
-            return _listed_counts(a, nonzeros, motif)
-        inner = _threestar_inner_counts(a, nonzeros)
+        inner = _threestar_inner_counts(A.a, A._nonzeros)
     per = _counts_from_inner(inner, motif.r)[1]
     return per, functools.partial(_pair_table_sums, inner, per, motif.r), lambda: inner
 
@@ -324,12 +312,14 @@ def _counts_from_inner(inner: np.ndarray, r: int):
 
     For one graph ``total`` is an int and ``per_node`` an int64 array
     ``(n,)``; for a stack they are int64 arrays ``(b,)`` and ``(b, n)``.
-    Integer tables (the int8 edge table, the int64 three-star and generic
-    ones) sum exactly in int64; float32 tables sum in float64 (exact below
-    2^53) and round.
+    Integer tables sum exactly in int64, the int8 edge table first in int16
+    when n < 2^15 (a row sums to at most n - 1; 2.7 against 4.8 us per
+    n = 80 graph); float32 tables sum in float64 (exact below 2^53) and round.
     """
     if inner.dtype.kind == "f":
         sums = _round_int(inner.sum(axis=-1, dtype=np.float64))
+    elif inner.dtype == np.int8 and inner.shape[-1] < 2 ** 15:
+        sums = inner.sum(axis=-1, dtype=np.int16).astype(np.int64)
     else:
         sums = inner.sum(axis=-1, dtype=np.int64)
     return _totals(sums // (r - 1), r)
@@ -349,7 +339,7 @@ def motif_counts(A: AdjacencyMatrix, motif: Motif) -> tuple[int, np.ndarray]:
     subsets that include node ``i``.  Every subset contributes to exactly
     ``r`` per-node counts, so ``per_node.sum() == r * total``.
     """
-    return _totals(_graph_counts(A.a, motif)[0], motif.r)
+    return _totals(_graph_counts(A, motif)[0], motif.r)
 
 
 def motif_counts_block(a: np.ndarray, motif: Motif) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +418,8 @@ def _threestar_inner_counts(a: np.ndarray, nonzeros=None) -> np.ndarray:
     l} (the M terms) and {k, l} (the E term).  K4s: 3*A*E.  Every value
     is an exact integer in float64.  Per-node counts follow as
     ``inner.sum(1) // 3``.  ``a`` is one int8 adjacency ``(n, n)``; given
-    its :func:`_nonzeros`, the codegrees are scattered, with the same bytes.
+    its nonzeros ``(rows, cols, indptr)``, the codegrees are scattered,
+    with the same bytes.
     """
     af = a.astype(np.float64)
     d = af.sum(axis=1)
@@ -471,7 +462,7 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
     {i, j} to a containing r-set, minus ``u_hat + g1[i] + g1[j]``, all
     from the one table of pair completion counts (module docstring).
     """
-    per, _, table = _graph_counts(A.a, motif)
+    per, _, table = _graph_counts(A, motif)
     u_hat, g1, _, _ = studentize(*_totals(per, motif.r), A.n, motif.r)
     return _pair_projection_from_inner(table(), g1, float(u_hat), motif.r)
 
@@ -606,7 +597,7 @@ def compute_stats(A: AdjacencyMatrix, motif: Motif) -> MomentStats:
     studentization must check the flag rather than divide.
     """
     n, r = A.n, motif.r
-    per, sums, _ = _graph_counts(A.a, motif)
+    per, sums, _ = _graph_counts(A, motif)
     total, per = _totals(per, r)
     u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
     u_hat = float(u_hat)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netmoments import from_edges, load_edge_list
+from netmoments import AdjacencyMatrix, from_edges, load_edge_list
 
 
 def line_parser(path):
@@ -49,7 +49,17 @@ def outcome(load, path):
             A = load(path)
         except Exception as exc:  # compared, type and message, with the reference
             return type(exc).__name__, str(exc)
+    assert_pairs_list_the_bytes(A)
     return A.n, A.a.tobytes()
+
+
+def assert_pairs_list_the_bytes(A):
+    """``A``'s nonzeros and edge count, listed from its pairs, equal those
+    listed from its adjacency bytes, in dtype and bytes."""
+    B = AdjacencyMatrix._trusted(A.a)
+    for x, y in zip(A._nonzeros, B._nonzeros, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert A.edge_count == B.edge_count
 
 
 def assert_same_as_line_parser(path, text):
@@ -117,6 +127,26 @@ def test_matches_line_parser(edge_file, text):
 ])
 def test_explicit_cases_match_line_parser(edge_file, text):
     assert_same_as_line_parser(edge_file, text)
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (5, [(0, 1), (1, 0), (2, 4), (0, 1), (4, 2), (3, 1)]),
+    (9, [(2, 3), (3, 2), (0, 3)]),  # isolated top ids
+    (4, []),
+    (1, np.empty((0, 2), dtype=np.int64)),
+    (6, np.array([[0, 5], [5, 0], [1, 2]])),
+    (300, np.random.default_rng(0).integers(0, 150, (400, 2), dtype=np.uint16)),
+])
+def test_pairs_list_the_bytes(n, pairs):
+    if isinstance(pairs, np.ndarray):
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    A = from_edges(n, pairs)
+    assert_pairs_list_the_bytes(A)
+    assert not np.shares_memory(A._pairs, pairs)  # the caller's array stays theirs
+    a = np.zeros((n, n), dtype=np.int8)
+    for i, j in pairs:
+        a[i, j] = a[j, i] = 1
+    assert A.a.dtype == np.int8 and A.a.tobytes() == a.tobytes()
 
 
 class TestExplicitCases:

@@ -18,7 +18,7 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         from_edges, jackknife_variance, load_edge_list,
                         motif_counts, motif_counts_block, pair_projection,
                         sample_graph, sample_moment, studentize, variance_estimator)
-from netmoments import moments
+from netmoments import adjacency, moments
 from netmoments.moments import _threestar_inner_counts
 from conftest import Oracle, paper_block_model, random_graph, relabel
 from test_golden_stats import CASES as GOLDEN_STATS_CASES
@@ -158,7 +158,7 @@ def _gate_cases():
     rng = np.random.default_rng(72)
     for n, degree in ((300, 5), (1000, 10), (2000, 20), (4000, 8)):
         A = random_graph(rng, n, degree / (n - 1))
-        assert moments._sparse_route(A.a)
+        assert moments._sparse_route(A)
         for motif in (EDGE, TRIANGLE, VSHAPE):
             yield f"sparse{n}", A, motif
     for n, p in ((40, 0.3), (120, 0.1), (300, 0.04)):
@@ -244,7 +244,7 @@ class TestComputeStats:
     @pytest.mark.parametrize("n, p", [(40, 0.3), (600, 0.012)], ids=["table", "listed"])
     def test_record_pickles(self, n, p):
         A = random_graph(np.random.default_rng(80), n, p)
-        assert moments._sparse_route(A.a) == (n == 600)
+        assert moments._sparse_route(A) == (n == 600)
         for motif in MOTIFS:
             stats = compute_stats(A, motif)
             copy = pickle.loads(pickle.dumps(stats))
@@ -509,11 +509,12 @@ class TestDenseTables:
         n = 600
         a = np.ones((n, n), dtype=np.int8)
         np.fill_diagonal(a, 0)
-        assert not moments._sparse_route(a)
+        A = AdjacencyMatrix(a)
+        assert not moments._sparse_route(A)
         table = moments._inner_counts(a, motif)
         assert table.dtype == np.float32
         assert np.array_equal(table, (n - 2) * (1 - np.eye(n)))
-        total, per = motif_counts(AdjacencyMatrix(a), motif)
+        total, per = motif_counts(A, motif)
         assert total == math.comb(n, 3)
         assert np.array_equal(per, np.full(n, math.comb(n - 1, 2)))
         totals, pers = motif_counts_block(np.stack([a, np.zeros_like(a)]), motif)
@@ -527,6 +528,14 @@ class TestDenseTables:
         total, per = moments._counts_from_inner(table, 3)
         assert np.array_equal(per, np.full(n, n * 5999 // 2))
         assert total == n * (n * 5999 // 2) // 3
+
+    @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15])
+    def test_edge_table_row_sums_on_both_sides_of_2_15(self, n):
+        # int8 rows of n ones: 2^15 - 1 is int16's top, 2^15 wraps in int16.
+        # The accumulator depends on the row length only, so 8 rows suffice.
+        total, per = moments._counts_from_inner(np.broadcast_to(np.int8(1), (8, n)), 2)
+        assert per.dtype == np.int64 and np.array_equal(per, np.full(8, n))
+        assert total == 4 * n
 
 
 @pytest.fixture
@@ -553,45 +562,46 @@ class TestCodegreeRoute:
         monkeypatch.setattr(moments, "_codegrees", spy)
         return taken
 
-    def assert_route(self, a, route, taken):
+    def assert_route(self, A, route, taken):
         taken.clear()
-        per, sums, table = moments._graph_counts(a, THREESTAR)
+        per, sums, table = moments._graph_counts(A, THREESTAR)
         assert taken == (["listed"] if route == "listed" else [])
         with mock.patch.object(moments, "_SPARSE_MIN_NODES", 10 ** 9):
-            dense_per, dense_sums, dense_table = moments._graph_counts(a, THREESTAR)
+            dense_per, dense_sums, dense_table = moments._graph_counts(A, THREESTAR)
         assert taken == (["listed"] if route == "listed" else [])
         for x, y in ((per, dense_per), (sums(), dense_sums()), (table(), dense_table())):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        assert np.array_equal(table(), _threestar_inner_counts(a))
+        assert np.array_equal(table(), _threestar_inner_counts(A.a))
 
     def test_both_sides_of_the_threshold(self, routes):
         rng = np.random.default_rng(60)
         n_min, density = moments._SPARSE_MIN_NODES, moments._SPARSE_MAX_DENSITY
-        self.assert_route(random_graph(rng, 2 * n_min, density / 2).a, "listed", routes)
-        self.assert_route(random_graph(rng, 600, 0.01).a, "listed", routes)
-        self.assert_route(np.zeros((n_min, n_min), dtype=np.int8), "listed", routes)
-        self.assert_route(_with_isolated(random_graph(rng, n_min, 0.01), 50).a,
+        self.assert_route(random_graph(rng, 2 * n_min, density / 2), "listed", routes)
+        self.assert_route(random_graph(rng, 600, 0.01), "listed", routes)
+        self.assert_route(AdjacencyMatrix(np.zeros((n_min, n_min), dtype=np.int8)),
                           "listed", routes)
-        self.assert_route(_star(n_min + 1).a, "listed", routes)
+        self.assert_route(_with_isolated(random_graph(rng, n_min, 0.01), 50),
+                          "listed", routes)
+        self.assert_route(_star(n_min + 1), "listed", routes)
         # Dense or small: BLAS.
-        self.assert_route(random_graph(rng, 300, 0.3).a, "blas", routes)
-        self.assert_route(random_graph(rng, 300, 2 * density).a, "blas", routes)
-        self.assert_route(random_graph(rng, n_min - 1, density / 2).a, "blas", routes)
+        self.assert_route(random_graph(rng, 300, 0.3), "blas", routes)
+        self.assert_route(random_graph(rng, 300, 2 * density), "blas", routes)
+        self.assert_route(random_graph(rng, n_min - 1, density / 2), "blas", routes)
 
     def test_forced_route_on_small_graphs(self, sparse_route, routes):
         rng = np.random.default_rng(61)
         for n in (1, 2, 5, 12):
             for p in (0.0, 0.4, 1.0):
-                a = random_graph(rng, n, p).a
+                A = random_graph(rng, n, p)
                 if n >= THREESTAR.r:
-                    self.assert_route(a, "listed", routes)
+                    self.assert_route(A, "listed", routes)
                     continue
                 # Too small for the motif, on either route; the kernel itself
                 # still gives the same bytes.
                 with pytest.raises(ValueError, match="motif needs 4"):
-                    moments._graph_counts(a, THREESTAR)
-                scattered = _threestar_inner_counts(a, moments._nonzeros(a))
-                assert scattered.tobytes() == _threestar_inner_counts(a).tobytes()
+                    moments._graph_counts(A, THREESTAR)
+                scattered = _threestar_inner_counts(A.a, A._nonzeros)
+                assert scattered.tobytes() == _threestar_inner_counts(A.a).tobytes()
 
     def test_forced_route_equals_brute_force(self, sparse_route):
         assert_fast_paths_equal_brute_force((EDGE, TRIANGLE, VSHAPE, THREESTAR))
@@ -654,13 +664,13 @@ class TestSparseTables:
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_equal_to_dense_route(self, graphs, motif, monkeypatch):
         for name, A in graphs.items():
-            assert moments._sparse_route(A.a), name
-            table = moments._graph_counts(A.a, motif)[2]()
+            assert moments._sparse_route(A), name
+            table = moments._graph_counts(A, motif)[2]()
             assert motif is not EDGE or table is A.a, name
             sparse = _outputs(A, motif)
             with monkeypatch.context() as m:
                 m.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
-                dense_table = moments._graph_counts(A.a, motif)[2]()
+                dense_table = moments._graph_counts(A, motif)[2]()
                 dense = _outputs(A, motif)
             assert np.array_equal(dense_table, moments._inner_counts(A.a, motif)), name
             assert type(table) is type(dense_table) is np.ndarray, name
@@ -714,7 +724,7 @@ def test_sparse_route_imports_no_scipy_sparse():
             "from netmoments import (EDGE, TRIANGLE, VSHAPE, THREESTAR, compute_stats, "
             "moments, pair_projection); "
             "A = random_graph(np.random.default_rng(78), 600, 0.012); "
-            "assert moments._sparse_route(A.a); "
+            "assert moments._sparse_route(A); "
             "[pair_projection(A, m) for m in (EDGE, TRIANGLE, VSHAPE)]; "
             "compute_stats(A, THREESTAR); "
             "print('scipy.sparse' in sys.modules)")
@@ -726,6 +736,52 @@ def test_sparse_route_imports_no_scipy_sparse():
     assert out == "False\n"
 
 
+def _forbid_byte_listing(monkeypatch):
+    monkeypatch.setattr(adjacency, "_byte_keys", lambda a: pytest.fail("adjacency bytes listed"))
+
+
+class TestEdgeListGraphs:
+    """A graph built from edge pairs lists its nonzeros from them: its sparse-route
+    results never read the adjacency bytes and equal those from the bytes."""
+
+    @pytest.fixture(scope="class")
+    def edge_list_graph(self):
+        # Both orientations of some pairs, repeats, and isolated nodes up to id 599.
+        rng = np.random.default_rng(82)
+        pairs = rng.integers(0, 590, (2200, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        return from_edges(600, np.concatenate([pairs, pairs[:300, ::-1], pairs[:100]]))
+
+    @pytest.mark.parametrize("motif", MOTIFS, ids=lambda m: m.name)
+    def test_sparse_route_reads_no_bytes(self, edge_list_graph, motif, monkeypatch):
+        A = edge_list_graph
+        from_bytes = _outputs(AdjacencyMatrix(A.a), motif)
+        with monkeypatch.context() as m:
+            _forbid_byte_listing(m)
+            assert moments._sparse_route(A)
+            assert _outputs(A, motif) == from_bytes
+
+    def test_isolated_top_id(self, tmp_path, monkeypatch):
+        # n = 15000 from four lines: the n^2 bytes are neither scanned nor listed.
+        path = tmp_path / "sparse.edges"
+        path.write_text("1 2\n2 3\n1 3\n3 15000\n")
+        A = load_edge_list(path)
+        stats = {}
+        with monkeypatch.context() as m:
+            _forbid_byte_listing(m)
+            assert A.n == 15000 and A.edge_count == 4 and moments._sparse_route(A)
+            for motif, total in ((EDGE, 4), (TRIANGLE, 1), (VSHAPE, 3)):
+                assert motif_counts(A, motif)[0] == total
+                stats[motif.name] = _fields(compute_stats(A, motif))
+        # The same bytes from the listed adjacency bytes, and for the edge from
+        # the dense route (the triangle's would be a 0.9 GB float32 product).
+        for motif in (EDGE, TRIANGLE, VSHAPE):
+            assert _fields(compute_stats(AdjacencyMatrix._trusted(A.a), motif)) \
+                == stats[motif.name]
+        monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 10 ** 9)
+        assert _fields(compute_stats(A, EDGE)) == stats[EDGE.name]
+
+
 class TestListedCounts:
     """On the sparse route the edge, triangle and V-shape counts and ``inner @ per``
     come from edges and listed triangles, exactly as from the pair table."""
@@ -735,8 +791,8 @@ class TestListedCounts:
         graphs = {**_sparse_graphs(),
                   "random2000": random_graph(np.random.default_rng(74), 2000, 40 / 1999)}
         for name, A in graphs.items():
-            assert moments._sparse_route(A.a), name
-            per, sums, _ = moments._graph_counts(A.a, motif)
+            assert moments._sparse_route(A), name
+            per, sums, _ = moments._graph_counts(A, motif)
             sums = sums()
             inner = moments._inner_counts(A.a, motif)
             _, table_per = moments._counts_from_inner(inner, motif.r)
@@ -755,8 +811,9 @@ class TestListedCounts:
             monkeypatch.setattr(moments, name, no_table)
         a = np.zeros((n, n), dtype=np.int8)
         a[0, 1:] = a[1:, 0] = 1
-        assert moments._sparse_route(a)
-        per, sums, _ = moments._graph_counts(a, VSHAPE)
+        A = AdjacencyMatrix._trusted(a)
+        assert moments._sparse_route(A)
+        per, sums, _ = moments._graph_counts(A, VSHAPE)
         sums = sums()
         # Hub-leaf pairs complete through any other leaf, leaf pairs through the hub.
         hub, leaf = math.comb(n - 1, 2), n - 2
@@ -771,14 +828,14 @@ class TestListedCounts:
         # Sums too large for the int64 partial sums are formed in Python ints
         # from the same listed arrays, with no table.
         A = _sparse_graphs()["components"]
-        per, sums, _ = moments._graph_counts(A.a, motif)
+        per, sums, _ = moments._graph_counts(A, motif)
         sums = sums()
         monkeypatch.setattr(moments, "_LISTED_SUMS_MAX_TOP", 0)
         built = []
         for name in ("_inner_counts", "_codegrees"):
             table = getattr(moments, name)
             monkeypatch.setattr(moments, name, lambda *args, f=table: built.append(1) or f(*args))
-        big_per, big_sums, _ = moments._graph_counts(A.a, motif)
+        big_per, big_sums, _ = moments._graph_counts(A, motif)
         # A scattered triangle table would be 4 n^2 bytes.
         tracemalloc.start()
         try:
@@ -794,13 +851,13 @@ class TestListedCounts:
         n = 3000
         results = []
         for hub_first in _hub_at_either_end(n):
-            rows, cols, _ = moments._nonzeros(hub_first)
+            A = AdjacencyMatrix(hub_first)
+            rows, cols, _ = A._nonzeros
             src, _ = moments._oriented(rows, cols, np.bincount(rows, minlength=n))
             assert np.bincount(src).max() ** 2 <= rows.size  # out-degree <= sqrt(2m)
-            A = AdjacencyMatrix(hub_first)
             for motif in (TRIANGLE, VSHAPE):
                 assert _traced_peak(A, motif) <= n * n
-                per, sums, _ = moments._graph_counts(hub_first, motif)
+                per, sums, _ = moments._graph_counts(A, motif)
                 results.append((per, sums()))
         for (per, sums), (per_rev, sums_rev) in zip(results[:2], results[2:]):
             assert np.array_equal(per, per_rev[::-1]) and np.array_equal(sums, sums_rev[::-1])
@@ -818,18 +875,18 @@ class TestListedCounts:
     def test_pair_chunk_invariance(self, chunk, sparse_route, monkeypatch):
         # Forced onto the listed route, so that one-pair chunks stay quick.
         rng = np.random.default_rng(77)
-        graphs = [random_graph(rng, 40, 0.3).a, random_graph(rng, 60, 0.05).a, _star(30).a,
-                  np.zeros((12, 12), dtype=np.int8),
-                  _with_isolated(random_graph(rng, 25, 0.5), 5).a]
+        graphs = [random_graph(rng, 40, 0.3), random_graph(rng, 60, 0.05), _star(30),
+                  AdjacencyMatrix(np.zeros((12, 12), dtype=np.int8)),
+                  _with_isolated(random_graph(rng, 25, 0.5), 5)]
 
         def outputs():
-            for a in graphs:
-                rows, cols, _ = moments._nonzeros(a)
-                yield from moments._triangles(a, *moments._oriented(
-                    rows, cols, np.bincount(rows, minlength=a.shape[0])))
+            for A in graphs:
+                rows, cols, _ = A._nonzeros
+                yield from moments._triangles(A.a, *moments._oriented(
+                    rows, cols, np.bincount(rows, minlength=A.n)))
                 # Listed tables and the three-star's scattered codegrees.
                 for motif in (TRIANGLE, VSHAPE, THREESTAR):
-                    per, sums, table = moments._graph_counts(a, motif)
+                    per, sums, table = moments._graph_counts(A, motif)
                     yield from (per, sums(), table())
 
         default = [(x.dtype, x.tobytes()) for x in outputs()]
@@ -843,7 +900,7 @@ class TestListedCounts:
         # listing included.
         n = 2000
         A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
-        assert moments._sparse_route(A.a)
+        assert moments._sparse_route(A)
         pair_projection(A, motif)  # warms up outside the measurement
         tracemalloc.start()
         try:
@@ -882,18 +939,24 @@ class TestListedCounts:
     @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_g2_hat_read_repeats_no_listing(self, motif, monkeypatch):
         calls = collections.Counter()
-        for name in ("_sparse_route", "_nonzeros", "_triangles", "_sums_dtype"):
-            f = getattr(moments, name)
-            monkeypatch.setattr(moments, name,
+        spied = [(moments, "_sparse_route"), (adjacency, "_byte_keys"), (moments, "_triangles"),
+                 (moments, "_sums_dtype")]
+        for module, name in spied:
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *args, f=f, name=name: calls.update([name]) or f(*args))
         A = random_graph(np.random.default_rng(76), 600, 0.012)
         # Each call lists once; the sums dtype is asked once per set of sums formed.
-        listing = {"_sparse_route": 1, "_nonzeros": 1, "_triangles": 1}
+        listing = {"_sparse_route": 1, "_byte_keys": 1, "_triangles": 1}
         compute_stats(A, motif)
         assert calls == {**listing, "_sums_dtype": 1}
         calls.clear()
-        pair_projection(A, motif)
+        pair_projection(AdjacencyMatrix(A.a), motif)
         assert calls == listing
+        # The graph keeps its nonzeros: a second request on it reads no bytes.
+        calls.clear()
+        pair_projection(A, motif)
+        assert calls == {"_sparse_route": 1, "_triangles": 1}
         # motif_counts and pair_projection form no sums, on either route.
         for graph in (A, random_graph(np.random.default_rng(79), 40, 0.3)):
             calls.clear()
