@@ -8,6 +8,7 @@ Scalar results print as single-line JSON; tabular results go to CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -43,14 +44,29 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+@contextlib.contextmanager
+def _claimed(out):
+    """The output path ``out``, claimed before the work: yields a temporary
+    file beside it, made at once so that a bad path fails first, and moved
+    into place only when the block ends without error."""
+    tmp = Path(f"{out}.{os.getpid()}.tmp")
+    tmp.touch(exist_ok=False)
+    try:
+        yield tmp
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _cmd_sample(args) -> int:
     g = graphon_from_config(_spec(args.graphon))
     rho = resolve_rho(args.rho, args.n)
-    A = sample_graph(g, args.n, rho, args.seed)
-    # Row-major nonzeros of the upper triangle: edges ordered by (i, j).
-    i, j = np.nonzero(np.triu(A.a, 1))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u} {v}\n" for u, v in zip((i + 1).tolist(), (j + 1).tolist()))
+    with _claimed(args.out) as tmp:
+        A = sample_graph(g, args.n, rho, args.seed)
+        # Row-major nonzeros of the upper triangle: edges ordered by (i, j).
+        i, j = np.nonzero(np.triu(A.a, 1))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{u} {v}\n" for u, v in zip((i + 1).tolist(), (j + 1).tolist()))
     _emit({"n": A.n, "edges": A.edge_count, "rho": rho, "out": args.out})
     return 0
 
@@ -90,15 +106,16 @@ def _grid(value):
 
 def _cmd_edgeworth(args) -> int:
     grid = _grid(args.grid)
-    _, motif, stats = _stats_for(args)
-    coeffs = ew.EdgeworthCoefficients.from_moment_stats(stats)
-    values = ew.expansion_cdf(coeffs, grid)
-    if args.clamp:
-        values = np.clip(values, 0.0, 1.0)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        writer.writerows([repr(float(x)), repr(float(v))] for x, v in zip(grid, values))
+    with _claimed(args.out) as tmp:
+        _, motif, stats = _stats_for(args)
+        coeffs = ew.EdgeworthCoefficients.from_moment_stats(stats)
+        values = ew.expansion_cdf(coeffs, grid)
+        if args.clamp:
+            values = np.clip(values, 0.0, 1.0)
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "value"])
+            writer.writerows([repr(float(x)), repr(float(v))] for x, v in zip(grid, values))
     _emit({"motif": motif.name, "n": stats.n, "xi1": coeffs.xi1,
            "e_g1_cubed": coeffs.e_g1_cubed, "e_g1g1g2": coeffs.e_g1g1g2,
            "out": args.out})
@@ -127,20 +144,21 @@ def _cmd_bootstrap(args) -> int:
     if args.nstar is not None and args.scheme != "subsample":
         raise ValueError(f"--nstar has no effect on the {args.scheme} scheme, only on "
                          "subsample; drop --nstar")
-    A, motif = load_edge_list(args.graph), motif_from_config(_spec(args.motif))
-    if args.scheme == "subsample":
-        n_star = args.nstar if args.nstar is not None else A.n // 2
-        F = subsample_distribution(A, motif, n_star=n_star, B=args.B, seed=args.seed)
-    else:
-        F = resample_distribution(A, motif, B=args.B, seed=args.seed)
     qs = (0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "key", "value"])
-        for i, v in enumerate(F.samples):
-            writer.writerow(["replicate", i, repr(float(v))])
-        for q in qs:
-            writer.writerow(["quantile", q, repr(F.quantile(q))])
+    with _claimed(args.out) as tmp:
+        A, motif = load_edge_list(args.graph), motif_from_config(_spec(args.motif))
+        if args.scheme == "subsample":
+            n_star = args.nstar if args.nstar is not None else A.n // 2
+            F = subsample_distribution(A, motif, n_star=n_star, B=args.B, seed=args.seed)
+        else:
+            F = resample_distribution(A, motif, B=args.B, seed=args.seed)
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["kind", "key", "value"])
+            for i, v in enumerate(F.samples):
+                writer.writerow(["replicate", i, repr(float(v))])
+            for q in qs:
+                writer.writerow(["quantile", q, repr(F.quantile(q))])
     _emit({"scheme": args.scheme, "B": F.B, "n_dropped": F.n_dropped,
            "quantiles": {str(q): F.quantile(q) for q in qs}, "out": args.out})
     return 0
@@ -163,10 +181,7 @@ def _cmd_experiment(args) -> int:
     out = args.out or cfg.output
     if out is None:
         raise ValueError("no output path: pass --out or set 'output' in the config")
-    # Made before the run, so that a bad output path fails first; moved into place after.
-    tmp = Path(f"{out}.{os.getpid()}.tmp")
-    tmp.touch(exist_ok=False)
-    try:
+    with _claimed(out) as tmp:
         for n in cfg.n_list:
             for rho in cfg.rho_values(n):
                 ew.check_expansion_applicability(rho, n)
@@ -176,9 +191,6 @@ def _cmd_experiment(args) -> int:
         else:
             records = run_accuracy_experiment(cfg, **options)
         write_records_csv(records, tmp)
-        os.replace(tmp, out)
-    finally:
-        tmp.unlink(missing_ok=True)
     _emit({"experiment": args.kind, "records": len(records), "out": out})
     return 0
 

@@ -21,8 +21,8 @@ stacks, get their table from :func:`_inner_counts`: closed formulas for
 the edge, triangle, V-shape and three-star, evaluated with matrix
 products of 0/1 matrices whose values stay exact integers (float32 for
 the triangle and V-shape, exact for n < 2^23; row sums and ``g2`` are
-formed in float64), and one pass over the r-subsets for other motifs,
-refused with ``CostCapError`` above ``MAX_GENERIC_SUBSETS`` subsets.
+formed in float64), and chunks of r-subsets looked up in ``Motif.h_table``
+for other motifs, refused with ``CostCapError`` above ``MAX_GENERIC_SUBSETS``.
 Counts are exact, so the route never changes a byte.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .adjacency import AdjacencyMatrix
 from .errors import CostCapError
-from .motif import Motif, _PAIRS
+from .motif import Motif, _PAIRS, _pattern_masks
 
 __all__ = [
     "MomentStats",
@@ -366,7 +366,9 @@ def _enumerated_inner_counts(a: np.ndarray, motif: Motif) -> np.ndarray:
 
     A node whose graph degree is below the motif's minimum degree can
     never occupy any position, so only subsets of the other nodes are
-    visited; each containing subset adds 1 to each of its C(r, 2) pairs.
+    visited, in chunks of ``_PAIR_CHUNK // C(r, 2)``, each looked up in
+    ``motif.h_table`` by its :func:`motif._pattern_masks` mask; each
+    containing subset adds 1 to each of its C(r, 2) pairs.
     More than ``MAX_GENERIC_SUBSETS`` of them raise ``CostCapError``.
     """
     n, r = a.shape[0], motif.r
@@ -376,21 +378,17 @@ def _enumerated_inner_counts(a: np.ndarray, motif: Motif) -> np.ndarray:
         raise CostCapError(
             f"generic enumeration needs {work:.3g} subsets, above the cap "
             f"MAX_GENERIC_SUBSETS = {MAX_GENERIC_SUBSETS:.3g}; count a smaller graph")
-    rows = a.tolist()
-    h_table = motif.h_table.tolist()
-    pairs = _PAIRS[r]
+    i, j = np.array(_PAIRS[r]).T
+    step = max(1, _PAIR_CHUNK // i.size)
+    # One flat stream of ids: np.fromiter fills twice as fast as from r-tuples.
+    ids = itertools.chain.from_iterable(itertools.combinations(keep.tolist(), r))
     # Flat upper-triangle counts: subsets are increasing, so x < y.
-    upper = [0] * (n * n)
-    for subset in itertools.combinations(keep.tolist(), r):
-        mask = 0
-        for idx, (x, y) in enumerate(pairs):
-            if rows[subset[x]][subset[y]]:
-                mask |= 1 << idx
-        if h_table[mask]:
-            for x, y in pairs:
-                upper[subset[x] * n + subset[y]] += 1
-    inner = np.array(upper, dtype=np.int64).reshape(n, n)
-    return inner + inner.T
+    upper = np.zeros((n, n), dtype=np.int64)
+    for _ in range(0, work, step):
+        nodes = np.fromiter(itertools.islice(ids, step * r), dtype=np.int64).reshape(-1, r)
+        held = nodes[motif.h_table[_pattern_masks(a, nodes)]]
+        np.add.at(upper.reshape(-1), held[:, i] * n + held[:, j], 1)
+    return upper + upper.T
 
 
 # Rows of the edge-product matrix W in _common_neighbour_edges are built

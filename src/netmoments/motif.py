@@ -3,9 +3,10 @@
 A motif is a small connected pattern graph on ``r <= 5`` nodes.  A binary
 r-node pattern holds the motif when some relabeling of the motif's nodes
 makes every motif edge present in the pattern (extra edges are allowed).
-:attr:`Motif.h_table` gives this indicator for each of the
-``2^(r choose 2)`` edge patterns; :func:`containment_probability` sums
-it into the exact probability under independent Bernoulli edges.
+A pattern is an edge-set mask, bit k the k-th node pair in lexicographic
+order (:func:`_pattern_masks`).  :attr:`Motif.h_table` holds the motif's
+indicator on all ``2^(r choose 2)`` masks; :func:`containment_probability`
+sums it into the exact probability under independent Bernoulli edges.
 """
 
 from __future__ import annotations
@@ -37,17 +38,11 @@ MAX_MOTIF_NODES = 5
 _PAIRS = {r: tuple(itertools.combinations(range(r), 2)) for r in range(2, MAX_MOTIF_NODES + 1)}
 
 
-def _is_connected(adj: np.ndarray) -> bool:
-    r = adj.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in np.flatnonzero(adj[v]):
-            if w not in seen:
-                seen.add(int(w))
-                frontier.append(int(w))
-    return len(seen) == r
+def _pattern_masks(adjacency: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The int64 edge-set mask of the pattern that each row of ``nodes``
+    ``(m, r)`` induces in ``adjacency``: bit k is the k-th pair of ``_PAIRS[r]``."""
+    i, j = np.array(_PAIRS[nodes.shape[1]]).T
+    return adjacency[nodes[:, i], nodes[:, j]].astype(np.int64) @ (1 << np.arange(i.size))
 
 
 class Motif:
@@ -71,7 +66,8 @@ class Motif:
             raise ValueError("a motif needs at least 2 nodes")
         if r > MAX_MOTIF_NODES:
             raise ValueError(f"motifs are capped at {MAX_MOTIF_NODES} nodes, got {r}")
-        if not _is_connected(adj):
+        # Connected: every node reaches every other in at most r - 1 steps.
+        if not (np.linalg.matrix_power(np.eye(r, dtype=np.int64) + adj, r - 1) > 0).all():
             raise NotConnectedError("motif must be connected")
         adj.setflags(write=False)
         self.adjacency = adj
@@ -87,27 +83,13 @@ class Motif:
         return f"Motif({label!r}, r={self.r}, s={self.s}, {self.shape_class})"
 
     @cached_property
-    def variant_masks(self) -> tuple[int, ...]:
-        """Distinct edge-set masks of all node relabelings of the motif."""
-        masks = set()
-        pairs = _PAIRS[self.r]
-        for perm in itertools.permutations(range(self.r)):
-            mask = 0
-            for idx, (i, j) in enumerate(pairs):
-                if self.adjacency[perm[i], perm[j]]:
-                    mask |= 1 << idx
-            masks.add(mask)
-        return tuple(sorted(masks))
-
-    @cached_property
     def h_table(self) -> np.ndarray:
-        """Containment indicator of every edge-set mask: bit k of a mask is
-        the k-th pair in lexicographic order."""
-        n_pairs = len(_PAIRS[self.r])
-        table = np.zeros(1 << n_pairs, dtype=bool)
-        for mask in range(1 << n_pairs):
-            table[mask] = any((mask & vm) == vm for vm in self.variant_masks)
-        return table
+        """Containment indicator of every edge-set mask: whether it covers
+        the mask of one of the motif's r! relabelings."""
+        perms = np.array(list(itertools.permutations(range(self.r))))
+        variants = np.unique(_pattern_masks(self.adjacency, perms))
+        masks = np.arange(1 << len(_PAIRS[self.r]))
+        return ((masks[:, None] & variants) == variants).any(axis=1)
 
     @cached_property
     def containing_masks(self) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import netmoments
+from netmoments import cli
 from netmoments import (EDGE, EdgeworthCoefficients, compute_stats, expansion_cdf,
                         graphon_from_config, load_edge_list, sample_graph)
 from netmoments.edgeworth import DEFAULT_GRID
@@ -254,6 +255,38 @@ class TestBootstrapCommand:
         assert err == ("netmoments bootstrap: error: --nstar has no effect on the resample "
                        "scheme, only on subsample; drop --nstar\n")
         assert not out.exists()
+
+    def test_unwritable_out_fails_before_any_replicate(self, graph_file, tmp_path, capsys,
+                                                       monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "resample_distribution", lambda *a, **k: drawn.append(1))
+        out = tmp_path / "missing" / "b.csv"
+        err = usage_error(capsys, [
+            "bootstrap", "--graph", str(graph_file), "--motif", "edge",
+            "--scheme", "resample", "--B", "40", "--seed", "9", "--out", str(out)])
+        assert err.startswith("netmoments bootstrap: error:") and "missing" in err
+        assert drawn == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.edges"]
+
+    def test_failed_write_keeps_existing_out(self, graph_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "boot.csv"
+        out.write_bytes(b"earlier run\n")
+
+        class TornWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write("kind,key,value\r\n")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli.csv, "writer", TornWriter)
+        err = usage_error(capsys, [
+            "bootstrap", "--graph", str(graph_file), "--motif", "edge",
+            "--scheme", "subsample", "--B", "10", "--seed", "7", "--out", str(out)])
+        assert err == "netmoments bootstrap: error: disk full\n"
+        assert out.read_bytes() == b"earlier run\n"
+        assert not any(p.suffix == ".tmp" for p in tmp_path.iterdir())
 
 
 def experiment_config(tmp_path, **overrides) -> Path:

@@ -862,7 +862,7 @@ class TestListedCounts:
         for (per, sums), (per_rev, sums_rev) in zip(results[:2], results[2:]):
             assert np.array_equal(per, per_rev[::-1]) and np.array_equal(sums, sums_rev[::-1])
 
-    def test_hub_g2_hat_equals_dense_route(self, monkeypatch):
+    def test_hub_pair_projection_equals_dense_route(self, monkeypatch):
         for a in _hub_at_either_end(3000):
             A = AdjacencyMatrix(a)
             for motif in (TRIANGLE, VSHAPE):
@@ -878,6 +878,9 @@ class TestListedCounts:
         graphs = [random_graph(rng, 40, 0.3), random_graph(rng, 60, 0.05), _star(30),
                   AdjacencyMatrix(np.zeros((12, 12), dtype=np.int8)),
                   _with_isolated(random_graph(rng, 25, 0.5), 5)]
+        # Generic motifs enumerate subsets in chunks of _PAIR_CHUNK // C(r, 2).
+        small = [random_graph(rng, 12, 0.5), _with_isolated(random_graph(rng, 9, 0.6), 3),
+                 graphs[3]]
 
         def outputs():
             for A in graphs:
@@ -888,13 +891,17 @@ class TestListedCounts:
                 for motif in (TRIANGLE, VSHAPE, THREESTAR):
                     per, sums, table = moments._graph_counts(A, motif)
                     yield from (per, sums(), table())
+            for A in small:
+                for motif in (FOUR_PATH, BULL):
+                    per, sums, table = moments._graph_counts(A, motif)
+                    yield from (per, sums(), table())
 
         default = [(x.dtype, x.tobytes()) for x in outputs()]
         monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
         assert [(x.dtype, x.tobytes()) for x in outputs()] == default
 
     @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
-    def test_g2_hat_peak_memory(self, motif):
+    def test_pair_projection_peak_memory(self, motif):
         # The float32 table and the float64 g2 (12 n^2 bytes), with no dense
         # BLAS table or other n x n temporary beside them: pair_projection,
         # listing included.
@@ -911,7 +918,7 @@ class TestListedCounts:
         assert peak <= 12 * n * n + 2 ** 20
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
-    def test_no_table_unless_g2_hat_is_read(self, motif, monkeypatch):
+    def test_no_table_unless_pair_projection_is_read(self, motif, monkeypatch):
         calls, built = [], []
         listed = moments._listed_counts
 
@@ -937,7 +944,7 @@ class TestListedCounts:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("motif", [TRIANGLE, VSHAPE], ids=lambda m: m.name)
-    def test_g2_hat_read_repeats_no_listing(self, motif, monkeypatch):
+    def test_pair_projection_read_repeats_no_listing(self, motif, monkeypatch):
         calls = collections.Counter()
         spied = [(moments, "_sparse_route"), (adjacency, "_byte_keys"), (moments, "_triangles"),
                  (moments, "_sums_dtype")]

@@ -48,6 +48,33 @@ class TestMakeMotif:
         with pytest.raises(ValueError, match="at least 2"):
             Motif([[0]])
 
+    def test_accepts_exactly_the_connected_labelled_graphs(self):
+        # All 2 + 8 + 64 + 1024 labelled graphs on 2 to 5 nodes, against a BFS.
+        def bfs_connected(a):
+            seen, frontier = {0}, [0]
+            while frontier:
+                for w in np.flatnonzero(a[frontier.pop()]).tolist():
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            return len(seen) == len(a)
+
+        verdicts = []
+        for r in range(2, 6):
+            pairs = list(itertools.combinations(range(r), 2))
+            for bits in itertools.product((0, 1), repeat=len(pairs)):
+                a = np.zeros((r, r), dtype=np.int8)
+                for (i, j), bit in zip(pairs, bits):
+                    a[i, j] = a[j, i] = bit
+                try:
+                    Motif(a)
+                    accepted = True
+                except NotConnectedError:
+                    accepted = False
+                assert accepted == bfs_connected(a), a
+                verdicts.append(accepted)
+        assert (len(verdicts), sum(verdicts)) == (1098, 771)
+
     def test_builtin_shapes(self):
         assert (EDGE.r, EDGE.s, EDGE.shape_class) == (2, 1, "acyclic")
         assert (TRIANGLE.r, TRIANGLE.s, TRIANGLE.shape_class) == (3, 3, "cyclic")
