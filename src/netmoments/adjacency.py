@@ -98,6 +98,19 @@ class AdjacencyMatrix:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return rows, cols, indptr
 
+    @functools.cached_property
+    def _triangles(self):
+        """``(k, i, j)``: every triangle once, as three int64 node arrays.
+
+        Listed on first use from the nonzeros (``moments._triangles``), and
+        shared by every sparse-route count of this graph: its statistics
+        and each bootstrap replicate.
+        """
+        from . import moments  # moments imports this module
+
+        rows, cols, indptr = self._nonzeros
+        return moments._triangles(self.a, *moments._oriented(rows, cols, np.diff(indptr)))
+
     def induced(self, nodes) -> "AdjacencyMatrix":
         """Induced subgraph on the given node indices.
 

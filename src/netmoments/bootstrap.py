@@ -6,6 +6,13 @@ draws.  Replicates with a zero variance estimate cannot be studentized;
 they are dropped and counted, and the run fails if more than 10% drop.
 :func:`_studentized` counts and studentizes replicate graphs in blocks,
 for these bootstraps and for the harness's Monte-Carlo truths alike.
+A replicate is the induced graph on a node draw.  For the edge, triangle
+and V-shape, a resample, or any replicate of a sparse-route graph, is
+counted on the observed graph from the draw's node multiplicities, and
+no replicate adjacency is built.  Subsamples of dense-route graphs, the
+three-star and generic motifs are gathered into an int8 stack of induced
+subgraphs.  The counts are the same integers either way
+(``moments._replicate_counts``).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .adjacency import AdjacencyMatrix
 from .errors import DegenerateReplicatesError
-from .moments import motif_counts_block, sample_moment, studentize
+from .moments import _replicate_counts, sample_moment, studentize
 from .motif import Motif
 from .rng import thread_streams
 
@@ -27,7 +34,8 @@ MAX_DROP_FRACTION = 0.10
 
 # Replicates are counted in blocks of about this many adjacency entries
 # (b * n^2), which keeps a block's float64 temporaries within a few
-# hundred kB per thread.
+# hundred kB per thread.  A sparse-route graph has n^2 above it, so its
+# replicates are counted one at a time, in O(edges + triangles) memory.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -63,12 +71,13 @@ class EmpiricalCdf:
         return float(self.samples[k])
 
 
-def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
+def _studentized(count: int, n: int, counts, motif: Motif, center: float,
                  max_fraction: float, what: str) -> EmpiricalCdf:
     """Sorted ``(U_hat - center) / S_hat`` of ``count`` replicate graphs on ``n`` nodes.
 
-    ``graphs(k0, k1)`` returns the int8 stack of replicates ``k0 .. k1-1``,
-    called block by block in the calling thread.  ``S_hat^2`` is the
+    ``counts(k0, k1)`` returns the ``(total, per_node)`` motif counts of
+    replicates ``k0 .. k1-1`` (as :func:`motif_counts_block` does), called
+    block by block in the calling thread.  ``S_hat^2`` is the
     moment-based variance estimate of :func:`studentize`.  Replicates
     where it is exactly zero are dropped and counted; more than
     ``max_fraction`` of them, or all, raise ``DegenerateReplicatesError``.
@@ -79,7 +88,7 @@ def _studentized(count: int, n: int, graphs, motif: Motif, center: float,
     block = max(1, _BLOCK_ELEMENTS // (n * n))
 
     def run_block(k0: int) -> np.ndarray:
-        total, per = motif_counts_block(graphs(k0, min(k0 + block, count)), motif)
+        total, per = counts(k0, min(k0 + block, count))
         u_hat, _, s_sq, degenerate = studentize(total, per, n, r)
         return (u_hat[~degenerate] - center) / np.sqrt(s_sq[~degenerate])
 
@@ -99,11 +108,11 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
     takes the nodes ``draw(rng)``, with ``rng`` its own stream ``(seed, label, b)``."""
     streams = thread_streams()
 
-    def graphs(k0: int, k1: int) -> np.ndarray:
-        idx = np.array([draw(streams(seed, label, b)) for b in range(k0, k1)])
-        return A.a.ravel()[idx[:, :, None] * A.n + idx[:, None, :]]
+    def counts(k0: int, k1: int):
+        return _replicate_counts(
+            A, motif, np.array([draw(streams(seed, label, b)) for b in range(k0, k1)]))
 
-    return _studentized(B, size, graphs, motif, sample_moment(A, motif),
+    return _studentized(B, size, counts, motif, sample_moment(A, motif),
                         MAX_DROP_FRACTION, "bootstrap")
 
 

@@ -50,7 +50,10 @@ def _claimed(out):
     file beside it, made at once so that a bad path fails first, and moved
     into place only when the block ends without error."""
     tmp = Path(f"{out}.{os.getpid()}.tmp")
-    tmp.touch(exist_ok=False)
+    try:
+        tmp.touch(exist_ok=False)
+    except OSError as exc:  # named by the path the user gave
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
     try:
         yield tmp
         os.replace(tmp, out)

@@ -27,7 +27,7 @@ from .errors import DegeneracyError, DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
                       population_moment, sample_graph, sample_graph_block)
 from .inference import ConfidenceInterval, confidence_interval, one_sample_test
-from .moments import compute_stats
+from .moments import compute_stats, motif_counts_block
 from .motif import Motif, motif_from_config
 from .rng import substream_seed
 
@@ -229,12 +229,12 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     if mu is None:
         mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
 
-    def graphs(k0: int, k1: int) -> np.ndarray:
-        return sample_graph_block(g, n, rho, [substream_seed(seed, "mc-truth", k)
-                                              for k in range(k0, k1)])
+    def counts(k0: int, k1: int):
+        return motif_counts_block(sample_graph_block(
+            g, n, rho, [substream_seed(seed, "mc-truth", k) for k in range(k0, k1)]), motif)
 
     try:
-        F = _studentized(n_mc, n, graphs, motif, mu, max_degenerate_fraction, "truth")
+        F = _studentized(n_mc, n, counts, motif, mu, max_degenerate_fraction, "truth")
     except DegenerateReplicatesError as exc:
         if exc.n_dropped == exc.n_total:
             raise  # no cap admits a truth with nothing to tabulate

@@ -8,12 +8,14 @@ holds the motif.  Every containing r-set through node ``i`` pairs
 counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
 ``per_node.sum() / r``, and E[g1 g1 g2], through the exact sums
 ``inner @ per_node``; only :func:`pair_projection` builds the n x n ``g2``.
-:func:`_graph_counts` alone picks one graph's counting route, from the
-``AdjacencyMatrix``.  A large sparse graph (:func:`_sparse_route`) has
-its nonzeros listed once and kept (``AdjacencyMatrix._nonzeros``); an
-edge-list graph lists them, and its edge count, from its checked pairs,
-with no pass over the n^2 adjacency bytes.  The edge, triangle and
-V-shape are counted from them and the triangles listed on a
+:func:`_graph_counts` picks one graph's counting route, from the
+``AdjacencyMatrix``, and :func:`_multiplicity_counts` follows it for the
+induced replicates of a graph.  A large sparse graph
+(:func:`_sparse_route`) has its nonzeros listed once and kept
+(``AdjacencyMatrix._nonzeros``); an edge-list graph lists them, and its
+edge count, from its checked pairs, with no pass over the n^2 adjacency
+bytes.  The edge, triangle and V-shape are counted from them and from
+the triangles, listed once and kept (``AdjacencyMatrix._triangles``) on a
 degree-ordered orientation, in O(m sqrt(m)) time for m edges, with a
 table scattered only for :func:`pair_projection` (:func:`_listed_counts`);
 the three-star scatters its codegrees from them.  Other graphs, and
@@ -140,12 +142,14 @@ def _inner_counts(a: np.ndarray, motif: Motif):
 
 def _sparse_route(A: AdjacencyMatrix) -> bool:
     """Whether the one graph ``A`` is large and sparse enough to count from
-    listed structures; asked only by :func:`_graph_counts`."""
+    listed structures; asked by :func:`_graph_counts`, and for bootstrap
+    replicates by :func:`_replicate_counts` and :func:`_multiplicity_counts`."""
     n = A.n
     return n >= _SPARSE_MIN_NODES and 2 * A.edge_count <= _SPARSE_MAX_DENSITY * n * n
 
 
-# Wedges and codegree pairs come in chunks of about this many: a few MB.
+# Wedges, codegree pairs and replicate sums come in chunks of about this
+# many: a few MB.
 _PAIR_CHUNK = 1 << 16
 
 # _listed_counts forms its sums in int64 below this top (see there).
@@ -252,7 +256,7 @@ def _listed_counts(A: AdjacencyMatrix, motif: Motif):
     if kind == "edge":
         per, table = d, lambda: a
     else:
-        k, i, j = _triangles(a, *_oriented(rows, cols, d))
+        k, i, j = A._triangles
         corners = np.concatenate([k, i, j])
         tri = np.bincount(corners, minlength=n)
         per = tri if kind == "triangle" else d * (d - 1) // 2 + adj(d) - d - 2 * tri
@@ -305,6 +309,97 @@ def _graph_counts(A: AdjacencyMatrix, motif: Motif):
         inner = _threestar_inner_counts(A.a, A._nonzeros)
     per = _counts_from_inner(inner, motif.r)[1]
     return per, functools.partial(_pair_table_sums, inner, per, motif.r), lambda: inner
+
+
+def _product_dtype(n: int):
+    """The float dtype of :func:`_multiplicity_counts`' dense products on n
+    nodes: every value there is an integer of at most n^2, so float32 is
+    exact while n^2 <= 2^24 (n <= 4096), and float64 (exact to 2^53) beyond."""
+    return np.float32 if n * n <= 2 ** 24 else np.float64
+
+
+def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> np.ndarray:
+    """Per-node counts ``F`` (b, n), int64, of the edge, triangle or V-shape in
+    the induced graphs of ``A`` that node multiplicities ``mult`` (b, n) give.
+
+    Row b takes ``mult[b, u]`` copies of node u (0/1 for a subsample,
+    counts for a resample; s nodes in all, s <= n).  Copies of one node
+    are never adjacent, so every copy of u has the count ``F[b, u]``
+    (unspecified where ``mult[b, u]`` is 0).  With ``m = mult[b]`` and
+    ``D = A @ m``, F is ``D`` (edge),
+    ``tri(u) = 1/2 sum_w A_uw m_w (A diag(m) A)_uw`` (triangle), or the
+    single-graph V-shape ``C(d, 2) + A@d - d - 2*tri`` of
+    :func:`_listed_counts` with ``d -> D`` and ``A@d -> A@(m*D)``.
+    Every value is an integer of at most s^2.  The route is the one
+    :func:`_graph_counts` takes: on a :func:`_sparse_route` graph the sums
+    are bincounts of float64 weights over ``A._nonzeros`` and
+    ``A._triangles`` (exact below 2^53); otherwise they are products in
+    :func:`_product_dtype`, the triangle's over the rows of held nodes only.
+    """
+    b, n = mult.shape
+    kind = _structural_kind(motif)
+    if _sparse_route(A):
+        rows, cols, _ = A._nonzeros
+        shift = (n * np.arange(b))[:, None]
+        m = mult
+
+        def adj(x):  # A @ x, row by row
+            return np.bincount((rows + shift).ravel(), x[:, cols].ravel(), b * n).reshape(b, n)
+
+        def triangles():  # each corner u of a listed triangle adds m_v * m_w
+            k, i, j = A._triangles
+            corners = np.concatenate([k, i, j])
+            ends = mult[:, np.concatenate([i, k, k])] * mult[:, np.concatenate([j, j, i])]
+            return np.bincount((corners + shift).ravel(), ends.ravel(), b * n).reshape(b, n)
+    else:
+        af = A.a.astype(_product_dtype(n))
+        m = mult.astype(af.dtype)
+
+        def adj(x):  # A @ x, row by row: A is symmetric
+            return x @ af
+
+        def triangles():  # rows of A diag(m) and A diag(m) A at the held nodes
+            held = np.flatnonzero(mult)  # b * n + u
+            left = af[held % n] * m[held // n]
+            paths = left @ af
+            paths *= left
+            tri = np.zeros(b * n, dtype=af.dtype)
+            tri[held] = paths.sum(axis=1) / 2
+            return tri.reshape(b, n)
+    if kind == "triangle":
+        return _round_int(triangles())
+    d = _round_int(adj(m))
+    if kind == "edge":
+        return d
+    tri = _round_int(triangles())
+    return d * (d - 1) // 2 + _round_int(adj(m * d.astype(m.dtype))) - d - 2 * tri
+
+
+def _replicate_counts(A: AdjacencyMatrix, motif: Motif, idx: np.ndarray):
+    """:func:`motif_counts_block` of the graphs that ``A`` induces on the node
+    draws ``idx`` (b, s): ``(total, per_node)``, int64 arrays (b,) and (b, s).
+
+    The edge, triangle and V-shape of a resample (s = n), or of any draw
+    from a :func:`_sparse_route` graph, are read off ``A`` from the draws'
+    multiplicities (:func:`_multiplicity_counts`).  Other draws are
+    gathered into an int8 stack of induced subgraphs.
+    """
+    (b, s), n, kind = idx.shape, A.n, _structural_kind(motif)
+    listed = _sparse_route(A)
+    if kind not in ("edge", "triangle", "vshape") or not (s == n or listed):
+        return motif_counts_block(A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)
+    # A draw takes n^2 product entries on the dense route, and n
+    # multiplicities plus a term per edge end and triangle corner on the
+    # listed one, whatever s: draws go in chunks of about _PAIR_CHUNK of them.
+    width = n * n
+    if listed:
+        width = n + A._nonzeros[0].size + (0 if kind == "edge" else 3 * A._triangles[0].size)
+    step, per = max(1, _PAIR_CHUNK // width), []
+    for start in range(0, b, step):
+        flat = idx[start:start + step] + (n * np.arange(min(step, b - start)))[:, None]
+        mult = np.bincount(flat.ravel(), minlength=flat.shape[0] * n).reshape(-1, n)
+        per.append(_multiplicity_counts(A, motif, mult).ravel()[flat])
+    return _totals(np.concatenate(per), motif.r)
 
 
 def _counts_from_inner(inner: np.ndarray, r: int):

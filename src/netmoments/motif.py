@@ -117,14 +117,25 @@ def containment_probability(motif: Motif, pair_probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {n_pairs} pair probabilities, got {p.shape[-1]}")
     if (p < 0).any() or (p > 1).any():
         raise ValueError("edge probabilities must lie in [0, 1]")
-    q = 1.0 - p
-    total = np.zeros(p.shape[:-1], dtype=np.float64)
-    for mask in motif.containing_masks:
-        term = np.ones(p.shape[:-1], dtype=np.float64)
-        for idx in range(n_pairs):
-            term = term * (p[..., idx] if (mask >> idx) & 1 else q[..., idx])
-        total += term
-    return total
+    masks = motif.containing_masks.tolist()
+    rows = p.reshape(-1, n_pairs)
+    total = np.zeros(rows.shape[0])
+    # Each mask's product is formed in pair order and added in mask order,
+    # one in-place multiply or add at a time over a chunk of rows, with
+    # each pair's probabilities contiguous.  A chunk's temporaries take
+    # (2 * n_pairs + 1) * 128 kB; 2^14 rows ran fastest of 2^11 to 2^20.
+    chunk = 1 << 14
+    for start in range(0, total.size, chunk):
+        present = np.ascontiguousarray(rows[start:start + chunk].T)
+        factors = (1.0 - present, present)
+        acc = total[start:start + chunk]
+        term = np.empty(acc.size)
+        for mask in masks:
+            np.copyto(term, factors[mask & 1][0])
+            for idx in range(1, n_pairs):
+                term *= factors[(mask >> idx) & 1][idx]
+            acc += term
+    return total.reshape(p.shape[:-1])
 
 
 EDGE = Motif([[0, 1], [1, 0]], name="edge")

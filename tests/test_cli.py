@@ -268,6 +268,15 @@ class TestBootstrapCommand:
         assert drawn == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.edges"]
 
+    def test_unwritable_out_is_named_as_given(self, graph_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        err = usage_error(capsys, [
+            "bootstrap", "--graph", str(graph_file), "--motif", "edge",
+            "--scheme", "resample", "--B", "10", "--seed", "9", "--out", "missing/dir/b.csv"])
+        assert err == ("netmoments bootstrap: error: [Errno 2] No such file or directory: "
+                       "'missing/dir/b.csv'\n")
+        assert ".tmp" not in err
+
     def test_failed_write_keeps_existing_out(self, graph_file, tmp_path, capsys, monkeypatch):
         out = tmp_path / "boot.csv"
         out.write_bytes(b"earlier run\n")

@@ -960,10 +960,11 @@ class TestListedCounts:
         calls.clear()
         pair_projection(AdjacencyMatrix(A.a), motif)
         assert calls == listing
-        # The graph keeps its nonzeros: a second request on it reads no bytes.
+        # The graph keeps its nonzeros and triangles: a second request on it
+        # reads no bytes and lists nothing.
         calls.clear()
         pair_projection(A, motif)
-        assert calls == {"_sparse_route": 1, "_triangles": 1}
+        assert calls == {"_sparse_route": 1}
         # motif_counts and pair_projection form no sums, on either route.
         for graph in (A, random_graph(np.random.default_rng(79), 40, 0.3)):
             calls.clear()
@@ -979,6 +980,48 @@ class TestListedCounts:
         n = 2000
         A = random_graph(np.random.default_rng(71), n, 10 / (n - 1))
         assert _traced_peak(A, motif) <= n * n
+
+
+class TestMultiplicityCounts:
+    """Per-node counts of induced replicates, read off the observed graph."""
+
+    @staticmethod
+    def gathered_and_counted(A, motif, idx):
+        """``motif_counts_block`` of the stack that the draws ``idx`` (b, s) induce,
+        and ``_multiplicity_counts`` of their multiplicities at the same nodes."""
+        b, n = idx.shape[0], A.n
+        per = motif_counts_block(A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)[1]
+        mult = np.zeros((b, n), dtype=np.int64)
+        np.add.at(mult, (np.arange(b)[:, None], idx), 1)
+        return per, np.take_along_axis(moments._multiplicity_counts(A, motif, mult), idx, 1)
+
+    @pytest.mark.parametrize("route", ["dense", "listed"])
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    def test_equal_to_gathered_stack(self, motif, route, monkeypatch):
+        if route == "listed":
+            monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 0)
+            monkeypatch.setattr(moments, "_SPARSE_MAX_DENSITY", 1.0)
+        rng = np.random.default_rng(91)
+        for A in (random_graph(rng, 30, 0.5), sample_graph(paper_block_model(), 40, 1.0, seed=9),
+                  _star(25), AdjacencyMatrix(np.zeros((9, 9), dtype=np.int8))):
+            n = A.n
+            draws = [rng.integers(0, n, size=(5, n)),  # resamples
+                     np.sort(rng.permuted(np.tile(np.arange(n), (5, 1)), axis=1)[:, :n // 2]),
+                     np.zeros((2, n), dtype=np.int64)]  # every copy one node
+            for idx in draws:
+                per, counted = self.gathered_and_counted(A, motif, idx)
+                assert counted.dtype == per.dtype and counted.tobytes() == per.tobytes()
+
+    def test_product_dtype_bound(self, monkeypatch):
+        # Dense products hold integers up to n^2: float32 to n = 4096.
+        assert moments._product_dtype(4096) is np.float32
+        assert moments._product_dtype(4097) is np.float64
+        A = sample_graph(paper_block_model(), 40, 1.0, seed=10)
+        idx = np.random.default_rng(92).integers(0, A.n, size=(6, A.n))
+        narrow = [self.gathered_and_counted(A, motif, idx)[1] for motif in (TRIANGLE, VSHAPE)]
+        monkeypatch.setattr(moments, "_product_dtype", lambda n: np.float64)
+        wide = [self.gathered_and_counted(A, motif, idx)[1] for motif in (TRIANGLE, VSHAPE)]
+        assert [x.tobytes() for x in wide] == [x.tobytes() for x in narrow]
 
 
 class TestCostCaps:

@@ -238,6 +238,25 @@ class TestConditionalExpectation:
                     vals.append(expected_h(wt, motif))
                 assert vals[1] == pytest.approx((vals[0] + vals[2]) / 2, abs=1e-12)
 
+    def test_bytes_of_the_sequential_sum(self):
+        # Each containing mask's product in pair order, added in mask order:
+        # the float operations the golden population moments were made
+        # with.  Rows cross a chunk boundary; a lone row and a grid of rows
+        # keep their shapes.
+        rng = np.random.default_rng(15)
+        for name, (r, edges) in CONNECTED.items():
+            motif, n_pairs = Motif(from_edges(r, edges).a), r * (r - 1) // 2
+            for shape in [(n_pairs,), (3, 7, n_pairs), ((1 << 14) + 3, n_pairs)][:2 + (r == 5)]:
+                p = rng.random(shape)
+                expected = np.zeros(shape[:-1])
+                for mask in motif.containing_masks:
+                    term = np.ones(shape[:-1])
+                    for k in range(n_pairs):
+                        term = term * (p[..., k] if (mask >> k) & 1 else 1.0 - p[..., k])
+                    expected += term
+                got = containment_probability(motif, p)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             containment_probability(EDGE, [1.2])
