@@ -13,16 +13,25 @@ no replicate adjacency is built.  Subsamples of dense-route graphs, the
 three-star and generic motifs are gathered into an int8 stack of induced
 subgraphs.  The counts are the same integers either way
 (``moments._replicate_counts``).
+
+Draw rule: replicate b's nodes come from its own stream
+``(seed, scheme, b)``: ``integers(0, n, size=n)`` for a resample, the
+sorted ``choice(n, size=n_star, replace=False)`` for a subsample.  A chunk
+of replicates is drawn at once from each stream's raw words, by numpy's
+own rules: Lemire's bounded integers and Floyd's sample set.  Each row
+equals numpy's per-replicate draw, byte for byte (:func:`_batch_draws`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyMatrix
+from . import moments
+from .adjacency import AdjacencyMatrix, _integer
 from .errors import DegenerateReplicatesError
 from .moments import _replicate_counts, sample_moment, studentize
 from .motif import Motif
@@ -102,15 +111,82 @@ def _studentized(count: int, n: int, counts, motif: Motif, center: float,
     return EmpiricalCdf(samples=kept, n_dropped=dropped)
 
 
-def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
-                size: int, draw) -> EmpiricalCdf:
-    """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
-    takes the nodes ``draw(rng)``, with ``rng`` its own stream ``(seed, label, b)``."""
+def _draw(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
+    """One replicate's nodes from its own stream: ``n`` draws with
+    replacement (``s = n``), or ``s < n`` distinct nodes, sorted."""
+    if s == n:
+        return rng.integers(0, n, size=n)
+    return np.sort(rng.choice(n, size=s, replace=False))
+
+
+def _lemire(words: np.ndarray, bound: np.ndarray):
+    """numpy's bounded draw from each 32-bit word: ``(w * bound) >> 32``
+    (Lemire 2019), int64, and whether numpy rejects ``w`` and reads the next
+    word instead (the low half of ``w * bound`` is below
+    ``(2^32 - bound) mod bound``)."""
+    m = words.astype(np.uint64) * bound
+    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2 ** 32 - bound) % bound
+
+
+def _batch_draws(n: int, s: int, seed: int, label: str, b0: int, b1: int) -> np.ndarray:
+    """:func:`_draw` for replicates ``b0 .. b1-1`` at once, int64 ``(b1 - b0, s)``.
+
+    A fresh Philox stream hands out 32-bit words low half first, so draw t
+    reads word t of the stream's first raw words.  A resample takes each
+    word's bounded draw below n.  A subsample is numpy's ``choice`` branch
+    (Floyd's algorithm, Bentley & Floyd 1987): step t draws below
+    ``j + 1``, ``j = n - s + t``, and takes j instead if the drawn node is
+    already held; a bool table holds each row's set, read out sorted.  A row
+    where numpy would reject a word (under 1e-6 of rows at n = 80) is drawn
+    again by :func:`_draw`.  So every row equals :func:`_draw` on its stream.
+    """
     streams = thread_streams()
+    words = streams.words(seed, label, b0, b1, (s + 1) // 2)
+    words = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :s]
+    bound = np.uint64(n) if s == n else np.arange(n - s + 1, n + 1, dtype=np.uint64)
+    nodes, redo = _lemire(words, bound)
+    if s < n:
+        held, rows = np.zeros((b1 - b0, n), dtype=bool), np.arange(b1 - b0)
+        for t, j in enumerate(range(n - s, n)):
+            v = nodes[:, t]
+            v[held[rows, v]] = j
+            held[rows, v] = True
+        nodes = np.nonzero(held)[1].reshape(b1 - b0, s)
+    for row in np.flatnonzero(redo.any(axis=1)):
+        nodes[row] = _draw(streams(seed, label, b0 + row), n, s)
+    return nodes
+
+
+def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
+                size: int) -> EmpiricalCdf:
+    """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
+    takes the nodes :func:`_draw` gives on its own stream ``(seed, label, b)``.
+
+    Replicates are drawn in chunks of ``max(1, _PAIR_CHUNK // n)``.  A chunk
+    of at least ``size`` replicates is drawn by :func:`_batch_draws`, a
+    smaller one replicate by replicate; the bytes are the same either way.
+    So a batch has ``size <= 256``, its ``(chunk, n)`` table stays near
+    ``_PAIR_CHUNK`` entries, and numpy's ``choice`` takes its Floyd branch
+    (which it does up to 10 000 nodes, or ``n // 50`` draws beyond).
+    """
+    B = _integer("B", B)
+    n, streams = A.n, thread_streams()
+    chunk = max(1, moments._PAIR_CHUNK // n)
+
+    @functools.lru_cache(maxsize=1)
+    def batch(c0: int) -> np.ndarray:
+        return _batch_draws(n, size, seed, label, c0, min(c0 + chunk, B))
+
+    def drawn(c0: int, k0: int, k1: int) -> np.ndarray:
+        c1 = min(c0 + chunk, B)
+        if c1 - c0 >= size:
+            return batch(c0)[k0 - c0:k1 - c0]
+        return np.array([_draw(streams(seed, label, b), n, size) for b in range(k0, k1)])
 
     def counts(k0: int, k1: int):
-        return _replicate_counts(
-            A, motif, np.array([draw(streams(seed, label, b)) for b in range(k0, k1)]))
+        return _replicate_counts(A, motif, np.concatenate([
+            drawn(c0, max(k0, c0), min(k1, c0 + chunk))
+            for c0 in range(k0 - k0 % chunk, k1, chunk)]))
 
     return _studentized(B, size, counts, motif, sample_moment(A, motif),
                         MAX_DROP_FRACTION, "bootstrap")
@@ -123,11 +199,10 @@ def subsample_distribution(A: AdjacencyMatrix, motif: Motif, n_star: int,
     The replicate statistic is computed on the induced subgraph and
     studentized by the moment-based variance estimate.
     """
-    n = A.n
+    n, n_star = A.n, _integer("n_star", n_star)
     if not (motif.r <= n_star < n):
         raise ValueError(f"need r <= n_star < n, got n_star={n_star}, n={n}")
-    return _replicates(A, motif, B, seed, "subsample", n_star,
-                       lambda rng: np.sort(rng.choice(n, size=n_star, replace=False)))
+    return _replicates(A, motif, B, seed, "subsample", n_star)
 
 
 def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int) -> EmpiricalCdf:
@@ -138,6 +213,4 @@ def resample_distribution(A: AdjacencyMatrix, motif: Motif, B: int, seed: int) -
     (``i_a == i_b``) read the zero diagonal and contribute no edge, so the
     result stays a simple graph.
     """
-    n = A.n
-    return _replicates(A, motif, B, seed, "resample", n,
-                       lambda rng: rng.integers(0, n, size=n))
+    return _replicates(A, motif, B, seed, "resample", A.n)

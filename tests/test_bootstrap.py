@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
 from netmoments import bootstrap, moments
 from netmoments.bootstrap import _BLOCK_ELEMENTS, MAX_DROP_FRACTION
 from netmoments.harness import monte_carlo_true_cdf
+from netmoments.rng import KeyedStreams
 from conftest import paper_block_model
 
 K5 = from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
@@ -121,6 +123,34 @@ class TestResample:
         with pytest.raises(ValueError, match="replicate"):
             resample_distribution(graph80, EDGE, B=0, seed=1)
 
+    @pytest.mark.parametrize("B", [True, 5.0, np.float64(3), "4"])
+    def test_b_must_be_an_integer(self, graph80, B, monkeypatch):
+        # Checked before any draw: B=True used to run one replicate.
+        monkeypatch.setattr(bootstrap, "_draw", None)
+        monkeypatch.setattr(bootstrap, "_batch_draws", None)
+        message = re.escape(f"B must be an integer, got {B!r}")
+        for run in (lambda: resample_distribution(graph80, EDGE, B=B, seed=1),
+                    lambda: subsample_distribution(graph80, EDGE, n_star=40, B=B, seed=1)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run()
+
+    @pytest.mark.parametrize("B", [-1, -(2 ** 62), np.int64(-5)])
+    def test_negative_b_allocates_nothing(self, graph80, B):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need at least one replicate"):
+                resample_distribution(graph80, EDGE, B=B, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_star", [10.0, True, np.float32(20)])
+    def test_n_star_must_be_an_integer(self, graph80, n_star):
+        message = re.escape(f"n_star must be an integer, got {n_star!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            subsample_distribution(graph80, EDGE, n_star=n_star, B=5, seed=1)
+
 
 # Replicate b's nodes, drawn from its own (seed, scheme, b) stream.
 DRAWS = {
@@ -201,7 +231,7 @@ class TestReplicateEngine:
         # gathered); the others take the listed route.
         A, listed = MULTIPLICITY_GRAPHS[graph]()
         assert moments._sparse_route(A) == listed
-        used = spy_multiplicity_counts(monkeypatch)
+        used = spy(monkeypatch, moments, "_multiplicity_counts")
         B = 12
         values, dropped = oracle_replicates(scheme, A, motif, B, 5)
         assert_engine_equals(lambda: run_bootstrap(scheme, A, motif, B, 5), values, dropped, B)
@@ -216,13 +246,15 @@ class TestReplicateEngine:
         n = A.n
         heavy = n - 1 if graph == "hub-last" else 0
 
-        def draw(rng):
+        def draw(rng, n, s):
             return np.where(rng.random(n) < 0.3, heavy, rng.integers(0, n, size=n))
 
-        used = spy_multiplicity_counts(monkeypatch)
-        B = 12
-        values, dropped = oracle_replicates("resample", A, motif, B, 6, draw)
-        assert_engine_equals(lambda: bootstrap._replicates(A, motif, B, 6, "resample", n, draw),
+        used = spy(monkeypatch, moments, "_multiplicity_counts")
+        B = 12  # fewer than n replicates: each is drawn by its own _draw call
+        values, dropped = oracle_replicates("resample", A, motif, B, 6,
+                                            lambda rng: draw(rng, n, n))
+        monkeypatch.setattr(bootstrap, "_draw", draw)
+        assert_engine_equals(lambda: resample_distribution(A, motif, B=B, seed=6),
                              values, dropped, B)
         assert used
 
@@ -275,6 +307,114 @@ class TestReplicateEngine:
         assert peak < n * n
 
 
+def numpy_draws(n, s, seed, label, b0, b1):
+    """numpy's own draws for replicates b0 .. b1-1, one call per replicate."""
+    rows = []
+    for b in range(b0, b1):
+        rng = stream(seed, label, b)
+        rows.append(rng.integers(0, n, size=n) if s == n
+                    else np.sort(rng.choice(n, size=s, replace=False)))
+    return np.array(rows)
+
+
+def spy(monkeypatch, module, name):
+    """A list that grows by one at each call of ``module.name``."""
+    used, call = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: used.append(1) or call(*args))
+    return used
+
+
+class TestBatchDraws:
+    """A chunk of replicates drawn from their streams' raw words equals numpy's
+    per-replicate ``integers`` and sorted ``choice`` draws."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 40, 80, 127, 256, 300])
+    def test_equal_numpy_per_row(self, n):
+        for s in sorted({n, n // 2, n - 1} - {0}):
+            label = "resample" if s == n else "subsample"
+            for seed in (0, 1, -9, 2 ** 70):
+                got = bootstrap._batch_draws(n, s, seed, label, 3, 63)
+                assert got.dtype == np.int64 and got.shape == (60, s)
+                assert got.tobytes() == numpy_draws(n, s, seed, label, 3, 63).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 3, 6])
+    def test_beyond_ten_thousand_nodes(self, s):
+        # Above 10 000 nodes numpy's choice stays on Floyd's branch up to
+        # n // 50 draws, and a chunk (which bounds a batch's draws) is smaller.
+        assert max(1, moments._PAIR_CHUNK // 10_001) <= 10_001 // 50
+        n = 20_000
+        got = bootstrap._batch_draws(n, s, 5, "subsample", 0, 40)
+        assert got.tobytes() == numpy_draws(n, s, 5, "subsample", 0, 40).tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("scheme", ["subsample", "resample"])
+    def test_batch_rule_through_the_bootstraps(self, scheme, extra, monkeypatch):
+        # At n = 40 a chunk holds 1638 replicates: B = s - 1 is drawn
+        # replicate by replicate, B >= s in one batch.
+        A = sample_graph(paper_block_model(), 40, 1.0, seed=42)
+        s = A.n // 2 if scheme == "subsample" else A.n
+        B = s + extra
+        batches = spy(monkeypatch, bootstrap, "_batch_draws")
+        values, dropped = oracle_replicates(scheme, A, VSHAPE, B, 9)
+        assert_engine_equals(lambda: run_bootstrap(scheme, A, VSHAPE, B, 9), values, dropped, B)
+        assert len(batches) == (B >= s)
+
+    @pytest.mark.parametrize("chunk", [1, 45 * 80, 2 ** 30])
+    def test_chunking_invariance(self, graph80, chunk, monkeypatch):
+        # Per-replicate draws only; chunks of 45 replicates (subsamples in
+        # batches of 45, 45 and then 10 drawn one by one, across blocks of
+        # 20; resamples one by one); and every replicate in one chunk.
+        def fingerprint():
+            boots = [subsample_distribution(graph80, EDGE, n_star=40, B=100, seed=2),
+                     subsample_distribution(graph80, TRIANGLE, n_star=40, B=100, seed=3),
+                     resample_distribution(graph80, EDGE, B=100, seed=2)]
+            return [(F.samples.tobytes(), F.n_dropped) for F in boots]
+
+        expected = fingerprint()
+        batches = spy(monkeypatch, bootstrap, "_batch_draws")
+        monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
+        assert fingerprint() == expected
+        assert len(batches) == {1: 0, 45 * 80: 4, 2 ** 30: 3}[chunk]
+
+    def test_rejected_words_are_redrawn_per_row(self, monkeypatch):
+        # A zero word is rejected whenever 2^32 mod bound > 0, so numpy reads
+        # another: every third row goes through _draw on its own stream.
+        words = KeyedStreams.words
+
+        def zeroed(self, seed, label, b0, b1, k):
+            out = words(self, seed, label, b0, b1, k)
+            out[::3, k // 2] = 0
+            return out
+
+        monkeypatch.setattr(KeyedStreams, "words", zeroed)
+        redrawn = spy(monkeypatch, bootstrap, "_draw")
+        for n, s in ((80, 80), (80, 40), (57, 56)):
+            got = bootstrap._batch_draws(n, s, 4, "x", 0, 30)
+            assert got.tobytes() == numpy_draws(n, s, 4, "x", 0, 30).tobytes()
+        assert len(redrawn) == 3 * 10
+
+    def test_zero_word_is_flagged_unless_the_bound_divides_2_32(self):
+        bound = np.array([1, 2, 3, 7, 64, 80, 1000, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1],
+                         dtype=np.uint64)
+        value, reject = bootstrap._lemire(np.zeros((2, bound.size), dtype=np.uint32), bound)
+        assert (value == 0).all() and value.dtype == np.int64
+        assert reject.tolist() == 2 * [[2 ** 32 % int(b) > 0 for b in bound]]
+
+    def test_rejection_rule_matches_numpy(self):
+        # At bound 2^31 + 1 numpy rejects about half of all words; its draw
+        # is the value of the first word it keeps.
+        bound, skipped = 2 ** 31 + 1, 0
+        for seed in range(200):
+            words = stream(seed).bit_generator.random_raw(8)
+            value, reject = bootstrap._lemire(
+                np.ascontiguousarray(words, dtype="<u8").view("<u4"), np.uint64(bound))
+            first = int(np.argmin(reject))
+            assert not reject[first]
+            assert stream(seed).integers(0, bound) == value[first]
+            skipped += first > 0
+        assert 60 < skipped < 140
+
+
 def random_pairs(rng, n, degree):
     """About ``degree * n / 2`` distinct random node pairs, as a list."""
     pairs = rng.integers(0, n, size=(degree * n, 2))
@@ -306,14 +446,6 @@ MULTIPLICITY_GRAPHS = {
     "hub-first": lambda: (hub_graph(True), True),
     "hub-last": lambda: (hub_graph(False), True),
 }
-
-
-def spy_multiplicity_counts(monkeypatch):
-    """A list that grows by one at each ``_multiplicity_counts`` call."""
-    used, counts = [], moments._multiplicity_counts
-    monkeypatch.setattr(moments, "_multiplicity_counts",
-                        lambda *args: used.append(1) or counts(*args))
-    return used
 
 
 def assert_engine_equals(run, values, dropped, B):

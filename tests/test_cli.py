@@ -534,6 +534,16 @@ FAILURES = {
     "no-output-path": (
         lambda t: ["experiment", "accuracy", "--config", str(experiment_config(t))],
         "no output path"),
+    # 2^128 does not fit the stream key's 16-byte seed field.
+    "out-of-range-seed-bootstrap": (
+        lambda t: ["bootstrap", "--graph", _path_graph(t / "path.edges", 5), "--motif", "edge",
+                   "--scheme", "resample", "--B", "10", "--seed", str(2 ** 128),
+                   "--out", str(t / "out.csv")],
+        f"seed must lie in the signed 128-bit range [-2**127, 2**127), got {2 ** 128}"),
+    "out-of-range-seed-sample": (
+        lambda t: ["sample", "--graphon", "blockmodel", "--n", "10", "--seed", str(-2 ** 127 - 1),
+                   "--out", str(t / "out.csv")],
+        f"seed must lie in the signed 128-bit range [-2**127, 2**127), got {-2 ** 127 - 1}"),
     "unwritable-out": (
         lambda t: ["experiment", "accuracy", "--config", str(experiment_config(t)),
                    "--out", str(t / "cfg.json" / "out.csv")],

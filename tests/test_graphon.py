@@ -285,6 +285,31 @@ class TestKeyedStreams:
         assert len({id(s) for s in streams}) == 3 and thread_streams() not in streams
         assert thread_streams() is thread_streams()
 
+    def test_words_are_each_streams_raw_words(self):
+        streams = KeyedStreams()
+        for seed, label, b0, b1, k in ((0, "resample", 0, 5, 40), (-7, "subsample", 3, 4, 1),
+                                       (2 ** 127 - 1, "x", 10 ** 6, 10 ** 6 + 3, 7)):
+            words = streams.words(seed, label, b0, b1, k)
+            assert words.dtype == np.uint64 and words.shape == (b1 - b0, k)
+            for row, b in enumerate(range(b0, b1)):
+                expect = stream(seed, label, b).bit_generator.random_raw(k)
+                assert words[row].tobytes() == expect.tobytes()
+        # The generator it re-keyed still matches a fresh stream on the next call.
+        assert streams(5, "edges").random(3).tobytes() == stream(5, "edges").random(3).tobytes()
+        assert streams.words(1, "x", 4, 4, 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("seed", [2 ** 127, 2 ** 128, -2 ** 127 - 1])
+    def test_out_of_range_seed(self, seed):
+        message = re.escape(f"seed must lie in the signed 128-bit range [-2**127, 2**127), "
+                            f"got {seed}")
+        for draw in (lambda: stream(seed, "edges"), lambda: substream_seed(seed),
+                     lambda: KeyedStreams()(seed, "x", 1),
+                     lambda: KeyedStreams().words(seed, "x", 0, 2, 1)):
+            with pytest.raises(ValueError, match=message):
+                draw()
+        with pytest.raises(ValueError, match=message):
+            sample_graph(paper_block_model(), 10, 1.0, seed)
+
     def test_labels_are_str_or_int(self):
         with pytest.raises(TypeError, match="stream labels must be str or int, got float"):
             stream(5, "edges", 0.5)
