@@ -111,6 +111,29 @@ class AdjacencyMatrix:
         rows, cols, indptr = self._nonzeros
         return moments._triangles(self.a, *moments._oriented(rows, cols, np.diff(indptr)))
 
+    @functools.cached_property
+    def _products(self) -> np.ndarray:
+        """``a`` in ``moments._product_dtype(n)``: the matrix of every dense-route
+        replicate product of this graph, cast once."""
+        from . import moments
+
+        return self.a.astype(moments._product_dtype(self.n))
+
+    @functools.cached_property
+    def _incidence(self):
+        """``(v, w, inc)``: each edge {v, w} once, v < w, and its row
+        ``inc[e, u] = a[u, v] * a[u, w]`` (1 where the edge closes a triangle
+        at u), ``(edges, n)`` in the dtype of :attr:`_products`.  Built on
+        first use and shared by every dense-route replicate triangle count
+        (``moments._multiplicity_counts``).
+        """
+        rows, cols, _ = self._nonzeros
+        up = rows < cols
+        v, w = rows[up], cols[up]
+        inc = self._products[v]
+        inc *= self._products[w]
+        return v, w, inc
+
     def induced(self, nodes) -> "AdjacencyMatrix":
         """Induced subgraph on the given node indices.
 

@@ -7,12 +7,15 @@ they are dropped and counted, and the run fails if more than 10% drop.
 :func:`_studentized` counts and studentizes replicate graphs in blocks,
 for these bootstraps and for the harness's Monte-Carlo truths alike.
 A replicate is the induced graph on a node draw.  For the edge, triangle
-and V-shape, a resample, or any replicate of a sparse-route graph, is
-counted on the observed graph from the draw's node multiplicities, and
-no replicate adjacency is built.  Subsamples of dense-route graphs, the
-three-star and generic motifs are gathered into an int8 stack of induced
-subgraphs.  The counts are the same integers either way
-(``moments._replicate_counts``).
+and V-shape it is counted on the observed graph from the draw's node
+multiplicities, and no replicate adjacency is built.  The exceptions are
+the triangle and V-shape in subsamples of a dense-route graph that are
+small (a gathered stack costs less), or whose edge-triangle incidence
+table is past ``moments._INCIDENCE_MAX_BYTES``.  These, the three-star
+and generic motifs are gathered into an int8 stack of induced subgraphs.
+The counts are the same integers either way
+(``moments._replicate_counts``), and a block holds the replicates that
+route counts at once.
 
 Draw rule: replicate b's nodes come from its own stream
 ``(seed, scheme, b)``: ``integers(0, n, size=n)`` for a resample, the
@@ -41,11 +44,17 @@ __all__ = ["EmpiricalCdf", "subsample_distribution", "resample_distribution"]
 
 MAX_DROP_FRACTION = 0.10
 
-# Replicates are counted in blocks of about this many adjacency entries
+# Stacks of replicate graphs (Monte-Carlo truths, gathered bootstrap
+# replicates) are counted in blocks of about this many adjacency entries
 # (b * n^2), which keeps a block's float64 temporaries within a few
-# hundred kB per thread.  A sparse-route graph has n^2 above it, so its
-# replicates are counted one at a time, in O(edges + triangles) memory.
+# hundred kB.  Replicates counted from their multiplicities come in the
+# chunks of moments._replicate_chunk instead.
 _BLOCK_ELEMENTS = 1 << 15
+
+
+def _stack_block(n: int) -> int:
+    """Replicate graphs on ``n`` nodes per block of a stacked count."""
+    return max(1, _BLOCK_ELEMENTS // (n * n))
 
 
 @dataclass(frozen=True)
@@ -80,13 +89,13 @@ class EmpiricalCdf:
         return float(self.samples[k])
 
 
-def _studentized(count: int, n: int, counts, motif: Motif, center: float,
+def _studentized(count: int, n: int, block: int, counts, motif: Motif, center: float,
                  max_fraction: float, what: str) -> EmpiricalCdf:
     """Sorted ``(U_hat - center) / S_hat`` of ``count`` replicate graphs on ``n`` nodes.
 
     ``counts(k0, k1)`` returns the ``(total, per_node)`` motif counts of
     replicates ``k0 .. k1-1`` (as :func:`motif_counts_block` does), called
-    block by block in the calling thread.  ``S_hat^2`` is the
+    in blocks of ``block`` replicates in the calling thread.  ``S_hat^2`` is the
     moment-based variance estimate of :func:`studentize`.  Replicates
     where it is exactly zero are dropped and counted; more than
     ``max_fraction`` of them, or all, raise ``DegenerateReplicatesError``.
@@ -94,7 +103,6 @@ def _studentized(count: int, n: int, counts, motif: Motif, center: float,
     if count < 1:
         raise ValueError(f"need at least one replicate, got {count}")
     r = motif.r
-    block = max(1, _BLOCK_ELEMENTS // (n * n))
 
     def run_block(k0: int) -> np.ndarray:
         total, per = counts(k0, min(k0 + block, count))
@@ -168,6 +176,8 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
     So a batch has ``size <= 256``, its ``(chunk, n)`` table stays near
     ``_PAIR_CHUNK`` entries, and numpy's ``choice`` takes its Floyd branch
     (which it does up to 10 000 nodes, or ``n // 50`` draws beyond).
+    A block of replicates is a chunk of ``moments._replicate_chunk``, or a
+    :func:`_stack_block` when the replicates are gathered.
     """
     B = _integer("B", B)
     n, streams = A.n, thread_streams()
@@ -188,7 +198,8 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
             drawn(c0, max(k0, c0), min(k1, c0 + chunk))
             for c0 in range(k0 - k0 % chunk, k1, chunk)]))
 
-    return _studentized(B, size, counts, motif, sample_moment(A, motif),
+    block = moments._replicate_chunk(A, motif, size) or _stack_block(size)
+    return _studentized(B, size, block, counts, motif, sample_moment(A, motif),
                         MAX_DROP_FRACTION, "bootstrap")
 
 

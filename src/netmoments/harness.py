@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .adjacency import AdjacencyMatrix, _check_keys, _integer
-from .bootstrap import (MAX_DROP_FRACTION, _studentized, resample_distribution,
+from .bootstrap import (MAX_DROP_FRACTION, _stack_block, _studentized, resample_distribution,
                         subsample_distribution)
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
 from .errors import DegeneracyError, DegenerateReplicatesError
@@ -234,7 +234,8 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
             g, n, rho, [substream_seed(seed, "mc-truth", k) for k in range(k0, k1)]), motif)
 
     try:
-        F = _studentized(n_mc, n, counts, motif, mu, max_degenerate_fraction, "truth")
+        F = _studentized(n_mc, n, _stack_block(n), counts, motif, mu, max_degenerate_fraction,
+                         "truth")
     except DegenerateReplicatesError as exc:
         if exc.n_dropped == exc.n_total:
             raise  # no cap admits a truth with nothing to tabulate

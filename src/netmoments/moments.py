@@ -318,6 +318,33 @@ def _product_dtype(n: int):
     return np.float32 if n * n <= 2 ** 24 else np.float64
 
 
+# A dense-route graph counts its replicates' triangles against its edge-
+# triangle incidence table (AdjacencyMatrix._incidence: edges x n entries
+# of _product_dtype(n)) while the table takes fewer than this many bytes,
+# and by its held-row products beyond.  ms per replicate triangle count
+# (blocks of 8 resamples, best of 9, 2-vCPU Xeon), held-row product /
+# incidence, with OpenBLAS at 2 threads and at 1:
+#
+#   n, density   table    2 threads   1 thread
+#   150, 0.3     1.9 MB   0.12/0.05   0.12/0.06
+#   300, 0.1     5.2 MB   0.47/0.07   0.52/0.13
+#   300, 0.3     15 MB    0.28/0.24   0.53/0.36
+#   600, 0.05    20 MB    1.78/0.26   2.44/0.32
+#   400, 0.3     36 MB    0.66/0.44   0.81/0.98
+#
+# Dense graphs gain least, and the table is kept with the graph: below
+# 16 MB it won every case measured.
+_INCIDENCE_MAX_BYTES = 1 << 24
+
+
+def _incidence_fits(A: AdjacencyMatrix) -> bool:
+    """Whether the dense-route graph ``A``'s incidence table fits under
+    ``_INCIDENCE_MAX_BYTES``; asked by :func:`_replicate_chunk` and
+    :func:`_multiplicity_counts`."""
+    n = A.n
+    return A.edge_count * n * np.dtype(_product_dtype(n)).itemsize < _INCIDENCE_MAX_BYTES
+
+
 def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> np.ndarray:
     """Per-node counts ``F`` (b, n), int64, of the edge, triangle or V-shape in
     the induced graphs of ``A`` that node multiplicities ``mult`` (b, n) give.
@@ -326,15 +353,17 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> 
     counts for a resample; s nodes in all, s <= n).  Copies of one node
     are never adjacent, so every copy of u has the count ``F[b, u]``
     (unspecified where ``mult[b, u]`` is 0).  With ``m = mult[b]`` and
-    ``D = A @ m``, F is ``D`` (edge),
-    ``tri(u) = 1/2 sum_w A_uw m_w (A diag(m) A)_uw`` (triangle), or the
-    single-graph V-shape ``C(d, 2) + A@d - d - 2*tri`` of
-    :func:`_listed_counts` with ``d -> D`` and ``A@d -> A@(m*D)``.
-    Every value is an integer of at most s^2.  The route is the one
-    :func:`_graph_counts` takes: on a :func:`_sparse_route` graph the sums
-    are bincounts of float64 weights over ``A._nonzeros`` and
-    ``A._triangles`` (exact below 2^53); otherwise they are products in
-    :func:`_product_dtype`, the triangle's over the rows of held nodes only.
+    ``D = A @ m``, F is ``D`` (edge), the sum over the triangles {u, v, w}
+    of ``m_v * m_w`` (triangle), or the single-graph V-shape
+    ``C(d, 2) + A@d - d - 2*tri`` of :func:`_listed_counts` with ``d -> D``
+    and ``A@d -> A@(m*D)``.  Every value is an integer of at most s^2.  The
+    route is the one :func:`_graph_counts` takes: on a :func:`_sparse_route`
+    graph the sums are bincounts of float64 weights over ``A._nonzeros``
+    and ``A._triangles`` (exact below 2^53); otherwise they are products in
+    :func:`_product_dtype` with ``A._products``, the triangle's
+    ``(m_v * m_w over the edges) @ A._incidence`` while :func:`_incidence_fits`,
+    else ``1/2 sum_w A_uw m_w (A diag(m) A)_uw`` over the rows of held
+    nodes only.
     """
     b, n = mult.shape
     kind = _structural_kind(motif)
@@ -352,13 +381,20 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> 
             ends = mult[:, np.concatenate([i, k, k])] * mult[:, np.concatenate([j, j, i])]
             return np.bincount((corners + shift).ravel(), ends.ravel(), b * n).reshape(b, n)
     else:
-        af = A.a.astype(_product_dtype(n))
+        af = A._products
         m = mult.astype(af.dtype)
 
         def adj(x):  # A @ x, row by row: A is symmetric
             return x @ af
 
-        def triangles():  # rows of A diag(m) and A diag(m) A at the held nodes
+        def triangles():
+            if _incidence_fits(A):  # each edge {v, w} adds m_v * m_w at the u it closes
+                v, w, inc = A._incidence
+                mt = np.ascontiguousarray(m.T)  # rows gather faster than columns
+                pairs = mt[v]
+                pairs *= mt[w]
+                return pairs.T @ inc
+            # rows of A diag(m) and A diag(m) A at the held nodes
             held = np.flatnonzero(mult)  # b * n + u
             left = af[held % n] * m[held // n]
             paths = left @ af
@@ -375,26 +411,56 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> 
     return d * (d - 1) // 2 + _round_int(adj(m * d.astype(m.dtype))) - d - 2 * tri
 
 
+def _replicate_chunk(A: AdjacencyMatrix, motif: Motif, s: int) -> int | None:
+    """How many draws of ``s`` nodes :func:`_replicate_counts` counts at once
+    from their multiplicities, or None if it gathers them.
+
+    Chunks hold about ``_PAIR_CHUNK`` entries.  A draw takes n
+    multiplicities, plus a term per edge end and triangle corner on the
+    :func:`_sparse_route` (whatever s), and nothing more for the edge on the
+    dense route.  There the triangle and V-shape take the incidence table
+    while it :func:`_incidence_fits`, at one pair product per edge, unless
+    a small subsample's gathered stack costs less: ``2 s^3`` multiply-adds
+    below the table's ``edges * n``.  (At n = 80-300 and one BLAS thread,
+    the stack won below ``9 s^3`` and lost above ``1.2 s^3``.)  They come at
+    least n draws to a chunk, so the table is read once per n draws or
+    fewer (read for every 4 draws, a 15 MB table took 5x as long a draw as
+    for 64), and the pair products take no more entries than it.  Past the
+    budget a resample takes n^2 held-row product entries and a subsample
+    is gathered, as are the three-star and generic motifs.
+    """
+    n, kind = A.n, _structural_kind(motif)
+    if kind not in ("edge", "triangle", "vshape"):
+        return None
+    if _sparse_route(A):
+        width = n + A._nonzeros[0].size + (0 if kind == "edge" else 3 * A._triangles[0].size)
+    elif kind == "edge":
+        width = n
+    elif _incidence_fits(A) and 2 * s ** 3 >= A.edge_count * n:
+        return max(n, _PAIR_CHUNK // (n + A.edge_count))
+    elif s == n:
+        width = n * n
+    else:
+        return None
+    return max(1, _PAIR_CHUNK // width)
+
+
 def _replicate_counts(A: AdjacencyMatrix, motif: Motif, idx: np.ndarray):
     """:func:`motif_counts_block` of the graphs that ``A`` induces on the node
     draws ``idx`` (b, s): ``(total, per_node)``, int64 arrays (b,) and (b, s).
 
-    The edge, triangle and V-shape of a resample (s = n), or of any draw
-    from a :func:`_sparse_route` graph, are read off ``A`` from the draws'
-    multiplicities (:func:`_multiplicity_counts`).  Other draws are
-    gathered into an int8 stack of induced subgraphs.
+    The one place that picks a replicate's route (:func:`_replicate_chunk`):
+    the edge, triangle and V-shape are read off ``A`` from the draws'
+    multiplicities (:func:`_multiplicity_counts`) in chunks, except the
+    triangle and V-shape in subsamples of a dense-route graph that are
+    small, or past ``_INCIDENCE_MAX_BYTES``.  Those, the three-star and
+    generic motifs are gathered into an int8 stack of induced subgraphs.
     """
-    (b, s), n, kind = idx.shape, A.n, _structural_kind(motif)
-    listed = _sparse_route(A)
-    if kind not in ("edge", "triangle", "vshape") or not (s == n or listed):
+    (b, s), n = idx.shape, A.n
+    step = _replicate_chunk(A, motif, s)
+    if step is None:
         return motif_counts_block(A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)
-    # A draw takes n^2 product entries on the dense route, and n
-    # multiplicities plus a term per edge end and triangle corner on the
-    # listed one, whatever s: draws go in chunks of about _PAIR_CHUNK of them.
-    width = n * n
-    if listed:
-        width = n + A._nonzeros[0].size + (0 if kind == "edge" else 3 * A._triangles[0].size)
-    step, per = max(1, _PAIR_CHUNK // width), []
+    per = []
     for start in range(0, b, step):
         flat = idx[start:start + step] + (n * np.arange(min(step, b - start)))[:, None]
         mult = np.bincount(flat.ravel(), minlength=flat.shape[0] * n).reshape(-1, n)

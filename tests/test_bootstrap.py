@@ -10,7 +10,7 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         resample_distribution, sample_graph, sample_moment, stream,
                         subsample_distribution)
 from netmoments import bootstrap, moments
-from netmoments.bootstrap import _BLOCK_ELEMENTS, MAX_DROP_FRACTION
+from netmoments.bootstrap import MAX_DROP_FRACTION
 from netmoments.harness import monte_carlo_true_cdf
 from netmoments.rng import KeyedStreams
 from conftest import paper_block_model
@@ -194,32 +194,40 @@ class TestReplicateEngine:
     @pytest.mark.parametrize("rho", [1.0, 0.3])
     @pytest.mark.parametrize("scheme", ["subsample", "resample"])
     def test_equals_per_replicate_oracle(self, scheme, rho, motif):
-        # B spans two full blocks and a partial one.  At rho = 0.3 some
-        # replicates are degenerate: the three-star drops a few, and the
-        # triangle drops enough to trip the cap.
+        # B spans two full blocks and a partial one: chunks of the
+        # multiplicity route, or stacked blocks for the three-star.  At
+        # rho = 0.3 some replicates are degenerate: the three-star drops a
+        # few, and the triangle drops enough to trip the cap.
         A = sample_graph(paper_block_model(), 40, rho, seed=40)
         m = A.n // 2 if scheme == "subsample" else A.n
-        B = 2 * max(1, _BLOCK_ELEMENTS // (m * m)) + 7
+        B = 2 * (moments._replicate_chunk(A, motif, m) or bootstrap._stack_block(m)) + 7
         values, dropped = oracle_replicates(scheme, A, motif, B, 3)
         assert_engine_equals(lambda: run_bootstrap(scheme, A, motif, B, 3), values, dropped, B)
 
     @pytest.mark.parametrize("elements", [1, 1 << 30])
     def test_block_size_invariance(self, monkeypatch, elements):
-        # One replicate per block, and every replicate in one block.
+        # One replicate per block, and every replicate in one block: stacked
+        # blocks (truths, the three-star) and multiplicity-route chunks (the
+        # edge, triangle and V-shape) alike.
         bm = paper_block_model()
         A = sample_graph(bm, 40, 1.0, seed=40)
+
+        def boots():
+            for motif in (EDGE, TRIANGLE, VSHAPE):
+                yield subsample_distribution(A, motif, n_star=20, B=60, seed=4)
+                yield resample_distribution(A, motif, B=60, seed=4)
+            yield resample_distribution(A, THREESTAR, B=60, seed=4)
 
         def fingerprint():
             truth = monte_carlo_true_cdf(bm, 1.0, TRIANGLE, n=12, n_mc=1_000, seed=3,
                                          mu=0.1, max_degenerate_fraction=1.0)
-            boots = [subsample_distribution(A, TRIANGLE, n_star=20, B=60, seed=4),
-                     resample_distribution(A, TRIANGLE, B=60, seed=4),
-                     resample_distribution(A, THREESTAR, B=60, seed=4)]
             return (truth.values.tobytes(), truth.n_degenerate, repr(truth.t_mean),
-                    repr(truth.t_sd), [(F.samples.tobytes(), F.n_dropped) for F in boots])
+                    repr(truth.t_sd), [(F.samples.tobytes(), F.n_dropped) for F in boots()])
 
         expected = fingerprint()
+        chunk = moments._replicate_chunk
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(moments, "_replicate_chunk", lambda *args: chunk(*args) and elements)
         assert fingerprint() == expected
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
@@ -227,15 +235,16 @@ class TestReplicateEngine:
     @pytest.mark.parametrize("graph", ["n199", "n200", "hub-first", "hub-last"])
     def test_multiplicity_route_equals_per_replicate_oracle(self, graph, scheme, motif,
                                                             monkeypatch):
-        # n = 199 takes the dense route (resamples from products, subsamples
-        # gathered); the others take the listed route.
+        # n = 199 takes the dense route (products, inside the incidence
+        # budget); the others take the listed route.  Either way every draw
+        # is counted from its multiplicities.
         A, listed = MULTIPLICITY_GRAPHS[graph]()
         assert moments._sparse_route(A) == listed
         used = spy(monkeypatch, moments, "_multiplicity_counts")
         B = 12
         values, dropped = oracle_replicates(scheme, A, motif, B, 5)
         assert_engine_equals(lambda: run_bootstrap(scheme, A, motif, B, 5), values, dropped, B)
-        assert bool(used) == (listed or scheme == "resample")
+        assert used
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     @pytest.mark.parametrize("graph", ["n199", "hub-first", "hub-last"])
@@ -258,12 +267,90 @@ class TestReplicateEngine:
                              values, dropped, B)
         assert used
 
+    @pytest.mark.parametrize("budget", [0, 2 ** 30])
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    @pytest.mark.parametrize("scheme", ["subsample", "resample", "forced-repeats"])
+    @pytest.mark.parametrize("graph", ["n199", "paper40"])
+    def test_incidence_budget_equals_per_replicate_oracle(self, graph, scheme, motif, budget,
+                                                          monkeypatch):
+        # Dense-route graphs on both sides of the incidence budget.  Inside
+        # it every draw is counted from its multiplicities, triangles against
+        # the graph's incidence table; past it triangle and V-shape resamples
+        # take held-row products and their subsamples are gathered (the edge
+        # needs no table).  Forced repeats put about a third of each resample
+        # on node 0, a corner of a planted triangle in the n = 199 graph.
+        A = planted_triangles(199) if graph == "n199" else sample_graph(
+            paper_block_model(), 40, 1.0, seed=43)
+        assert not moments._sparse_route(A)
+        monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", budget)
+        used = spy(monkeypatch, moments, "_multiplicity_counts")
+        B = 12  # fewer than n replicates: each is drawn by its own _draw call
+        if scheme == "forced-repeats":
+            def draw(rng, n, s):
+                return np.where(rng.random(n) < 0.3, 0, rng.integers(0, n, size=n))
+
+            values, dropped = oracle_replicates("resample", A, motif, B, 6,
+                                                lambda rng: draw(rng, A.n, A.n))
+            monkeypatch.setattr(bootstrap, "_draw", draw)
+            assert_engine_equals(lambda: resample_distribution(A, motif, B=B, seed=6),
+                                 values, dropped, B)
+        else:
+            values, dropped = oracle_replicates(scheme, A, motif, B, 5)
+            assert_engine_equals(lambda: run_bootstrap(scheme, A, motif, B, 5),
+                                 values, dropped, B)
+        assert bool(used) == (budget > 0 or scheme != "subsample" or motif is EDGE)
+        assert ("_incidence" in vars(A)) == (budget > 0 and motif is not EDGE)
+
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
+    @pytest.mark.parametrize("n_star", [10, 40])
+    def test_small_dense_subsamples_are_gathered(self, n_star, motif, monkeypatch):
+        # At n = 80 with ~1000 edges, 2 * 10^3 multiply-adds of a 10-node
+        # stack are below the table's edges * n, and 2 * 40^3 above: small
+        # triangle and V-shape subsamples are gathered.  The edge never is.
+        A = sample_graph(paper_block_model(), 80, 1.0, seed=44)
+        assert 2 * 10 ** 3 < A.edge_count * A.n <= 2 * 40 ** 3
+        used = spy(monkeypatch, moments, "_multiplicity_counts")
+        B = 30
+
+        def draw(rng):
+            return np.sort(rng.choice(A.n, size=n_star, replace=False))
+
+        values, dropped = oracle_replicates("subsample", A, motif, B, 8, draw)
+        assert_engine_equals(lambda: subsample_distribution(A, motif, n_star=n_star, B=B, seed=8),
+                             values, dropped, B)
+        assert bool(used) == (n_star == 40 or motif is EDGE)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_dense_resample_past_budget_builds_no_incidence(self, extra):
+        # A dense graph on 300 nodes with the most edges whose incidence
+        # table fits the budget, and one more.  Inside it the first resample
+        # builds the 16 MB table (~33 MB peak measured); past it held-row
+        # products of one replicate at a time take ~1.5 MB.
+        n = 300
+        itemsize = np.dtype(moments._product_dtype(n)).itemsize
+        edges = moments._INCIDENCE_MAX_BYTES // (itemsize * n) + extra
+        upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+        keys = np.random.default_rng(84).choice(upper, size=edges, replace=False)
+        A = from_edges(n, np.column_stack(np.divmod(keys, n)))
+        assert not moments._sparse_route(A)
+        assert moments._incidence_fits(A) == (extra == 0)
+        tracemalloc.start()
+        try:
+            resample_distribution(A, TRIANGLE, B=4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ("_incidence" in vars(A)) == (extra == 0)
+        if extra:
+            assert peak < moments._INCIDENCE_MAX_BYTES // 8
+        else:
+            assert peak > edges * n * itemsize
+
     @pytest.mark.parametrize("chunk", [1, 2 ** 30])
     @pytest.mark.parametrize("scheme", ["subsample", "resample"])
     def test_draw_chunks_equal_per_replicate_oracle(self, scheme, chunk, monkeypatch):
-        # Listed-route blocks of three 100-node subsamples, and dense-route
-        # blocks of twenty 40-node resamples, split into one draw per chunk
-        # or kept whole.
+        # Listed-route 100-node subsamples and dense-route 40-node
+        # resamples, one per draw chunk and block, or all in one.
         if scheme == "subsample":
             A, _ = MULTIPLICITY_GRAPHS["n200"]()
         else:

@@ -995,12 +995,16 @@ class TestMultiplicityCounts:
         np.add.at(mult, (np.arange(b)[:, None], idx), 1)
         return per, np.take_along_axis(moments._multiplicity_counts(A, motif, mult), idx, 1)
 
-    @pytest.mark.parametrize("route", ["dense", "listed"])
+    # Dense-route triangles against the incidence table (inside the budget)
+    # or from held-row products (past it), and the listed route.
+    @pytest.mark.parametrize("route", ["dense", "held-rows", "listed"])
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
     def test_equal_to_gathered_stack(self, motif, route, monkeypatch):
         if route == "listed":
             monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 0)
             monkeypatch.setattr(moments, "_SPARSE_MAX_DENSITY", 1.0)
+        budget = 0 if route == "held-rows" else 2 ** 30
+        monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", budget)
         rng = np.random.default_rng(91)
         for A in (random_graph(rng, 30, 0.5), sample_graph(paper_block_model(), 40, 1.0, seed=9),
                   _star(25), AdjacencyMatrix(np.zeros((9, 9), dtype=np.int8))):
@@ -1011,17 +1015,38 @@ class TestMultiplicityCounts:
             for idx in draws:
                 per, counted = self.gathered_and_counted(A, motif, idx)
                 assert counted.dtype == per.dtype and counted.tobytes() == per.tobytes()
+            built = route == "dense" and motif is not EDGE
+            assert ("_incidence" in vars(A)) == built
+
+    def test_incidence_rows_close_triangles(self):
+        # Row e = {v, w} marks the nodes adjacent to both ends; a triangle
+        # is marked once at each corner, from its opposite edge.
+        A = random_graph(np.random.default_rng(93), 30, 0.4)
+        v, w, inc = A._incidence
+        assert (v < w).all() and v.size == A.edge_count and (A.a[v, w] == 1).all()
+        assert inc.dtype == np.float32 and inc.shape == (v.size, A.n)
+        assert inc.tobytes() == (A.a[v] & A.a[w]).astype(np.float32).tobytes()
+        assert inc.sum(axis=0).tolist() == motif_counts(A, TRIANGLE)[1].tolist()
 
     def test_product_dtype_bound(self, monkeypatch):
-        # Dense products hold integers up to n^2: float32 to n = 4096.
+        # Dense products hold integers up to n^2: float32 to n = 4096, on
+        # both sides of the incidence budget.
         assert moments._product_dtype(4096) is np.float32
         assert moments._product_dtype(4097) is np.float64
         A = sample_graph(paper_block_model(), 40, 1.0, seed=10)
         idx = np.random.default_rng(92).integers(0, A.n, size=(6, A.n))
-        narrow = [self.gathered_and_counted(A, motif, idx)[1] for motif in (TRIANGLE, VSHAPE)]
-        monkeypatch.setattr(moments, "_product_dtype", lambda n: np.float64)
-        wide = [self.gathered_and_counted(A, motif, idx)[1] for motif in (TRIANGLE, VSHAPE)]
-        assert [x.tobytes() for x in wide] == [x.tobytes() for x in narrow]
+
+        def counted(dtype, budget):
+            monkeypatch.setattr(moments, "_product_dtype", lambda n: dtype)
+            monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", budget)
+            fresh = AdjacencyMatrix(A.a)  # its products are cast on first use, and kept
+            per = [self.gathered_and_counted(fresh, motif, idx)[1].tobytes()
+                   for motif in (TRIANGLE, VSHAPE)]
+            assert fresh._products.dtype == dtype
+            return per
+
+        for budget in (0, 2 ** 30):
+            assert counted(np.float64, budget) == counted(np.float32, budget)
 
 
 class TestCostCaps:
