@@ -13,9 +13,9 @@ the triangle and V-shape in subsamples of a dense-route graph that are
 small (a gathered stack costs less), or whose edge-triangle incidence
 table is past ``moments._INCIDENCE_MAX_BYTES``.  These, the three-star
 and generic motifs are gathered into an int8 stack of induced subgraphs.
-The counts are the same integers either way
-(``moments._replicate_counts``), and a block holds the replicates that
-route counts at once.
+The counts are the same integers either way.  ``moments._replicate_counter``
+picks the route once per bootstrap and sizes its blocks: a block holds
+the replicates that route counts at once.
 
 Draw rule: replicate b's nodes come from its own stream
 ``(seed, scheme, b)``: ``integers(0, n, size=n)`` for a resample, the
@@ -23,11 +23,11 @@ sorted ``choice(n, size=n_star, replace=False)`` for a subsample.  A chunk
 of replicates is drawn at once from each stream's raw words, by numpy's
 own rules: Lemire's bounded integers and Floyd's sample set.  Each row
 equals numpy's per-replicate draw, byte for byte (:func:`_batch_draws`).
+A draw chunk holds whole blocks, so no block spans two chunks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,26 +36,13 @@ import numpy as np
 from . import moments
 from .adjacency import AdjacencyMatrix, _integer
 from .errors import DegenerateReplicatesError
-from .moments import _replicate_counts, sample_moment, studentize
+from .moments import sample_moment, studentize
 from .motif import Motif
 from .rng import thread_streams
 
 __all__ = ["EmpiricalCdf", "subsample_distribution", "resample_distribution"]
 
 MAX_DROP_FRACTION = 0.10
-
-# Stacks of replicate graphs (Monte-Carlo truths, gathered bootstrap
-# replicates) are counted in blocks of about this many adjacency entries
-# (b * n^2), which keeps a block's float64 temporaries within a few
-# hundred kB.  Replicates counted from their multiplicities come in the
-# chunks of moments._replicate_chunk instead.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _stack_block(n: int) -> int:
-    """Replicate graphs on ``n`` nodes per block of a stacked count."""
-    return max(1, _BLOCK_ELEMENTS // (n * n))
-
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
@@ -89,27 +76,24 @@ class EmpiricalCdf:
         return float(self.samples[k])
 
 
-def _studentized(count: int, n: int, block: int, counts, motif: Motif, center: float,
+def _studentized(count: int, n: int, blocks, motif: Motif, center: float,
                  max_fraction: float, what: str) -> EmpiricalCdf:
     """Sorted ``(U_hat - center) / S_hat`` of ``count`` replicate graphs on ``n`` nodes.
 
-    ``counts(k0, k1)`` returns the ``(total, per_node)`` motif counts of
-    replicates ``k0 .. k1-1`` (as :func:`motif_counts_block` does), called
-    in blocks of ``block`` replicates in the calling thread.  ``S_hat^2`` is the
-    moment-based variance estimate of :func:`studentize`.  Replicates
-    where it is exactly zero are dropped and counted; more than
-    ``max_fraction`` of them, or all, raise ``DegenerateReplicatesError``.
+    ``blocks`` yields the ``(total, per_node)`` motif counts of the
+    replicates (as :func:`motif_counts_block` does), a block at a time,
+    read in the calling thread.  ``S_hat^2`` is the moment-based variance
+    estimate of :func:`studentize`.  Replicates where it is exactly zero
+    are dropped and counted; more than ``max_fraction`` of them, or all,
+    raise ``DegenerateReplicatesError``.
     """
     if count < 1:
         raise ValueError(f"need at least one replicate, got {count}")
-    r = motif.r
-
-    def run_block(k0: int) -> np.ndarray:
-        total, per = counts(k0, min(k0 + block, count))
-        u_hat, _, s_sq, degenerate = studentize(total, per, n, r)
-        return (u_hat[~degenerate] - center) / np.sqrt(s_sq[~degenerate])
-
-    kept = np.sort(np.concatenate([run_block(k0) for k0 in range(0, count, block)]))
+    kept = []
+    for total, per in blocks:
+        u_hat, _, s_sq, degenerate = studentize(total, per, n, motif.r)
+        kept.append((u_hat[~degenerate] - center) / np.sqrt(s_sq[~degenerate]))
+    kept = np.sort(np.concatenate(kept))
     dropped = count - kept.size
     if dropped > max_fraction * count or dropped == count:
         why = "all" if dropped == count else f"> {max_fraction:.1%}"
@@ -146,9 +130,12 @@ def _batch_draws(n: int, s: int, seed: int, label: str, b0: int, b1: int) -> np.
     ``j + 1``, ``j = n - s + t``, and takes j instead if the drawn node is
     already held; a bool table holds each row's set, read out sorted.  A row
     where numpy would reject a word (under 1e-6 of rows at n = 80) is drawn
-    again by :func:`_draw`.  So every row equals :func:`_draw` on its stream.
+    again by :func:`_draw`, and so is every row of a chunk of fewer than
+    ``s`` rows.  So every row equals :func:`_draw` on its stream.
     """
     streams = thread_streams()
+    if b1 - b0 < s:
+        return np.array([_draw(streams(seed, label, b), n, s) for b in range(b0, b1)])
     words = streams.words(seed, label, b0, b1, (s + 1) // 2)
     words = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :s]
     bound = np.uint64(n) if s == n else np.arange(n - s + 1, n + 1, dtype=np.uint64)
@@ -170,36 +157,27 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
     """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
     takes the nodes :func:`_draw` gives on its own stream ``(seed, label, b)``.
 
-    Replicates are drawn in chunks of ``max(1, _PAIR_CHUNK // n)``.  A chunk
-    of at least ``size`` replicates is drawn by :func:`_batch_draws`, a
-    smaller one replicate by replicate; the bytes are the same either way.
-    So a batch has ``size <= 256``, its ``(chunk, n)`` table stays near
-    ``_PAIR_CHUNK`` entries, and numpy's ``choice`` takes its Floyd branch
-    (which it does up to 10 000 nodes, or ``n // 50`` draws beyond).
-    A block of replicates is a chunk of ``moments._replicate_chunk``, or a
-    :func:`_stack_block` when the replicates are gathered.
+    ``moments._replicate_counter`` picks the route once and counts a block
+    of replicates at a time.  Replicates are drawn by :func:`_batch_draws`
+    in chunks of whole blocks, as many as fit in ``_PAIR_CHUNK // n`` rows
+    and at least one, so no block spans two chunks; the bytes do not
+    depend on the chunk.  Beyond 10 000 nodes numpy's ``choice`` takes its
+    Floyd branch only up to ``n // 50`` draws.  A batched chunk there has
+    ``size <= 32``: it holds at least ``size`` rows, and at most
+    ``_PAIR_CHUNK // n`` or one gathered block of ``_BLOCK_ELEMENTS // size^2``.
     """
     B = _integer("B", B)
-    n, streams = A.n, thread_streams()
-    chunk = max(1, moments._PAIR_CHUNK // n)
+    n = A.n
+    block, count = moments._replicate_counter(A, motif, size)
+    chunk = block * max(1, moments._PAIR_CHUNK // n // block)
 
-    @functools.lru_cache(maxsize=1)
-    def batch(c0: int) -> np.ndarray:
-        return _batch_draws(n, size, seed, label, c0, min(c0 + chunk, B))
+    def blocks():
+        for c0 in range(0, B, chunk):
+            drawn = _batch_draws(n, size, seed, label, c0, min(c0 + chunk, B))
+            for k in range(0, drawn.shape[0], block):
+                yield count(drawn[k:k + block])
 
-    def drawn(c0: int, k0: int, k1: int) -> np.ndarray:
-        c1 = min(c0 + chunk, B)
-        if c1 - c0 >= size:
-            return batch(c0)[k0 - c0:k1 - c0]
-        return np.array([_draw(streams(seed, label, b), n, size) for b in range(k0, k1)])
-
-    def counts(k0: int, k1: int):
-        return _replicate_counts(A, motif, np.concatenate([
-            drawn(c0, max(k0, c0), min(k1, c0 + chunk))
-            for c0 in range(k0 - k0 % chunk, k1, chunk)]))
-
-    block = moments._replicate_chunk(A, motif, size) or _stack_block(size)
-    return _studentized(B, size, block, counts, motif, sample_moment(A, motif),
+    return _studentized(B, size, blocks(), motif, sample_moment(A, motif),
                         MAX_DROP_FRACTION, "bootstrap")
 
 

@@ -20,14 +20,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .adjacency import AdjacencyMatrix, _check_keys, _integer
-from .bootstrap import (MAX_DROP_FRACTION, _stack_block, _studentized, resample_distribution,
+from .bootstrap import (MAX_DROP_FRACTION, _studentized, resample_distribution,
                         subsample_distribution)
 from .edgeworth import DEFAULT_GRID, EdgeworthCoefficients, expansion_cdf
 from .errors import DegeneracyError, DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
                       population_moment, sample_graph, sample_graph_block)
 from .inference import ConfidenceInterval, confidence_interval, one_sample_test
-from .moments import compute_stats, motif_counts_block
+from .moments import _stack_block, compute_stats, motif_counts_block
 from .motif import Motif, motif_from_config
 from .rng import substream_seed
 
@@ -229,13 +229,12 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     if mu is None:
         mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
 
-    def counts(k0: int, k1: int):
-        return motif_counts_block(sample_graph_block(
-            g, n, rho, [substream_seed(seed, "mc-truth", k) for k in range(k0, k1)]), motif)
-
+    block = _stack_block(n)
+    blocks = (motif_counts_block(sample_graph_block(g, n, rho, [
+        substream_seed(seed, "mc-truth", k) for k in range(k0, min(k0 + block, n_mc))]), motif)
+        for k0 in range(0, n_mc, block))
     try:
-        F = _studentized(n_mc, n, _stack_block(n), counts, motif, mu, max_degenerate_fraction,
-                         "truth")
+        F = _studentized(n_mc, n, blocks, motif, mu, max_degenerate_fraction, "truth")
     except DegenerateReplicatesError as exc:
         if exc.n_dropped == exc.n_total:
             raise  # no cap admits a truth with nothing to tabulate

@@ -143,13 +143,15 @@ def _inner_counts(a: np.ndarray, motif: Motif):
 def _sparse_route(A: AdjacencyMatrix) -> bool:
     """Whether the one graph ``A`` is large and sparse enough to count from
     listed structures; asked by :func:`_graph_counts`, and for bootstrap
-    replicates by :func:`_replicate_counts` and :func:`_multiplicity_counts`."""
+    replicates by :func:`_replicate_counter` and :func:`_multiplicity_counts`."""
     n = A.n
     return n >= _SPARSE_MIN_NODES and 2 * A.edge_count <= _SPARSE_MAX_DENSITY * n * n
 
 
-# Wedges, codegree pairs and replicate sums come in chunks of about this
-# many: a few MB.
+# Wedges, codegree pairs, replicate sums and row chunks of g2 come in
+# chunks of about this many: a few MB.  For g2's pair sums at n = 1000,
+# 2^16 float64 elements took 3.0 ms against 4.2 ms for 2^18 and 7.8 ms
+# for one n x n temporary.
 _PAIR_CHUNK = 1 << 16
 
 # _listed_counts forms its sums in int64 below this top (see there).
@@ -339,7 +341,7 @@ _INCIDENCE_MAX_BYTES = 1 << 24
 
 def _incidence_fits(A: AdjacencyMatrix) -> bool:
     """Whether the dense-route graph ``A``'s incidence table fits under
-    ``_INCIDENCE_MAX_BYTES``; asked by :func:`_replicate_chunk` and
+    ``_INCIDENCE_MAX_BYTES``; asked by :func:`_replicate_counter` and
     :func:`_multiplicity_counts`."""
     n = A.n
     return A.edge_count * n * np.dtype(_product_dtype(n)).itemsize < _INCIDENCE_MAX_BYTES
@@ -411,61 +413,64 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> 
     return d * (d - 1) // 2 + _round_int(adj(m * d.astype(m.dtype))) - d - 2 * tri
 
 
-def _replicate_chunk(A: AdjacencyMatrix, motif: Motif, s: int) -> int | None:
-    """How many draws of ``s`` nodes :func:`_replicate_counts` counts at once
-    from their multiplicities, or None if it gathers them.
+# Stacks of replicate graphs (Monte-Carlo truths, gathered bootstrap
+# replicates) are counted in blocks of about this many adjacency entries
+# (b * n^2), which keeps a block's float64 temporaries within a few
+# hundred kB.
+_BLOCK_ELEMENTS = 1 << 15
 
-    Chunks hold about ``_PAIR_CHUNK`` entries.  A draw takes n
-    multiplicities, plus a term per edge end and triangle corner on the
-    :func:`_sparse_route` (whatever s), and nothing more for the edge on the
-    dense route.  There the triangle and V-shape take the incidence table
-    while it :func:`_incidence_fits`, at one pair product per edge, unless
-    a small subsample's gathered stack costs less: ``2 s^3`` multiply-adds
-    below the table's ``edges * n``.  (At n = 80-300 and one BLAS thread,
-    the stack won below ``9 s^3`` and lost above ``1.2 s^3``.)  They come at
-    least n draws to a chunk, so the table is read once per n draws or
-    fewer (read for every 4 draws, a 15 MB table took 5x as long a draw as
-    for 64), and the pair products take no more entries than it.  Past the
-    budget a resample takes n^2 held-row product entries and a subsample
-    is gathered, as are the three-star and generic motifs.
+
+def _stack_block(n: int) -> int:
+    """Replicate graphs on ``n`` nodes per block of a stacked count."""
+    return max(1, _BLOCK_ELEMENTS // (n * n))
+
+
+def _replicate_counter(A: AdjacencyMatrix, motif: Motif, s: int):
+    """``(block, count)`` for the graphs that ``A`` induces on draws of ``s``
+    nodes: ``count(idx)`` gives the :func:`motif_counts_block` ``(total,
+    per_node)``, int64 arrays (b,) and (b, s), of at most ``block`` draws
+    ``idx`` (b, s) at once.
+
+    The one place that picks a replicate's route, once per bootstrap.  The
+    edge, triangle and V-shape are read off ``A`` from the draws'
+    multiplicities (:func:`_multiplicity_counts`) in blocks of about
+    ``_PAIR_CHUNK`` entries.  A draw takes n multiplicities, plus a term per
+    edge end and triangle corner on the :func:`_sparse_route` (whatever s),
+    and nothing more for the edge on the dense route.  There the triangle
+    and V-shape take the incidence table while it :func:`_incidence_fits`,
+    at one pair product per edge, unless a small subsample's gathered stack
+    costs less: ``2 s^3`` multiply-adds below the table's ``edges * n``.
+    (At n = 80-300 and one BLAS thread, the stack won below ``9 s^3`` and
+    lost above ``1.2 s^3``.)  They come at least n draws to a block, so the
+    table is read once per n draws or fewer (read for every 4 draws, a
+    15 MB table took 5x as long a draw as for 64), and the pair products
+    take no more entries than it.  Past the budget a resample takes n^2
+    held-row product entries.  Everything else (such subsamples, the
+    three-star and generic motifs) is gathered into an int8 stack of
+    induced subgraphs, :func:`_stack_block` draws at a time.
     """
     n, kind = A.n, _structural_kind(motif)
     if kind not in ("edge", "triangle", "vshape"):
-        return None
-    if _sparse_route(A):
-        width = n + A._nonzeros[0].size + (0 if kind == "edge" else 3 * A._triangles[0].size)
+        block = None
+    elif _sparse_route(A):
+        corners = 0 if kind == "edge" else 3 * A._triangles[0].size
+        block = _PAIR_CHUNK // (n + A._nonzeros[0].size + corners)
     elif kind == "edge":
-        width = n
+        block = _PAIR_CHUNK // n
     elif _incidence_fits(A) and 2 * s ** 3 >= A.edge_count * n:
-        return max(n, _PAIR_CHUNK // (n + A.edge_count))
-    elif s == n:
-        width = n * n
+        block = max(n, _PAIR_CHUNK // (n + A.edge_count))
     else:
-        return None
-    return max(1, _PAIR_CHUNK // width)
+        block = _PAIR_CHUNK // (n * n) if s == n else None
+    if block is None:
+        return _stack_block(s), lambda idx: motif_counts_block(
+            A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)
 
-
-def _replicate_counts(A: AdjacencyMatrix, motif: Motif, idx: np.ndarray):
-    """:func:`motif_counts_block` of the graphs that ``A`` induces on the node
-    draws ``idx`` (b, s): ``(total, per_node)``, int64 arrays (b,) and (b, s).
-
-    The one place that picks a replicate's route (:func:`_replicate_chunk`):
-    the edge, triangle and V-shape are read off ``A`` from the draws'
-    multiplicities (:func:`_multiplicity_counts`) in chunks, except the
-    triangle and V-shape in subsamples of a dense-route graph that are
-    small, or past ``_INCIDENCE_MAX_BYTES``.  Those, the three-star and
-    generic motifs are gathered into an int8 stack of induced subgraphs.
-    """
-    (b, s), n = idx.shape, A.n
-    step = _replicate_chunk(A, motif, s)
-    if step is None:
-        return motif_counts_block(A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)
-    per = []
-    for start in range(0, b, step):
-        flat = idx[start:start + step] + (n * np.arange(min(step, b - start)))[:, None]
+    def count(idx):
+        flat = idx + (n * np.arange(idx.shape[0]))[:, None]
         mult = np.bincount(flat.ravel(), minlength=flat.shape[0] * n).reshape(-1, n)
-        per.append(_multiplicity_counts(A, motif, mult).ravel()[flat])
-    return _totals(np.concatenate(per), motif.r)
+        return _totals(_multiplicity_counts(A, motif, mult).ravel()[flat], motif.r)
+
+    return max(1, block), count
 
 
 def _counts_from_inner(inner: np.ndarray, r: int):
@@ -626,18 +631,13 @@ def pair_projection(A: AdjacencyMatrix, motif: Motif) -> np.ndarray:
     return _pair_projection_from_inner(table(), g1, float(u_hat), motif.r)
 
 
-# Row chunks of g2's pair sums: at n = 1000, 2^16 float64 elements took
-# 3.0 ms against 4.2 ms for 2^18 and 7.8 ms for one n x n temporary.
-_PAIR_SUM_ELEMENTS = 1 << 16
-
-
 def _pair_projection_from_inner(inner, g1: np.ndarray, u_hat: float, r: int) -> np.ndarray:
     """``g2`` in one buffer: ``(inner[i, j] / C(n-2, r-2) - u_hat) - (g1[i] + g1[j])``,
     bitwise symmetric."""
     n = inner.shape[0]
     comb = math.comb(n - 2, r - 2)
     g2 = np.empty((n, n))
-    step = max(1, _PAIR_SUM_ELEMENTS // n)
+    step = max(1, _PAIR_CHUNK // n)
     for start in range(0, n, step):
         block = g2[start:start + step]
         # In float64: a float32 table divided by an int would stay float32.

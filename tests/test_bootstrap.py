@@ -200,7 +200,7 @@ class TestReplicateEngine:
         # few, and the triangle drops enough to trip the cap.
         A = sample_graph(paper_block_model(), 40, rho, seed=40)
         m = A.n // 2 if scheme == "subsample" else A.n
-        B = 2 * (moments._replicate_chunk(A, motif, m) or bootstrap._stack_block(m)) + 7
+        B = 2 * moments._replicate_counter(A, motif, m)[0] + 7
         values, dropped = oracle_replicates(scheme, A, motif, B, 3)
         assert_engine_equals(lambda: run_bootstrap(scheme, A, motif, B, 3), values, dropped, B)
 
@@ -225,9 +225,10 @@ class TestReplicateEngine:
                     repr(truth.t_sd), [(F.samples.tobytes(), F.n_dropped) for F in boots()])
 
         expected = fingerprint()
-        chunk = moments._replicate_chunk
-        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMENTS", elements)
-        monkeypatch.setattr(moments, "_replicate_chunk", lambda *args: chunk(*args) and elements)
+        counter = moments._replicate_counter
+        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(moments, "_replicate_counter",
+                            lambda *args: (elements, counter(*args)[1]))
         assert fingerprint() == expected
 
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
@@ -427,8 +428,10 @@ class TestBatchDraws:
     @pytest.mark.parametrize("s", [1, 3, 6])
     def test_beyond_ten_thousand_nodes(self, s):
         # Above 10 000 nodes numpy's choice stays on Floyd's branch up to
-        # n // 50 draws, and a chunk (which bounds a batch's draws) is smaller.
+        # n // 50 draws.  A batch draws no more nodes than it has rows, at
+        # most a draw chunk or one gathered block: both are smaller.
         assert max(1, moments._PAIR_CHUNK // 10_001) <= 10_001 // 50
+        assert max(s for s in range(1, 10_001) if moments._stack_block(s) >= s) <= 10_001 // 50
         n = 20_000
         got = bootstrap._batch_draws(n, s, 5, "subsample", 0, 40)
         assert got.tobytes() == numpy_draws(n, s, 5, "subsample", 0, 40).tobytes()
@@ -436,21 +439,25 @@ class TestBatchDraws:
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     @pytest.mark.parametrize("scheme", ["subsample", "resample"])
     def test_batch_rule_through_the_bootstraps(self, scheme, extra, monkeypatch):
-        # At n = 40 a chunk holds 1638 replicates: B = s - 1 is drawn
+        # At n = 40 a chunk holds over 1500 replicates: B = s - 1 is drawn
         # replicate by replicate, B >= s in one batch.
         A = sample_graph(paper_block_model(), 40, 1.0, seed=42)
         s = A.n // 2 if scheme == "subsample" else A.n
         B = s + extra
-        batches = spy(monkeypatch, bootstrap, "_batch_draws")
         values, dropped = oracle_replicates(scheme, A, VSHAPE, B, 9)
+        draws = spy(monkeypatch, bootstrap, "_draw")
         assert_engine_equals(lambda: run_bootstrap(scheme, A, VSHAPE, B, 9), values, dropped, B)
-        assert len(batches) == (B >= s)
+        assert len(draws) == (B if B < s else 0)
 
     @pytest.mark.parametrize("chunk", [1, 45 * 80, 2 ** 30])
     def test_chunking_invariance(self, graph80, chunk, monkeypatch):
-        # Per-replicate draws only; chunks of 45 replicates (subsamples in
-        # batches of 45, 45 and then 10 drawn one by one, across blocks of
-        # 20; resamples one by one); and every replicate in one chunk.
+        # Draw chunks of whole blocks.  At _PAIR_CHUNK = 1 the edge comes
+        # one replicate to a block and a chunk, each drawn on its own, and
+        # the triangle subsample (incidence route) in blocks of n = 80:
+        # one batch of 80, then 20 drawn one by one.  At 45 * 80 the edge
+        # comes in blocks and chunks of 45: subsamples in batches of 45, 45,
+        # then 10 drawn one by one, resamples all one by one (45 < 80 rows).
+        # Every replicate in one chunk draws nothing one by one.
         def fingerprint():
             boots = [subsample_distribution(graph80, EDGE, n_star=40, B=100, seed=2),
                      subsample_distribution(graph80, TRIANGLE, n_star=40, B=100, seed=3),
@@ -458,14 +465,15 @@ class TestBatchDraws:
             return [(F.samples.tobytes(), F.n_dropped) for F in boots]
 
         expected = fingerprint()
-        batches = spy(monkeypatch, bootstrap, "_batch_draws")
+        draws = spy(monkeypatch, bootstrap, "_draw")
         monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
         assert fingerprint() == expected
-        assert len(batches) == {1: 0, 45 * 80: 4, 2 ** 30: 3}[chunk]
+        assert len(draws) == {1: 100 + 20 + 100, 45 * 80: 10 + 20 + 100, 2 ** 30: 0}[chunk]
 
     def test_rejected_words_are_redrawn_per_row(self, monkeypatch):
         # A zero word is rejected whenever 2^32 mod bound > 0, so numpy reads
         # another: every third row goes through _draw on its own stream.
+        # Each chunk has at least s rows, so the others are drawn in one pass.
         words = KeyedStreams.words
 
         def zeroed(self, seed, label, b0, b1, k):
@@ -476,9 +484,9 @@ class TestBatchDraws:
         monkeypatch.setattr(KeyedStreams, "words", zeroed)
         redrawn = spy(monkeypatch, bootstrap, "_draw")
         for n, s in ((80, 80), (80, 40), (57, 56)):
-            got = bootstrap._batch_draws(n, s, 4, "x", 0, 30)
-            assert got.tobytes() == numpy_draws(n, s, 4, "x", 0, 30).tobytes()
-        assert len(redrawn) == 3 * 10
+            got = bootstrap._batch_draws(n, s, 4, "x", 0, 90)
+            assert got.tobytes() == numpy_draws(n, s, 4, "x", 0, 90).tobytes()
+        assert len(redrawn) == 3 * 30
 
     def test_zero_word_is_flagged_unless_the_bound_divides_2_32(self):
         bound = np.array([1, 2, 3, 7, 64, 80, 1000, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1],
@@ -500,6 +508,66 @@ class TestBatchDraws:
             assert stream(seed).integers(0, bound) == value[first]
             skipped += first > 0
         assert 60 < skipped < 140
+
+
+class TestReplicateCounter:
+    """Each bootstrap picks its counting route once, and every count call
+    gets one block of draws from a single draw chunk."""
+
+    @pytest.mark.parametrize("route, scheme", [
+        ("listed", "subsample"), ("listed", "resample"),
+        ("incidence", "subsample"), ("incidence", "resample"),
+        ("held-row", "resample"),
+        ("gathered", "subsample"), ("gathered", "resample"),
+    ])
+    def test_one_counter_and_blocks_within_draw_chunks(self, route, scheme, monkeypatch):
+        # A small _PAIR_CHUNK puts B = 250 replicates in several draw chunks
+        # on every route, the last one partial; the listed route's 100-node
+        # subsamples come in chunks of fewer than s rows, drawn one by one.
+        if route == "listed":
+            A, motif = planted_triangles(200), VSHAPE
+        else:
+            A = sample_graph(paper_block_model(), 40, 1.0, seed=45)
+            motif = THREESTAR if route == "gathered" else TRIANGLE
+        monkeypatch.setattr(moments, "_PAIR_CHUNK", 1 << 12)
+        if route == "held-row":
+            monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", 0)
+        B, seed, s = 250, 11, A.n // 2 if scheme == "subsample" else A.n
+        counters, counted, chunks = [], [], []
+        batch_draws, counter = bootstrap._batch_draws, moments._replicate_counter
+
+        def batches(*args):
+            chunks.append(args[4:6])
+            return batch_draws(*args)
+
+        def spied_counter(*args):
+            block, count = counter(*args)
+            counters.append(block)
+            return block, lambda idx: counted.append(idx.copy()) or count(idx)
+
+        monkeypatch.setattr(bootstrap, "_batch_draws", batches)
+        monkeypatch.setattr(moments, "_replicate_counter", spied_counter)
+        multiplicities = spy(monkeypatch, moments, "_multiplicity_counts")
+        run_bootstrap(scheme, A, motif, B, seed)
+
+        assert len(counters) == 1
+        block = counters[0]
+        assert len(chunks) > 2
+        assert [b0 for b0, _ in chunks] == [0, *(b1 for _, b1 in chunks[:-1])]
+        assert chunks[-1][1] == B
+        assert all((b1 - b0) % block == 0 for b0, b1 in chunks[:-1])
+        k0 = 0
+        for idx in counted:
+            k1 = k0 + idx.shape[0]
+            assert 1 <= idx.shape[0] <= block
+            assert any(b0 <= k0 and k1 <= b1 for b0, b1 in chunks)
+            assert idx.tobytes() == numpy_draws(A.n, s, seed, scheme, k0, k1).tobytes()
+            k0 = k1
+        assert k0 == B
+        # Each case takes the route it names.
+        assert moments._sparse_route(A) == (route == "listed")
+        assert bool(multiplicities) == (route != "gathered")
+        assert ("_incidence" in vars(A)) == (route == "incidence")
 
 
 def random_pairs(rng, n, degree):

@@ -14,10 +14,11 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, DegenerateReplicatesE
                         run_power_experiment, run_sparsity_sweep, substream_seed,
                         sup_grid_error, write_records_csv)
 from netmoments import builtin_graphon, motif_counts, sample_graph
-from netmoments.bootstrap import _BLOCK_ELEMENTS, MAX_DROP_FRACTION
+from netmoments.bootstrap import MAX_DROP_FRACTION
 from netmoments.cli import main
 from netmoments.harness import (ExperimentRecord,
                                 effective_sample_size_check, summarize_coverage)
+from netmoments.moments import _BLOCK_ELEMENTS
 from conftest import paper_block_model
 
 
