@@ -6,16 +6,11 @@ draws.  Replicates with a zero variance estimate cannot be studentized;
 they are dropped and counted, and the run fails if more than 10% drop.
 :func:`_studentized` counts and studentizes replicate graphs in blocks,
 for these bootstraps and for the harness's Monte-Carlo truths alike.
-A replicate is the induced graph on a node draw.  For the edge, triangle
-and V-shape it is counted on the observed graph from the draw's node
-multiplicities, and no replicate adjacency is built.  The exceptions are
-the triangle and V-shape in subsamples of a dense-route graph that are
-small (a gathered stack costs less), or whose edge-triangle incidence
-table is past ``moments._INCIDENCE_MAX_BYTES``.  These, the three-star
-and generic motifs are gathered into an int8 stack of induced subgraphs.
-The counts are the same integers either way.  ``moments._replicate_counter``
-picks the route once per bootstrap and sizes its blocks: a block holds
-the replicates that route counts at once.
+A replicate is the induced graph on a node draw, counted by the route
+that ``moments._route`` picks once per bootstrap: on the observed graph
+from the draw's node multiplicities, or gathered into an int8 stack.  The
+counts are the same integers either way.  A block holds the replicates
+that route counts at once (``moments._replicate_counter``).
 
 Draw rule: replicate b's nodes come from its own stream
 ``(seed, scheme, b)``: ``integers(0, n, size=n)`` for a resample, the
@@ -157,8 +152,8 @@ def _replicates(A: AdjacencyMatrix, motif: Motif, B: int, seed: int, label: str,
     """Studentize ``B`` induced subgraphs on ``size`` nodes; replicate ``b``
     takes the nodes :func:`_draw` gives on its own stream ``(seed, label, b)``.
 
-    ``moments._replicate_counter`` picks the route once and counts a block
-    of replicates at a time.  Replicates are drawn by :func:`_batch_draws`
+    ``moments._replicate_counter`` counts a block of replicates at a time,
+    by the route it picks once.  Replicates are drawn by :func:`_batch_draws`
     in chunks of whole blocks, as many as fit in ``_PAIR_CHUNK // n`` rows
     and at least one, so no block spans two chunks; the bytes do not
     depend on the chunk.  Beyond 10 000 nodes numpy's ``choice`` takes its

@@ -8,24 +8,22 @@ holds the motif.  Every containing r-set through node ``i`` pairs
 counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
 ``per_node.sum() / r``, and E[g1 g1 g2], through the exact sums
 ``inner @ per_node``; only :func:`pair_projection` builds the n x n ``g2``.
-:func:`_graph_counts` picks one graph's counting route, from the
-``AdjacencyMatrix``, and :func:`_multiplicity_counts` follows it for the
-induced replicates of a graph.  A large sparse graph
-(:func:`_sparse_route`) has its nonzeros listed once and kept
-(``AdjacencyMatrix._nonzeros``); an edge-list graph lists them, and its
-edge count, from its checked pairs, with no pass over the n^2 adjacency
-bytes.  The edge, triangle and V-shape are counted from them and from
-the triangles, listed once and kept (``AdjacencyMatrix._triangles``) on a
-degree-ordered orientation, in O(m sqrt(m)) time for m edges, with a
-table scattered only for :func:`pair_projection` (:func:`_listed_counts`);
-the three-star scatters its codegrees from them.  Other graphs, and
-stacks, get their table from :func:`_inner_counts`: closed formulas for
-the edge, triangle, V-shape and three-star, evaluated with matrix
-products of 0/1 matrices whose values stay exact integers (float32 for
-the triangle and V-shape, exact for n < 2^23; row sums and ``g2`` are
-formed in float64), and chunks of r-subsets looked up in ``Motif.h_table``
-for other motifs, refused with ``CostCapError`` above ``MAX_GENERIC_SUBSETS``.
-Counts are exact, so the route never changes a byte.
+:func:`_route` picks the counting route of a graph, and of a bootstrap's
+replicates, once each; counts are exact, so no route changes a byte.  A
+large sparse graph lists its nonzeros once and keeps them
+(``AdjacencyMatrix._nonzeros``; an edge-list graph lists them, and its
+edge count, from its checked pairs, with no n^2 pass), and its triangles
+(``AdjacencyMatrix._triangles``), on a degree-ordered orientation in
+O(m sqrt(m)) time for m edges.  The edge, triangle and V-shape are
+counted from these, with a table scattered only for
+:func:`pair_projection` (:func:`_listed_counts`); the three-star scatters
+its codegrees from them.  Other graphs, and stacks, get their table from
+:func:`_inner_counts`: closed formulas for the edge, triangle, V-shape
+and three-star, products of 0/1 matrices whose values stay exact
+integers (float32 for the triangle and V-shape, exact for n < 2^23; row
+sums and ``g2`` are formed in float64), and chunks of r-subsets looked up
+in ``Motif.h_table`` for other motifs, refused with ``CostCapError``
+above ``MAX_GENERIC_SUBSETS``.
 """
 
 from __future__ import annotations
@@ -59,19 +57,10 @@ __all__ = [
 # motifs ignore it.  Read at call time, so every entry point shares it.
 MAX_GENERIC_SUBSETS = 100_000_000
 
-# _graph_counts sends a graph with at least this many nodes and at most
-# this share of nonzero adjacency entries (mean degree / n) to listed
-# counting and scattered tables, other graphs to dense BLAS tables.
-# The values came from a crossover against a CSR product that is gone and
-# are not yet retuned.  Triangle and V-shape counts and sums, dense /
-# listed, best of 7 (ms), show listed counting winning at density 0.05
-# from n = 200 and losing 3x at 0.1:
-#
-#   n, density:  40, 0.3    200, 0.05  500, 0.05  1000, 0.05  1000, 0.1  2000, 0.05
-#   triangle     0.02/0.09  0.23/0.20  2.7/1.6    20/9.6      19/63      163/74
-#   V-shape      0.03/0.11  0.30/0.25  5.2/1.8    30/10.5     31/57      182/73
+# The route thresholds, read only through _route, which quotes their measurements.
 _SPARSE_MIN_NODES = 200
 _SPARSE_MAX_DENSITY = 0.02
+_INCIDENCE_MAX_BYTES = 1 << 24
 
 
 def _structural_kind(motif: Motif) -> str:
@@ -92,7 +81,7 @@ def _round_int(x: np.ndarray | float):
 def _inner_counts(a: np.ndarray, motif: Motif):
     """Pair completion counts of one graph ``(n, n)`` or a stack ``(b, n, n)``.
 
-    The table kernel, which picks no route (:func:`_graph_counts` does).
+    The table kernel of the ``"table"`` and ``"stack"`` routes (:func:`_route`).
     ``a`` is the int8 adjacency of valid simple graphs.  The table has
     ``a``'s shape and holds exact integers: ``a`` itself for the edge,
     float32 for the triangle and V-shape and int64 for the three-star
@@ -140,12 +129,76 @@ def _inner_counts(a: np.ndarray, motif: Motif):
     return inner
 
 
-def _sparse_route(A: AdjacencyMatrix) -> bool:
-    """Whether the one graph ``A`` is large and sparse enough to count from
-    listed structures; asked by :func:`_graph_counts`, and for bootstrap
-    replicates by :func:`_replicate_counter` and :func:`_multiplicity_counts`."""
+def _sparse_route(A: AdjacencyMatrix, edges: int | None = None) -> bool:
+    """Whether the one graph ``A``, of ``edges`` edges (``A.edge_count`` if
+    not given), is large and sparse enough to count from listed structures."""
     n = A.n
-    return n >= _SPARSE_MIN_NODES and 2 * A.edge_count <= _SPARSE_MAX_DENSITY * n * n
+    if n < _SPARSE_MIN_NODES:
+        return False
+    return 2 * (A.edge_count if edges is None else edges) <= _SPARSE_MAX_DENSITY * n * n
+
+
+def _route(A: AdjacencyMatrix, motif: Motif, s: int | None = None) -> str:
+    """The counting route of the graph ``A`` (no ``s``), or of the graphs it
+    induces on draws of ``s`` nodes: the one place that picks a route, and
+    reads ``A.edge_count``, at most once.  Counts are exact, so no route
+    changes a byte.
+
+    A graph (:func:`_graph_counts`) on at least ``_SPARSE_MIN_NODES`` nodes
+    with at most ``_SPARSE_MAX_DENSITY`` of its pairs joined
+    (:func:`_sparse_route`) counts the edge, triangle and V-shape from its
+    listed nonzeros and triangles, ``"listed"``, and scatters the
+    three-star's codegrees, ``"codegrees"``.  Anything else takes
+    :func:`_inner_counts`' ``"table"``, which refuses a graph smaller than
+    the motif.  The thresholds came from a crossover against a CSR product
+    that is gone and are not yet retuned.  Triangle and V-shape counts and
+    sums, dense / listed, best of 7 (ms), show listed counting winning at
+    density 0.05 from n = 200 and losing 3x at 0.1:
+
+      n, density:  40, 0.3    200, 0.05  500, 0.05  1000, 0.05  1000, 0.1  2000, 0.05
+      triangle     0.02/0.09  0.23/0.20  2.7/1.6    20/9.6      19/63      163/74
+      V-shape      0.03/0.11  0.30/0.25  5.2/1.8    30/10.5     31/57      182/73
+
+    Replicates (:func:`_replicate_counter`) of the edge, triangle and
+    V-shape are counted on ``A`` from their draws' node multiplicities
+    (:func:`_multiplicity_counts`): ``"listed"`` on a sparse-route graph,
+    whatever s, else by products with ``A``.  These are ``"products"`` for
+    the edge, and for the triangle and V-shape ``"incidence"``, with the
+    edge-triangle incidence table (``A._incidence``, edges x n entries of
+    :func:`_product_dtype`) while it takes under ``_INCIDENCE_MAX_BYTES``
+    and a gathered stack's ``2 s^3`` multiply-adds are not below its
+    ``edges * n`` (at n = 80-300 and one BLAS thread the stack won below
+    ``9 s^3`` and lost above ``1.2 s^3``).  Past the budget a resample takes
+    held-row products, ``"held"``.  Everything else (such subsamples, the
+    three-star and generic motifs) is an int8 ``"stack"`` of induced
+    subgraphs.  Held-row / incidence ms per replicate triangle count (blocks
+    of 8 resamples, best of 9, 2-vCPU Xeon), OpenBLAS at 2 threads and at 1:
+
+      n, density   table    2 threads   1 thread
+      150, 0.3     1.9 MB   0.12/0.05   0.12/0.06
+      300, 0.1     5.2 MB   0.47/0.07   0.52/0.13
+      300, 0.3     15 MB    0.28/0.24   0.53/0.36
+      600, 0.05    20 MB    1.78/0.26   2.44/0.32
+      400, 0.3     36 MB    0.66/0.44   0.81/0.98
+
+    Dense graphs gain least, and the table is kept with the graph: below
+    16 MB it won every case measured.
+    """
+    n, kind = A.n, _structural_kind(motif)
+    if s is None:
+        if kind == "generic" or n < motif.r or not _sparse_route(A):
+            return "table"
+        return "codegrees" if kind == "threestar" else "listed"
+    if kind not in ("edge", "triangle", "vshape") or n < motif.r:
+        return "stack"
+    edges = A.edge_count
+    if _sparse_route(A, edges):
+        return "listed"
+    if kind == "edge":
+        return "products"
+    if edges * n * np.dtype(_product_dtype(n)).itemsize < _INCIDENCE_MAX_BYTES:
+        return "incidence" if 2 * s ** 3 >= edges * n else "stack"
+    return "held" if s == n else "stack"
 
 
 # Wedges, codegree pairs, replicate sums and row chunks of g2 come in
@@ -294,21 +347,14 @@ def _listed_counts(A: AdjacencyMatrix, motif: Motif):
 
 
 def _graph_counts(A: AdjacencyMatrix, motif: Motif):
-    """``(per_node, sums, table)`` of the graph ``A``: its per-node counts, and
-    functions of no argument that give the exact ``inner @ per_node`` (in
-    :func:`_sums_dtype`) and the pair table.  The one place that picks a
-    graph's route: listed counts on a :func:`_sparse_route` graph, from the
-    nonzeros ``A`` lists once (from its edge pairs when it was built from
-    them, with no n^2 pass), or else :func:`_inner_counts`' table.
-    """
-    kind = _structural_kind(motif)
-    # A graph smaller than the motif goes to _inner_counts' error.
-    if kind == "generic" or A.n < motif.r or not _sparse_route(A):
-        inner = _inner_counts(A.a, motif)
-    elif kind != "threestar":
+    """``(per_node, sums, table)`` of the graph ``A`` by its :func:`_route`:
+    its per-node counts, and functions of no argument that give the exact
+    ``inner @ per_node`` (in :func:`_sums_dtype`) and the pair table."""
+    route = _route(A, motif)
+    if route == "listed":
         return _listed_counts(A, motif)
-    else:
-        inner = _threestar_inner_counts(A.a, A._nonzeros)
+    inner = (_inner_counts(A.a, motif) if route == "table"
+             else _threestar_inner_counts(A.a, A._nonzeros))
     per = _counts_from_inner(inner, motif.r)[1]
     return per, functools.partial(_pair_table_sums, inner, per, motif.r), lambda: inner
 
@@ -320,34 +366,8 @@ def _product_dtype(n: int):
     return np.float32 if n * n <= 2 ** 24 else np.float64
 
 
-# A dense-route graph counts its replicates' triangles against its edge-
-# triangle incidence table (AdjacencyMatrix._incidence: edges x n entries
-# of _product_dtype(n)) while the table takes fewer than this many bytes,
-# and by its held-row products beyond.  ms per replicate triangle count
-# (blocks of 8 resamples, best of 9, 2-vCPU Xeon), held-row product /
-# incidence, with OpenBLAS at 2 threads and at 1:
-#
-#   n, density   table    2 threads   1 thread
-#   150, 0.3     1.9 MB   0.12/0.05   0.12/0.06
-#   300, 0.1     5.2 MB   0.47/0.07   0.52/0.13
-#   300, 0.3     15 MB    0.28/0.24   0.53/0.36
-#   600, 0.05    20 MB    1.78/0.26   2.44/0.32
-#   400, 0.3     36 MB    0.66/0.44   0.81/0.98
-#
-# Dense graphs gain least, and the table is kept with the graph: below
-# 16 MB it won every case measured.
-_INCIDENCE_MAX_BYTES = 1 << 24
-
-
-def _incidence_fits(A: AdjacencyMatrix) -> bool:
-    """Whether the dense-route graph ``A``'s incidence table fits under
-    ``_INCIDENCE_MAX_BYTES``; asked by :func:`_replicate_counter` and
-    :func:`_multiplicity_counts`."""
-    n = A.n
-    return A.edge_count * n * np.dtype(_product_dtype(n)).itemsize < _INCIDENCE_MAX_BYTES
-
-
-def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> np.ndarray:
+def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray,
+                         route: str) -> np.ndarray:
     """Per-node counts ``F`` (b, n), int64, of the edge, triangle or V-shape in
     the induced graphs of ``A`` that node multiplicities ``mult`` (b, n) give.
 
@@ -358,18 +378,16 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> 
     ``D = A @ m``, F is ``D`` (edge), the sum over the triangles {u, v, w}
     of ``m_v * m_w`` (triangle), or the single-graph V-shape
     ``C(d, 2) + A@d - d - 2*tri`` of :func:`_listed_counts` with ``d -> D``
-    and ``A@d -> A@(m*D)``.  Every value is an integer of at most s^2.  The
-    route is the one :func:`_graph_counts` takes: on a :func:`_sparse_route`
-    graph the sums are bincounts of float64 weights over ``A._nonzeros``
-    and ``A._triangles`` (exact below 2^53); otherwise they are products in
-    :func:`_product_dtype` with ``A._products``, the triangle's
-    ``(m_v * m_w over the edges) @ A._incidence`` while :func:`_incidence_fits`,
-    else ``1/2 sum_w A_uw m_w (A diag(m) A)_uw`` over the rows of held
-    nodes only.
+    and ``A@d -> A@(m*D)``.  Every value is an integer of at most s^2.  By
+    the given :func:`_route`, the sums are bincounts of float64 weights over
+    ``A._nonzeros`` and ``A._triangles`` (``"listed"``, exact below 2^53), or
+    products in :func:`_product_dtype` with ``A._products``: the triangle's
+    ``(m_v * m_w over the edges) @ A._incidence`` (``"incidence"``), else
+    ``1/2 sum_w A_uw m_w (A diag(m) A)_uw`` over the rows of held nodes only.
     """
     b, n = mult.shape
     kind = _structural_kind(motif)
-    if _sparse_route(A):
+    if route == "listed":
         rows, cols, _ = A._nonzeros
         shift = (n * np.arange(b))[:, None]
         m = mult
@@ -390,7 +408,7 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray) -> 
             return x @ af
 
         def triangles():
-            if _incidence_fits(A):  # each edge {v, w} adds m_v * m_w at the u it closes
+            if route == "incidence":  # each edge {v, w} adds m_v * m_w at the u it closes
                 v, w, inc = A._incidence
                 mt = np.ascontiguousarray(m.T)  # rows gather faster than columns
                 pairs = mt[v]
@@ -427,48 +445,33 @@ def _stack_block(n: int) -> int:
 
 def _replicate_counter(A: AdjacencyMatrix, motif: Motif, s: int):
     """``(block, count)`` for the graphs that ``A`` induces on draws of ``s``
-    nodes: ``count(idx)`` gives the :func:`motif_counts_block` ``(total,
-    per_node)``, int64 arrays (b,) and (b, s), of at most ``block`` draws
-    ``idx`` (b, s) at once.
+    nodes, by their :func:`_route`: ``count(idx)`` gives the
+    :func:`motif_counts_block` ``(total, per_node)``, int64 arrays (b,) and
+    (b, s), of at most ``block`` draws ``idx`` (b, s) at once.
 
-    The one place that picks a replicate's route, once per bootstrap.  The
-    edge, triangle and V-shape are read off ``A`` from the draws'
-    multiplicities (:func:`_multiplicity_counts`) in blocks of about
-    ``_PAIR_CHUNK`` entries.  A draw takes n multiplicities, plus a term per
-    edge end and triangle corner on the :func:`_sparse_route` (whatever s),
-    and nothing more for the edge on the dense route.  There the triangle
-    and V-shape take the incidence table while it :func:`_incidence_fits`,
-    at one pair product per edge, unless a small subsample's gathered stack
-    costs less: ``2 s^3`` multiply-adds below the table's ``edges * n``.
-    (At n = 80-300 and one BLAS thread, the stack won below ``9 s^3`` and
-    lost above ``1.2 s^3``.)  They come at least n draws to a block, so the
-    table is read once per n draws or fewer (read for every 4 draws, a
-    15 MB table took 5x as long a draw as for 64), and the pair products
-    take no more entries than it.  Past the budget a resample takes n^2
-    held-row product entries.  Everything else (such subsamples, the
-    three-star and generic motifs) is gathered into an int8 stack of
-    induced subgraphs, :func:`_stack_block` draws at a time.
+    A block takes about ``_PAIR_CHUNK`` entries: per draw n multiplicities,
+    plus a term per edge end and triangle corner (listed), a pair product
+    per edge (incidence) or n^2 held-row product entries (held).  Incidence
+    blocks hold at least n draws, so the table is read once per n draws or
+    fewer (read for every 4 draws, a 15 MB table took 5x as long a draw as
+    for 64).  A stack holds :func:`_stack_block` draws.
     """
-    n, kind = A.n, _structural_kind(motif)
-    if kind not in ("edge", "triangle", "vshape"):
-        block = None
-    elif _sparse_route(A):
-        corners = 0 if kind == "edge" else 3 * A._triangles[0].size
-        block = _PAIR_CHUNK // (n + A._nonzeros[0].size + corners)
-    elif kind == "edge":
-        block = _PAIR_CHUNK // n
-    elif _incidence_fits(A) and 2 * s ** 3 >= A.edge_count * n:
-        block = max(n, _PAIR_CHUNK // (n + A.edge_count))
-    else:
-        block = _PAIR_CHUNK // (n * n) if s == n else None
-    if block is None:
+    n, route = A.n, _route(A, motif, s)
+    if route == "stack":
         return _stack_block(s), lambda idx: motif_counts_block(
             A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)
+    if route == "listed":
+        corners = 0 if motif.r == 2 else 3 * A._triangles[0].size
+        block = _PAIR_CHUNK // (n + A._nonzeros[0].size + corners)
+    elif route == "incidence":
+        block = max(n, _PAIR_CHUNK // (n + A.edge_count))
+    else:
+        block = _PAIR_CHUNK // (n * n if route == "held" else n)
 
     def count(idx):
         flat = idx + (n * np.arange(idx.shape[0]))[:, None]
         mult = np.bincount(flat.ravel(), minlength=flat.shape[0] * n).reshape(-1, n)
-        return _totals(_multiplicity_counts(A, motif, mult).ravel()[flat], motif.r)
+        return _totals(_multiplicity_counts(A, motif, mult, route).ravel()[flat], motif.r)
 
     return max(1, block), count
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
-                        DegenerateReplicatesError, EmpiricalCdf, from_edges, motif_counts,
-                        resample_distribution, sample_graph, sample_moment, stream,
-                        subsample_distribution)
+                        DegenerateReplicatesError, EmpiricalCdf, compute_stats, from_edges,
+                        motif_counts, pair_projection, resample_distribution, sample_graph,
+                        sample_moment, stream, subsample_distribution)
 from netmoments import bootstrap, moments
 from netmoments.bootstrap import MAX_DROP_FRACTION
 from netmoments.harness import monte_carlo_true_cdf
@@ -333,8 +334,7 @@ class TestReplicateEngine:
         upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
         keys = np.random.default_rng(84).choice(upper, size=edges, replace=False)
         A = from_edges(n, np.column_stack(np.divmod(keys, n)))
-        assert not moments._sparse_route(A)
-        assert moments._incidence_fits(A) == (extra == 0)
+        assert moments._route(A, TRIANGLE, n) == ("held" if extra else "incidence")
         tracemalloc.start()
         try:
             resample_distribution(A, TRIANGLE, B=4, seed=1)
@@ -516,9 +516,10 @@ class TestReplicateCounter:
 
     @pytest.mark.parametrize("route, scheme", [
         ("listed", "subsample"), ("listed", "resample"),
+        ("products", "subsample"), ("products", "resample"),
         ("incidence", "subsample"), ("incidence", "resample"),
-        ("held-row", "resample"),
-        ("gathered", "subsample"), ("gathered", "resample"),
+        ("held", "resample"),
+        ("stack", "subsample"), ("stack", "resample"),
     ])
     def test_one_counter_and_blocks_within_draw_chunks(self, route, scheme, monkeypatch):
         # A small _PAIR_CHUNK puts B = 250 replicates in several draw chunks
@@ -528,9 +529,9 @@ class TestReplicateCounter:
             A, motif = planted_triangles(200), VSHAPE
         else:
             A = sample_graph(paper_block_model(), 40, 1.0, seed=45)
-            motif = THREESTAR if route == "gathered" else TRIANGLE
+            motif = {"products": EDGE, "stack": THREESTAR}.get(route, TRIANGLE)
         monkeypatch.setattr(moments, "_PAIR_CHUNK", 1 << 12)
-        if route == "held-row":
+        if route == "held":
             monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", 0)
         B, seed, s = 250, 11, A.n // 2 if scheme == "subsample" else A.n
         counters, counted, chunks = [], [], []
@@ -565,9 +566,65 @@ class TestReplicateCounter:
             k0 = k1
         assert k0 == B
         # Each case takes the route it names.
-        assert moments._sparse_route(A) == (route == "listed")
-        assert bool(multiplicities) == (route != "gathered")
+        assert moments._route(A, motif, s) == route
+        assert bool(multiplicities) == (route != "stack")
         assert ("_incidence" in vars(A)) == (route == "incidence")
+
+    @pytest.mark.parametrize("graph", ["paper80", "n200", "dense300"])
+    def test_one_route_decision_per_request(self, graph, graph80, monkeypatch):
+        # Each statistic asks _route once, and a bootstrap once with s and
+        # once for its centre's sample_moment; no _route call asks
+        # _sparse_route or reads the edge count twice.  A whole triangle
+        # resample reads the edge count for its route, its incidence block
+        # size and, from 200 nodes, its centre's route; not for every block.
+        A = {"paper80": lambda: graph80, "n200": lambda: planted_triangles(200),
+             "dense300": lambda: from_edges(300, random_pairs(np.random.default_rng(85), 300, 30))
+             }[graph]()
+        assert moments._sparse_route(A) == (graph == "n200")
+        routes, sparse, reads = [], spy(monkeypatch, moments, "_sparse_route"), []
+        route, edge_count = moments._route, AdjacencyMatrix.edge_count
+
+        def spied_route(*args):
+            sparse.clear()
+            reads.clear()
+            picked = route(*args)
+            assert len(sparse) <= 1 and len(reads) <= 1
+            routes.append(args[2:])
+            return picked
+
+        monkeypatch.setattr(moments, "_route", spied_route)
+        monkeypatch.setattr(AdjacencyMatrix, "edge_count",
+                            property(lambda self: reads.append(1) or edge_count.fget(self)))
+        for motif in (EDGE, TRIANGLE, VSHAPE, THREESTAR):
+            for entry in (compute_stats, motif_counts, pair_projection):
+                routes.clear()
+                entry(A, motif)
+                assert routes == [()], entry.__name__
+            for scheme, s in (("subsample", A.n // 2), ("resample", A.n)):
+                routes.clear()
+                with contextlib.suppress(DegenerateReplicatesError):  # routes come first
+                    run_bootstrap(scheme, A, motif, 30, 1)
+                assert sorted(routes) == [(), (s,)], scheme
+        monkeypatch.setattr(moments, "_route", route)
+        reads.clear()
+        resample_distribution(A, TRIANGLE, B=2000, seed=2)
+        assert len(reads) <= (2 if A.n < moments._SPARSE_MIN_NODES else 3)
+
+    @pytest.mark.parametrize("motif, n", [(EDGE, 1), (TRIANGLE, 2), (VSHAPE, 2), (THREESTAR, 3)],
+                             ids=lambda x: str(getattr(x, "name", x)))
+    def test_graph_smaller_than_motif_refused_before_any_draw(self, motif, n, monkeypatch):
+        A = AdjacencyMatrix(np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8))
+        draws, counted = spy(monkeypatch, bootstrap, "_batch_draws"), []
+        counter = moments._replicate_counter
+
+        def spied_counter(*args):
+            block, count = counter(*args)
+            return block, lambda idx: counted.append(1) or count(idx)
+
+        monkeypatch.setattr(moments, "_replicate_counter", spied_counter)
+        with pytest.raises(ValueError, match=f"graph has {n} nodes but motif needs {motif.r}"):
+            resample_distribution(A, motif, B=50, seed=1)
+        assert draws == [] and counted == []
 
 
 def random_pairs(rng, n, degree):

@@ -563,6 +563,7 @@ class TestCodegreeRoute:
         return taken
 
     def assert_route(self, A, route, taken):
+        assert moments._route(A, THREESTAR) == ("codegrees" if route == "listed" else "table")
         taken.clear()
         per, sums, table = moments._graph_counts(A, THREESTAR)
         assert taken == (["listed"] if route == "listed" else [])
@@ -986,25 +987,21 @@ class TestMultiplicityCounts:
     """Per-node counts of induced replicates, read off the observed graph."""
 
     @staticmethod
-    def gathered_and_counted(A, motif, idx):
+    def gathered_and_counted(A, motif, idx, route):
         """``motif_counts_block`` of the stack that the draws ``idx`` (b, s) induce,
-        and ``_multiplicity_counts`` of their multiplicities at the same nodes."""
+        and ``_multiplicity_counts`` of their multiplicities at the same nodes,
+        by ``route``."""
         b, n = idx.shape[0], A.n
         per = motif_counts_block(A.a.ravel()[idx[:, :, None] * n + idx[:, None, :]], motif)[1]
         mult = np.zeros((b, n), dtype=np.int64)
         np.add.at(mult, (np.arange(b)[:, None], idx), 1)
-        return per, np.take_along_axis(moments._multiplicity_counts(A, motif, mult), idx, 1)
+        return per, np.take_along_axis(moments._multiplicity_counts(A, motif, mult, route), idx, 1)
 
-    # Dense-route triangles against the incidence table (inside the budget)
-    # or from held-row products (past it), and the listed route.
-    @pytest.mark.parametrize("route", ["dense", "held-rows", "listed"])
+    # Dense-route triangles against the incidence table or from held-row
+    # products, and the listed route, each on every graph whatever its size.
+    @pytest.mark.parametrize("route", ["incidence", "held", "listed"])
     @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, VSHAPE], ids=lambda m: m.name)
-    def test_equal_to_gathered_stack(self, motif, route, monkeypatch):
-        if route == "listed":
-            monkeypatch.setattr(moments, "_SPARSE_MIN_NODES", 0)
-            monkeypatch.setattr(moments, "_SPARSE_MAX_DENSITY", 1.0)
-        budget = 0 if route == "held-rows" else 2 ** 30
-        monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", budget)
+    def test_equal_to_gathered_stack(self, motif, route):
         rng = np.random.default_rng(91)
         for A in (random_graph(rng, 30, 0.5), sample_graph(paper_block_model(), 40, 1.0, seed=9),
                   _star(25), AdjacencyMatrix(np.zeros((9, 9), dtype=np.int8))):
@@ -1013,9 +1010,9 @@ class TestMultiplicityCounts:
                      np.sort(rng.permuted(np.tile(np.arange(n), (5, 1)), axis=1)[:, :n // 2]),
                      np.zeros((2, n), dtype=np.int64)]  # every copy one node
             for idx in draws:
-                per, counted = self.gathered_and_counted(A, motif, idx)
+                per, counted = self.gathered_and_counted(A, motif, idx, route)
                 assert counted.dtype == per.dtype and counted.tobytes() == per.tobytes()
-            built = route == "dense" and motif is not EDGE
+            built = route == "incidence" and motif is not EDGE
             assert ("_incidence" in vars(A)) == built
 
     def test_incidence_rows_close_triangles(self):
@@ -1029,24 +1026,23 @@ class TestMultiplicityCounts:
         assert inc.sum(axis=0).tolist() == motif_counts(A, TRIANGLE)[1].tolist()
 
     def test_product_dtype_bound(self, monkeypatch):
-        # Dense products hold integers up to n^2: float32 to n = 4096, on
-        # both sides of the incidence budget.
+        # Dense products hold integers up to n^2: float32 to n = 4096, with
+        # the incidence table and with held rows.
         assert moments._product_dtype(4096) is np.float32
         assert moments._product_dtype(4097) is np.float64
         A = sample_graph(paper_block_model(), 40, 1.0, seed=10)
         idx = np.random.default_rng(92).integers(0, A.n, size=(6, A.n))
 
-        def counted(dtype, budget):
+        def counted(dtype, route):
             monkeypatch.setattr(moments, "_product_dtype", lambda n: dtype)
-            monkeypatch.setattr(moments, "_INCIDENCE_MAX_BYTES", budget)
             fresh = AdjacencyMatrix(A.a)  # its products are cast on first use, and kept
-            per = [self.gathered_and_counted(fresh, motif, idx)[1].tobytes()
+            per = [self.gathered_and_counted(fresh, motif, idx, route)[1].tobytes()
                    for motif in (TRIANGLE, VSHAPE)]
             assert fresh._products.dtype == dtype
             return per
 
-        for budget in (0, 2 ** 30):
-            assert counted(np.float64, budget) == counted(np.float32, budget)
+        for route in ("held", "incidence"):
+            assert counted(np.float64, route) == counted(np.float32, route)
 
 
 class TestCostCaps:
