@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import io
 import operator
 from pathlib import Path
 
@@ -46,16 +45,17 @@ class AdjacencyMatrix:
     """Adjacency matrix of a simple undirected graph.
 
     Wraps a symmetric, hollow 0/1 int8 matrix.  A graph built by
-    :func:`from_edges` also keeps its checked pairs (``_pairs``, intp,
-    duplicates included), so its edge count and edge listing come from
-    them without a pass over the n^2 bytes.
+    :func:`from_edges` also keeps its edge keys (``_keys``: ``i*n + j`` and
+    ``j*n + i`` of each checked pair, intp, duplicates included), so its
+    edge count and edge listing come from them without a pass over the n^2
+    bytes.
     """
 
     def __init__(self, a):
         self._wrap(_check_square_binary(a, "adjacency"))
 
     @classmethod
-    def _trusted(cls, a: np.ndarray, pairs=None) -> "AdjacencyMatrix":
+    def _trusted(cls, a: np.ndarray, keys=None) -> "AdjacencyMatrix":
         """Wrap an int8 matrix that is symmetric, hollow and 0/1 by construction.
 
         Skips the O(n^2) checks of the public constructor; only code that
@@ -63,18 +63,18 @@ class AdjacencyMatrix:
         may call this.
         """
         self = cls.__new__(cls)
-        self._wrap(a, pairs)
+        self._wrap(a, keys)
         return self
 
-    def _wrap(self, a: np.ndarray, pairs=None) -> None:
+    def _wrap(self, a: np.ndarray, keys=None) -> None:
         a.setflags(write=False)
         self.a = a
         self.n = a.shape[0]
-        self._pairs = pairs
+        self._keys = keys
 
     @property
     def edge_count(self) -> int:
-        if self._pairs is None:
+        if self._keys is None:
             return int(np.count_nonzero(self.a)) // 2
         return self._nonzeros[0].size // 2
 
@@ -82,16 +82,15 @@ class AdjacencyMatrix:
     def _nonzeros(self):
         """``(rows, cols, indptr)``: the nonzeros of ``a`` in row-major order, as CSR.
 
-        Built on first use: from the pairs' keys ``i*n + j`` and ``j*n + i``,
-        sorted, with neighbouring duplicates dropped (np.unique took 10x
-        longer at 5k edges), or else from the bytes of ``a``.
+        Built on first use: from the edge keys, sorted, with neighbouring
+        duplicates dropped (np.unique took 10x longer at 5k edges), or else
+        from the bytes of ``a``.
         """
-        n, pairs = self.n, self._pairs
-        if pairs is None:
+        n = self.n
+        if self._keys is None:
             keys = _byte_keys(self.a)
         else:
-            keys = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
-            keys.sort()
+            keys = np.sort(self._keys)
             keys = keys[np.diff(keys, prepend=-1) != 0]
         rows, cols = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -154,10 +153,11 @@ def from_edges(n: int, edges) -> AdjacencyMatrix:
     array.  Duplicates collapse.  A ``ValueError`` names the first pair,
     in input order, that has a non-integer id, an id outside
     ``[0, n)`` or equal ids; before any pair, a ``ValueError`` refuses
-    an ``n`` whose n x n matrix of n^2 bytes cannot be allocated.  Both
-    triangles are set from the checked pairs, so the matrix is
-    symmetric, hollow and 0/1 by construction and is not validated again.
-    The graph keeps the pairs, for its edge count and edge listing.
+    an ``n`` whose n x n matrix of n^2 bytes cannot be allocated.  The
+    flat keys ``i*n + j`` and ``j*n + i`` of the checked pairs set both
+    triangles in one scatter, so the matrix is symmetric, hollow and 0/1 by
+    construction and is not validated again.  The graph keeps the keys, for
+    its edge count and edge listing.
     """
     try:  # numpy refuses a size past intp with a ValueError of its own
         if n * n > np.iinfo(np.intp).max:
@@ -166,10 +166,10 @@ def from_edges(n: int, edges) -> AdjacencyMatrix:
     except MemoryError:
         raise ValueError(f"a graph on n = {n} nodes needs an n x n matrix of n^2 = "
                          f"{n * n:.3g} bytes, more than can be allocated") from None
-    pairs = _checked_pairs(n, edges).astype(np.intp)
-    a[pairs[:, 0], pairs[:, 1]] = 1
-    a[pairs[:, 1], pairs[:, 0]] = 1
-    return AdjacencyMatrix._trusted(a, pairs)
+    i, j = _checked_pairs(n, edges).astype(np.intp, copy=False).T
+    keys = np.concatenate([i * n + j, j * n + i])
+    a.reshape(-1)[keys] = 1
+    return AdjacencyMatrix._trusted(a, keys)
 
 
 def _byte_keys(a: np.ndarray) -> np.ndarray:
@@ -180,9 +180,10 @@ def _byte_keys(a: np.ndarray) -> np.ndarray:
 def _checked_pairs(n: int, edges) -> np.ndarray:
     """``edges`` as an ``(m, 2)`` integer array of valid edges on ``n`` nodes.
 
-    Integer arrays are checked in one vectorised pass; anything else
-    (floats, ids beyond int64, ragged input) pair by pair, so that no
-    id is truncated or wrapped before it is checked.
+    Integer arrays are checked by whole-array reductions (a row mask over
+    ``(m, 2)`` took 5x longer), and one that fails is searched for its first
+    bad pair; anything else (floats, ids beyond int64, ragged input) pair by
+    pair, so that no id is truncated or wrapped before it is checked.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -191,8 +192,9 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
     except ValueError:  # ragged
         pairs = None
     if pairs is not None and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
-        bad = ~((pairs >= 0) & (pairs < n)).all(axis=1) | (pairs[:, 0] == pairs[:, 1])
-        if bad.any():
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n
+                           or (pairs[:, 0] == pairs[:, 1]).any()):
+            bad = ~((pairs >= 0) & (pairs < n)).all(axis=1) | (pairs[:, 0] == pairs[:, 1])
             raise ValueError(_pair_error(n, *pairs[np.argmax(bad)].tolist()))
         return pairs
     for i, j in edges:
@@ -223,10 +225,10 @@ def load_edge_list(path) -> AdjacencyMatrix:
     Duplicate edges are ignored; self-loops are rejected.  The node
     count is the largest id seen.  Errors name the file and line.  The
     file is read once; valid edges in plain text (digits, blanks, commas,
-    newlines) are parsed in one vectorised pass, anything else by the
-    line parser.  The checked pairs go to :func:`from_edges`, whose
-    scatter makes a valid matrix by construction, so the n x n matrix is
-    never re-validated.
+    newlines) are parsed in one vectorised pass over its bytes
+    (:func:`_plain_pairs`), anything else by the line parser.  The pairs go
+    to :func:`from_edges`, whose one flat scatter of their keys makes a
+    valid matrix by construction, so the n x n matrix is never re-validated.
     """
     text = Path(path).read_text()
     pairs = _plain_pairs(text)
@@ -257,22 +259,44 @@ def load_edge_list(path) -> AdjacencyMatrix:
 
 
 def _plain_pairs(text: str) -> np.ndarray | None:
-    """The ``(m, 2)`` 1-based edges of a plain, valid edge list, else None.
+    """The ``(m, 2)`` int64 1-based edges of a plain, valid edge list, else None.
 
-    None (use the line parser) for another character, no digit, a row
-    not of two int64 ids, an id below 1, a self-loop, or comma text with
-    a skipped line (``loadtxt`` skips a line of commas; the parser fails).
+    One vectorised pass over the bytes (np.loadtxt took twice as long): the
+    digit runs are cut at their boundaries, each id is summed from its
+    digits by place value, and the runs are counted per line from where the
+    newlines fall.  None (use the line parser) for another character, no
+    digit, an id of more than 18 digits (18 always fit int64), a line of
+    other than two ids or none, comma text with a line that holds no edge
+    (the line parser refuses a line of commas), an id below 1 or a
+    self-loop.
     """
-    if not text.isascii() or text.encode().translate(None, b"0123456789 \t,\n") \
-            or not text.strip(" \t,\n"):
+    raw = text.encode()
+    if not text.isascii() or raw.translate(None, b"0123456789 \t,\n"):
         return None
-    try:
-        pairs = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=np.int64,
-                           comments=None, ndmin=2)
-    except ValueError:  # a short or long row, or an id beyond int64
+    z = np.frombuffer(b" " + raw + b" ", dtype=np.uint8) - np.uint8(48)
+    digit = z < 10  # blanks, commas and newlines wrap past 200
+    starts, ends = (digit[1:] != digit[:-1]).nonzero()[0].reshape(-1, 2).T.copy()
+    width = int((ends - starts).max(initial=0))
+    if starts.size % 2 or not 0 < width <= 18:
         return None
-    lines = text.count("\n") + (not text.endswith("\n"))
-    if pairs.shape[1] != 2 or (pairs.shape[0] != lines and "," in text) \
-            or pairs.min() < 1 or (pairs[:, 0] == pairs[:, 1]).any():
+    # Among the run starts and newlines, in text order, runs 2e and 2e+1
+    # must be adjacent (one line) and runs 2e+1 and 2e+2 not.
+    marks = z[1:] == 218  # b"\n" - 48
+    marks[starts] = True
+    runs = (z[1:][marks.nonzero()[0]] != 218).nonzero()[0]  # event index of each run
+    gap = runs[1:] - runs[:-1]
+    if gap[0::2].max(initial=1) > 1 or gap[1::2].min(initial=2) < 2 or "," in text \
+            and starts.size != 2 * (text.count("\n") + (not text.endswith("\n"))):
         return None
-    return pairs
+    # Each id from the last ``width`` places of its run, z[ends] the units;
+    # a shorter run reads z[starts], the 0 before it, for its missing ones.
+    # One place per step: a (width, runs) table made every request refault
+    # ~200 pages in some processes (the heap top was trimmed after it).
+    z *= digit
+    ids, at = np.zeros(starts.size, dtype=np.int64), ends + (1 - width)
+    for _ in range(width):
+        ids *= 10
+        ids += z.take(np.maximum(at, starts))
+        at += 1
+    pairs = ids.reshape(-1, 2)
+    return None if pairs.min() < 1 or (pairs[:, 0] == pairs[:, 1]).any() else pairs

@@ -135,13 +135,13 @@ def _batch_draws(n: int, s: int, seed: int, label: str, b0: int, b1: int) -> np.
     words = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :s]
     bound = np.uint64(n) if s == n else np.arange(n - s + 1, n + 1, dtype=np.uint64)
     nodes, redo = _lemire(words, bound)
-    if s < n:
-        held, rows = np.zeros((b1 - b0, n), dtype=bool), np.arange(b1 - b0)
-        for t, j in enumerate(range(n - s, n)):
-            v = nodes[:, t]
-            v[held[rows, v]] = j
-            held[rows, v] = True
-        nodes = np.nonzero(held)[1].reshape(b1 - b0, s)
+    if s < n:  # step t over all rows at once, on flat indices row * n + node
+        base = n * np.arange(b1 - b0)
+        held, steps = np.zeros(base.size * n, dtype=bool), (nodes + base[:, None]).T.copy()
+        for j, v in enumerate(steps, start=n - s):
+            np.copyto(v, base + j, where=held.take(v))
+            held.put(v, True)
+        nodes = np.flatnonzero(held).reshape(-1, s) - base[:, None]
     for row in np.flatnonzero(redo.any(axis=1)):
         nodes[row] = _draw(streams(seed, label, b0 + row), n, s)
     return nodes

@@ -12,7 +12,7 @@ counts, ``per_node = inner.sum(1) / (r - 1)``, the total,
 replicates, once each; counts are exact, so no route changes a byte.  A
 large sparse graph lists its nonzeros once and keeps them
 (``AdjacencyMatrix._nonzeros``; an edge-list graph lists them, and its
-edge count, from its checked pairs, with no n^2 pass), and its triangles
+edge count, from its edge keys, with no n^2 pass), and its triangles
 (``AdjacencyMatrix._triangles``), on a degree-ordered orientation in
 O(m sqrt(m)) time for m edges.  The edge, triangle and V-shape are
 counted from these, with a table scattered only for
@@ -229,19 +229,20 @@ def _oriented(rows: np.ndarray, cols: np.ndarray, d: np.ndarray):
     """
     rank = np.empty(d.size, dtype=np.int64)
     rank[np.argsort(d, kind="stable")] = np.arange(d.size)
-    up = rank[rows] < rank[cols]
-    return rows[up], cols[up]
+    up = np.flatnonzero(rank[rows] < rank[cols])
+    return rows.take(up), cols.take(up)
 
 
 def _pair_chunks(start: np.ndarray, count: np.ndarray):
     """Index pairs ``(e, f)``, f in ``start[e] .. start[e] + count[e] - 1``, as
-    arrays of about ``_PAIR_CHUNK`` pairs; at least one, empty if no pairs."""
+    arrays of about ``_PAIR_CHUNK`` pairs; at least one, empty if no pairs.
+    Pair k of edge e is pair ``cum[e] - count[e] + k`` of all, for every chunk."""
     cum = np.cumsum(count)
     cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1] if cum.size else 0, _PAIR_CHUNK))
     for e0, e1 in zip([0, *cuts], [*cuts, count.size]):
-        w = count[e0:e1]
+        w, first = count[e0:e1], cum[e0 - 1] if e0 else 0
         e = np.repeat(np.arange(e0, e1), w)
-        yield e, np.repeat(start[e0:e1] - (np.cumsum(w) - w), w) + np.arange(e.size)
+        yield e, np.repeat(start[e0:e1] + w - cum[e0:e1], w) + np.arange(first, first + e.size)
 
 
 def _triangles(a: np.ndarray, src: np.ndarray, dst: np.ndarray):

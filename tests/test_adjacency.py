@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netmoments import AdjacencyMatrix, from_edges, load_edge_list
+from netmoments import THREESTAR, AdjacencyMatrix, compute_stats, from_edges, load_edge_list
 
 
 def line_parser(path):
@@ -54,7 +54,7 @@ def outcome(load, path):
 
 
 def assert_pairs_list_the_bytes(A):
-    """``A``'s nonzeros and edge count, listed from its pairs, equal those
+    """``A``'s nonzeros and edge count, listed from its edge keys, equal those
     listed from its adjacency bytes, in dtype and bytes."""
     B = AdjacencyMatrix._trusted(A.a)
     for x, y in zip(A._nonzeros, B._nonzeros, strict=True):
@@ -124,6 +124,16 @@ def test_matches_line_parser(edge_file, text):
     "# comment only\n",
     "",
     " \n,\n",
+    "1 " + "2" * 18 + "\n",  # 18 digits: the longest id parsed in one pass
+    "1 " + "2" * 19 + "\n",
+    "1 " + "2" * 20 + "\n",
+    "1 " + "0" * 21 + "2\n",  # 22 digits, leading zeros
+    "1 9223372036854775807\n",  # the largest int64
+    "1 2\n2 3\n3 1",  # no trailing newline
+    "1,2\n2,3\n\n",  # comma text ending in a blank line
+    "1 2\n,\n2 3\n",  # a comma-only line
+    "1\t2\n2\t\t3\n",  # tab-only separators
+    "1 2\n3\n4 5\n",  # a line holding a single id
 ])
 def test_explicit_cases_match_line_parser(edge_file, text):
     assert_same_as_line_parser(edge_file, text)
@@ -142,11 +152,20 @@ def test_pairs_list_the_bytes(n, pairs):
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     A = from_edges(n, pairs)
     assert_pairs_list_the_bytes(A)
-    assert not np.shares_memory(A._pairs, pairs)  # the caller's array stays theirs
+    assert not np.shares_memory(A._keys, pairs)  # the caller's array stays theirs
     a = np.zeros((n, n), dtype=np.int8)
     for i, j in pairs:
         a[i, j] = a[j, i] = 1
     assert A.a.dtype == np.int8 and A.a.tobytes() == a.tobytes()
+
+
+def test_table_route_graph_never_sorts_its_keys(tmp_path):
+    # A 40-node graph takes the table route, which reads the matrix only.
+    path = tmp_path / "star.edges"
+    path.write_text("".join(f"1 {j}\n{j} {j + 1}\n" for j in range(2, 40)))
+    A = load_edge_list(path)
+    compute_stats(A, THREESTAR)
+    assert A.n == 40 and "_nonzeros" not in A.__dict__
 
 
 class TestExplicitCases:
