@@ -82,17 +82,22 @@ class AdjacencyMatrix:
     def _nonzeros(self):
         """``(rows, cols, indptr)``: the nonzeros of ``a`` in row-major order, as CSR.
 
-        Built on first use: from the edge keys, sorted, with neighbouring
-        duplicates dropped (np.unique took 10x longer at 5k edges), or else
-        from the bytes of ``a``.
+        Built on first use: from the edge keys, sorted, and copied without
+        their repeats only if a key equals the one before it (np.unique took
+        10x longer at 5k edges), or else from the bytes of ``a``.  A key
+        splits as ``keys // n`` and ``keys - rows * n`` (np.divmod took 2.5x
+        as long at 10k keys).
         """
         n = self.n
         if self._keys is None:
             keys = _byte_keys(self.a)
         else:
             keys = np.sort(self._keys)
-            keys = keys[np.diff(keys, prepend=-1) != 0]
-        rows, cols = np.divmod(keys, n)
+            repeat = keys[1:] == keys[:-1]
+            if repeat.any():
+                keys = np.delete(keys, repeat.nonzero()[0] + 1)
+        rows = keys // n
+        cols = keys - rows * n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return rows, cols, indptr
@@ -152,12 +157,22 @@ def from_edges(n: int, edges) -> AdjacencyMatrix:
     ``edges`` is an iterable of integer pairs or an ``(m, 2)`` integer
     array.  Duplicates collapse.  A ``ValueError`` names the first pair,
     in input order, that has a non-integer id, an id outside
-    ``[0, n)`` or equal ids; before any pair, a ``ValueError`` refuses
-    an ``n`` whose n x n matrix of n^2 bytes cannot be allocated.  The
-    flat keys ``i*n + j`` and ``j*n + i`` of the checked pairs set both
-    triangles in one scatter, so the matrix is symmetric, hollow and 0/1 by
-    construction and is not validated again.  The graph keeps the keys, for
-    its edge count and edge listing.
+    ``[0, n)`` or equal ids; then :func:`_built` makes the graph, or
+    refuses an ``n`` whose n x n matrix cannot be allocated.
+    """
+    return _built(n, _checked_pairs(n, edges))
+
+
+def _built(n: int, pairs) -> AdjacencyMatrix:
+    """The graph on ``n`` nodes of already checked 0-based ``pairs`` (ids in
+    ``[0, n)``, not equal): from :func:`from_edges` or an edge-list parser.
+
+    A ``ValueError`` refuses an ``n`` whose n x n matrix of n^2 bytes
+    cannot be allocated, before any id is read as intp.  The flat keys
+    ``i*n + j`` and ``j*n + i`` set both triangles in one scatter, so the
+    matrix is symmetric, hollow and 0/1 by construction and is not
+    validated again.  The graph keeps the keys, for its edge count and
+    edge listing.
     """
     try:  # numpy refuses a size past intp with a ValueError of its own
         if n * n > np.iinfo(np.intp).max:
@@ -166,7 +181,7 @@ def from_edges(n: int, edges) -> AdjacencyMatrix:
     except MemoryError:
         raise ValueError(f"a graph on n = {n} nodes needs an n x n matrix of n^2 = "
                          f"{n * n:.3g} bytes, more than can be allocated") from None
-    i, j = _checked_pairs(n, edges).astype(np.intp, copy=False).T
+    i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     keys = np.concatenate([i * n + j, j * n + i])
     a.reshape(-1)[keys] = 1
     return AdjacencyMatrix._trusted(a, keys)
@@ -177,8 +192,9 @@ def _byte_keys(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(a.view(np.bool_))
 
 
-def _checked_pairs(n: int, edges) -> np.ndarray:
-    """``edges`` as an ``(m, 2)`` integer array of valid edges on ``n`` nodes.
+def _checked_pairs(n: int, edges):
+    """``edges`` as valid edges on ``n`` nodes: an ``(m, 2)`` integer array,
+    or the list of pairs checked one by one.
 
     Integer arrays are checked by whole-array reductions (a row mask over
     ``(m, 2)`` took 5x longer), and one that fails is searched for its first
@@ -201,7 +217,7 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
         error = _pair_error(n, i, j)
         if error:
             raise ValueError(error)
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return edges
 
 
 def _pair_error(n: int, i, j) -> str | None:
@@ -226,14 +242,15 @@ def load_edge_list(path) -> AdjacencyMatrix:
     count is the largest id seen.  Errors name the file and line.  The
     file is read once; valid edges in plain text (digits, blanks, commas,
     newlines) are parsed in one vectorised pass over its bytes
-    (:func:`_plain_pairs`), anything else by the line parser.  The pairs go
-    to :func:`from_edges`, whose one flat scatter of their keys makes a
-    valid matrix by construction, so the n x n matrix is never re-validated.
+    (:func:`_plain_pairs`), anything else by the line parser.  Either
+    parser has checked its pairs (ids at least 1, no self-loop, n the
+    largest id), so :func:`_built` takes them without the checks of
+    :func:`from_edges` and never re-validates the matrix it builds.
     """
     text = Path(path).read_text()
     pairs = _plain_pairs(text)
     if pairs is not None:
-        return from_edges(int(pairs.max()), pairs - 1)
+        return _built(int(pairs.max()), pairs - 1)
     edges = []
     max_id = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -255,7 +272,7 @@ def load_edge_list(path) -> AdjacencyMatrix:
         edges.append((i - 1, j - 1))
     if max_id < 2:
         raise ValueError(f"{path}: no edges found")
-    return from_edges(max_id, edges)
+    return _built(max_id, edges)
 
 
 def _plain_pairs(text: str) -> np.ndarray | None:

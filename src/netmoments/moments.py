@@ -225,11 +225,11 @@ def _oriented(rows: np.ndarray, cols: np.ndarray, d: np.ndarray):
     order and ``d`` its degrees.  Nodes are ranked by (degree, id), so a
     node with k out-edges has k neighbours of degree at least k: no
     out-list is longer than sqrt(2m) (Chiba & Nishizeki 1985; Latapy
-    2008), wherever a hub sits among the ids.
+    2008), wherever a hub sits among the ids.  The key ``d*n + id`` orders
+    nodes as that rank does, without a sort (it is below n^2, inside intp).
     """
-    rank = np.empty(d.size, dtype=np.int64)
-    rank[np.argsort(d, kind="stable")] = np.arange(d.size)
-    up = np.flatnonzero(rank[rows] < rank[cols])
+    key = d * d.size + np.arange(d.size)
+    up = (key.take(rows) < key.take(cols)).nonzero()[0]
     return rows.take(up), cols.take(up)
 
 
@@ -262,6 +262,8 @@ def _triangles(a: np.ndarray, src: np.ndarray, dst: np.ndarray):
         i, j = dst[first], dst[second]
         closed = flat[i * n + j]
         found.append((src[first[closed]], i[closed], j[closed]))
+    if len(found) == 1:
+        return found[0]
     k, i, j = (np.concatenate(x) for x in zip(*found))
     return k, i, j
 
@@ -291,12 +293,14 @@ def _listed_counts(A: AdjacencyMatrix, motif: Motif):
     ``T(per)`` or, from the V-shape table's entries ``C_ij`` off edges
     and ``d_i + d_j - 2 - C_ij`` on them,
 
-        A@(A@per) - d*per + (d - 2)*(A@per) + A@(d*per) - 2*T(per).
+        A@(A@per + d*per) - d*per + (d - 2)*(A@per) - 2*T(per),
 
-    Everything is exact int64.  The sums come back in the dtype that
-    :func:`_pair_table_sums` picks.  Each of the five V-shape terms is at
-    most 2*top (``top = (r-1) * max(per)^2``), so every partial sum is
-    below 9*top, inside int64 for top < ``_LISTED_SUMS_MAX_TOP``; above
+    one sum over the neighbours for ``A@(A@per) + A@(d*per)``.  Everything
+    is exact int64.  The sums come back in the dtype that
+    :func:`_pair_table_sums` picks.  With ``top = (r-1) * max(per)^2``, the
+    first of the four V-shape terms (and every entry of ``A@per + d*per``)
+    is at most 4*top and each other at most 2*top, so every partial sum is
+    at most 10*top, inside int64 for top < ``_LISTED_SUMS_MAX_TOP``; above
     it (a hub of degree ~33k) the same sums are formed in Python ints.
     The table is the dense one, in its bytes, without its n^2 passes: C on
     the edges scattered from the triangles, or C (:func:`_codegrees`) with
@@ -341,7 +345,7 @@ def _listed_counts(A: AdjacencyMatrix, motif: Motif):
             y = around(x)
         else:
             a_x = adj(x)
-            y = adj(a_x) - dx * x + (dx - 2) * a_x + adj(dx * x) - 2 * around(x)
+            y = adj(a_x + dx * x) - dx * x + (dx - 2) * a_x - 2 * around(x)
         return y.astype(_sums_dtype(per, r), copy=False)
 
     return per, sums, table

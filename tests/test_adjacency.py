@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netmoments import THREESTAR, AdjacencyMatrix, compute_stats, from_edges, load_edge_list
+from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix, compute_stats,
+                        from_edges, load_edge_list)
+from netmoments import moments
 
 
 def line_parser(path):
@@ -157,6 +159,36 @@ def test_pairs_list_the_bytes(n, pairs):
     for i, j in pairs:
         a[i, j] = a[j, i] = 1
     assert A.a.dtype == np.int8 and A.a.tobytes() == a.tobytes()
+
+
+def test_repeated_pairs_match_their_deduplicated_twin(tmp_path):
+    # A listed-route graph from each pair once, and from each pair with its
+    # reverse and, for a third of them, a second copy.
+    rng = np.random.default_rng(84)
+    n = 400
+    pairs = np.sort(rng.integers(0, n, (1500, 2)), axis=1)
+    pairs = np.unique(np.concatenate([pairs[pairs[:, 0] != pairs[:, 1]], [[0, n - 1]]]), axis=0)
+    twin = from_edges(n, pairs)
+    noisy = np.concatenate([pairs, pairs[:, ::-1], pairs[::3]])
+    A = from_edges(n, rng.permutation(noisy))
+    assert A._keys.size > twin._keys.size and A.a.tobytes() == twin.a.tobytes()
+    for x, y in zip(A._nonzeros, twin._nonzeros, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert A.edge_count == twin.edge_count == len(pairs)
+    for motif in (EDGE, TRIANGLE, VSHAPE):
+        assert moments._route(A, motif) == "listed"
+        got, want = compute_stats(A, motif), compute_stats(twin, motif)
+        assert repr(got) == repr(want) and got.g1_hat.tobytes() == want.g1_hat.tobytes()
+    # The file of the repeated pairs, read by either parser (a comment line
+    # sends it to the line parser), builds what from_edges builds.
+    text = "".join(f"{i} {j}\n" for i, j in (noisy + 1).tolist())
+    C = from_edges(n, noisy)
+    for header in ("", "# repeated pairs\n"):
+        path = tmp_path / "noisy.edges"
+        path.write_text(header + text)
+        B = load_edge_list(path)
+        assert B.n == n and B.a.tobytes() == C.a.tobytes()
+        assert B._keys.dtype == C._keys.dtype and B._keys.tobytes() == C._keys.tobytes()
 
 
 def test_table_route_graph_never_sorts_its_keys(tmp_path):

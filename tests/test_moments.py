@@ -863,6 +863,26 @@ class TestListedCounts:
         for (per, sums), (per_rev, sums_rev) in zip(results[:2], results[2:]):
             assert np.array_equal(per, per_rev[::-1]) and np.array_equal(sums, sums_rev[::-1])
 
+    def test_oriented_equals_stable_argsort_rank(self):
+        # The (degree, id) key selects the edges, in order, that ranking the
+        # nodes by a stable argsort of their degrees does, on graphs with
+        # many degree ties: sparse random graphs, a cycle, a complete graph
+        # and the hub at either end of the ids.
+        rng = np.random.default_rng(83)
+        graphs = [random_graph(rng, n, p).a for n, p in ((60, 0.05), (300, 0.01), (400, 0.02))]
+        graphs += [from_edges(50, [(k, (k + 1) % 50) for k in range(50)]).a, K4.a,
+                   *_hub_at_either_end(3000)]
+        for a in graphs:
+            rows, cols, indptr = AdjacencyMatrix(a)._nonzeros
+            d = np.diff(indptr)
+            assert np.unique(d).size <= d.size / 4  # ties
+            rank = np.empty(d.size, dtype=np.int64)
+            rank[np.argsort(d, kind="stable")] = np.arange(d.size)
+            up = rank[rows] < rank[cols]
+            for got, want in zip(moments._oriented(rows, cols, d), (rows[up], cols[up]),
+                                 strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_hub_pair_projection_equals_dense_route(self, monkeypatch):
         for a in _hub_at_either_end(3000):
             A = AdjacencyMatrix(a)
