@@ -19,6 +19,7 @@ import numpy as np
 
 from .adjacency import AdjacencyMatrix, _check_keys
 from .errors import DegeneracyError
+from .moments import _BLOCK_ELEMENTS
 from .motif import Motif, _PAIRS, containment_probability
 from .rng import stream, substream_seed, thread_streams
 
@@ -92,8 +93,8 @@ def _block_labels(pi: np.ndarray, x) -> np.ndarray:
     """The block of each latent position ``x``: block k holds the positions
     from the sum of ``pi[:k]`` up to, not including, the sum of ``pi[:k+1]``.
 
-    The block model's evaluator and its one-hot edge probabilities both
-    label through here, so their bytes cannot drift apart.
+    The block model's evaluator and its pair probabilities from label
+    codes both label through here, so their bytes cannot drift apart.
     """
     return np.searchsorted(np.cumsum(pi)[:-1], x, side="right")
 
@@ -257,26 +258,6 @@ def _check_probabilities(W: np.ndarray) -> None:
         raise ValueError("edge probabilities leave [0, 1]; graphon must map into [0, 1]")
 
 
-def _edge_probabilities(g: Graphon, pos: np.ndarray, rho: float) -> np.ndarray:
-    """``rho * f(X_i, X_j)`` on every pair of each row of ``pos`` (..., n).
-
-    A block model's value is ``onehot(labels) @ (rho * B) @ onehot(labels).T``
-    for the block labels of ``pos``: exactly one term of each sum is
-    nonzero, so the product has the bytes of ``rho * B[b_i, b_j]`` at BLAS
-    speed, and the K x K table ``rho * B``, which holds every value it can
-    take, is the one range check.
-    """
-    if g.is_block_model:
-        table = rho * np.asarray(g.B, dtype=np.float64)
-        _check_probabilities(table)
-        labels = _block_labels(g.pi, pos)
-        onehot = (labels[..., None] == np.arange(table.shape[0])).astype(np.float64)
-        return onehot @ table @ np.swapaxes(onehot, -1, -2)
-    W = rho * np.asarray(g.evaluate(pos[..., :, None], pos[..., None, :]), dtype=np.float64)
-    _check_probabilities(W)
-    return W
-
-
 # A protocol samples at a few sizes; each cached size holds 12n^2 bytes of
 # indices (480 KB at n = 200, 300 MB at n = 5000).
 @functools.lru_cache(maxsize=4)
@@ -299,22 +280,44 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, mirror
 
 
-def _bernoulli_adjacency(W: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Read-only int8 adjacency (..., n, n): edge ``i < j`` iff ``u < W_ij``, mirrored.
+def _pair_probabilities(g: Graphon, pos: np.ndarray, rho: float) -> np.ndarray:
+    """``rho * f(X_i, X_j)`` on the pairs ``i < j`` of each row of ``pos``
+    (..., n), as an array (..., n(n-1)/2) in :func:`_pair_index` order.
 
-    ``u`` holds one uniform per upper-triangle pair, in row-major order.
-    Only the strict upper triangle of ``W`` is read, so a ``W`` that is
-    asymmetric below it (a custom graphon off by an ulp) still gives a
-    symmetric graph.  The comparisons fill a bool buffer with one spare
-    ``False`` slot, and one take through :func:`_pair_index`'s mirror
-    builds the whole symmetric, hollow matrix from it.
+    A block model reads each pair's value from the K x K table ``rho * B``
+    at the pair's code ``K * b_i + b_j`` of the block labels of ``pos``, in
+    an unsigned dtype that holds ``K^2 - 1``.  These are the bytes of the
+    one-hot product ``onehot(labels) @ (rho * B) @ onehot(labels).T``, of
+    whose sums exactly one term is nonzero, without its (..., n, n)
+    float64 matrix; the table, which holds every value it can take, is the
+    one range check.  Other graphons are evaluated and range-checked on
+    every pair of nodes and read above the diagonal only, so an ``f`` that
+    is asymmetric by an ulp still gives one value per pair.
     """
-    n = W.shape[-1]
-    upper, mirror = _pair_index(n)
-    edges = np.zeros(W.shape[:-2] + (upper.size + 1,), dtype=bool)
-    np.less(u, np.take(W.reshape(W.shape[:-2] + (n * n,)), upper, axis=-1),
-            out=edges[..., :-1])
-    a = np.take(edges.view(np.int8), mirror, axis=-1).reshape(W.shape)
+    n = pos.shape[-1]
+    upper, _ = _pair_index(n)
+    if g.is_block_model:
+        table = rho * np.asarray(g.B, dtype=np.float64)
+        _check_probabilities(table)
+        K = table.shape[0]
+        labels = _block_labels(g.pi, pos).astype(np.min_scalar_type(K * K - 1))
+        codes = labels[..., :, None] * K + labels[..., None, :]
+        return np.take(table.ravel(),
+                       np.take(codes.reshape(pos.shape[:-1] + (n * n,)), upper, axis=-1))
+    W = rho * np.asarray(g.evaluate(pos[..., :, None], pos[..., None, :]), dtype=np.float64)
+    _check_probabilities(W)
+    return np.take(W.reshape(W.shape[:-2] + (n * n,)), upper, axis=-1)
+
+
+def _mirrored(edges: np.ndarray, n: int) -> np.ndarray:
+    """Read-only int8 adjacency (..., n, n) from the bool pair edges (..., n(n-1)/2 + 1).
+
+    ``edges`` holds edge ``i < j`` at its :func:`_pair_index` position and
+    ends in one spare ``False`` slot; one take through the mirror builds
+    the whole symmetric, hollow matrix from it.
+    """
+    _, mirror = _pair_index(n)
+    a = np.take(edges.view(np.int8), mirror, axis=-1).reshape(edges.shape[:-1] + (n, n))
     a.setflags(write=False)
     return a
 
@@ -322,7 +325,10 @@ def _bernoulli_adjacency(W: np.ndarray, u: np.ndarray) -> np.ndarray:
 def probability_matrix(g: Graphon, x: LatentSample, rho: float) -> ProbabilityMatrix:
     """Edge probabilities ``W_ij = rho * f(X_i, X_j)`` with a zero diagonal."""
     _check_rho(rho)
-    W = np.triu(_edge_probabilities(g, x.positions, rho), 1)
+    n = x.n
+    W = np.zeros(n * n)
+    W[_pair_index(n)[0]] = _pair_probabilities(g, x.positions, rho)
+    W = W.reshape(n, n)
     W = W + W.T
     W.setflags(write=False)
     return ProbabilityMatrix(W=W, rho=float(rho))
@@ -332,7 +338,9 @@ def sample_adjacency(W: ProbabilityMatrix, seed: int) -> AdjacencyMatrix:
     """Independent Bernoulli(W_ij) edges for i < j, mirrored below the diagonal."""
     n = W.n
     u = stream(seed, "edges").random(n * (n - 1) // 2)
-    return AdjacencyMatrix._trusted(_bernoulli_adjacency(W.W, u))
+    edges = np.zeros(u.size + 1, dtype=bool)
+    np.less(u, np.take(W.W.reshape(n * n), _pair_index(n)[0]), out=edges[:-1])
+    return AdjacencyMatrix._trusted(_mirrored(edges, n))
 
 
 def sample_graph_block(g: Graphon, n: int, rho: float, seeds) -> np.ndarray:
@@ -341,20 +349,30 @@ def sample_graph_block(g: Graphon, n: int, rho: float, seeds) -> np.ndarray:
     Each network draws its latents and edge uniforms from its own
     seed's labeled streams, exactly as :func:`sample_graph` does, so
     row ``k`` is byte-identical to ``sample_graph(g, n, rho, seeds[k]).a``
-    whatever the block it is drawn in.  The graphon is evaluated once
-    for the whole block, and only its values above the diagonal are
-    read (:func:`_bernoulli_adjacency`), so every row is symmetric and
-    hollow.  The stack is int8 and read-only.
+    whatever the block it is drawn in.  Edge ``i < j`` is ``u < p``, for
+    its uniform ``u`` and probability ``p`` (:func:`_pair_probabilities`,
+    which reads no value below the diagonal), mirrored
+    (:func:`_mirrored`), so every row is symmetric and hollow.  The stack
+    is int8 and read-only.
+
+    Edge uniforms and probabilities come in chunks of networks of about
+    ``_BLOCK_ELEMENTS`` pairs, so a block's large temporaries are one
+    chunk's.  With a whole truth block's uniforms in one array, the
+    ``sim_truth`` benchmark ran at 17-18k against 23k graphs/s on a
+    2-vCPU Xeon: the allocator returned freed blocks to the system, and
+    up to 6000 page faults per experiment brought them back.
     """
     _check_nodes(n)
     _check_rho(rho)
     streams = thread_streams()
-    x = np.empty((len(seeds), n))
-    u = np.empty((len(seeds), n * (n - 1) // 2))
-    for k, seed in enumerate(seeds):
-        streams(seed, "latent").random(out=x[k])
-        streams(seed, "edges").random(out=u[k])
-    return _bernoulli_adjacency(_edge_probabilities(g, x, rho), u)
+    pairs = n * (n - 1) // 2
+    x = streams.uniforms(seeds, "latent", n)
+    edges = np.zeros((len(seeds), pairs + 1), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // pairs)
+    for k in range(0, len(seeds), step):
+        np.less(streams.uniforms(seeds[k:k + step], "edges", pairs),
+                _pair_probabilities(g, x[k:k + step], rho), out=edges[k:k + step, :-1])
+    return _mirrored(edges, n)
 
 
 def sample_graph(g: Graphon, n: int, rho: float, seed: int) -> AdjacencyMatrix:

@@ -27,9 +27,9 @@ from .errors import DegeneracyError, DegenerateReplicatesError
 from .graphon import (Graphon, MomentEstimate, graphon_from_config,
                       population_moment, sample_graph, sample_graph_block)
 from .inference import ConfidenceInterval, confidence_interval, one_sample_test
-from .moments import _stack_block, compute_stats, motif_counts_block
+from .moments import _PAIR_CHUNK, compute_stats, motif_counts_block
 from .motif import Motif, motif_from_config
-from .rng import substream_seed
+from .rng import _substream_seeds, substream_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -219,19 +219,22 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
     :func:`population_mean`).  The bootstraps' replicate engine samples,
     counts and studentizes the networks in blocks, in the calling thread:
     two workers were slower than one at every size the paper's protocols
-    run.  Every network keeps its own stream, so the bytes do not depend
-    on the block size.  Replicates with a zero variance estimate are
-    skipped and counted; more than ``max_degenerate_fraction`` of them
-    (the message says to raise it), or all of them, raise
-    ``DegenerateReplicatesError``; a cap outside [0, 1] raises ``ValueError``.
+    run.  A block holds the networks whose edge uniforms make about
+    ``_PAIR_CHUNK`` (20 at n = 80, 84 at n = 40), and its seeds come from
+    one hash of the ``(seed, "mc-truth")`` prefix.  Every network keeps its
+    own stream, so the bytes do not depend on the block size.  Replicates
+    with a zero variance estimate are skipped and counted; more than
+    ``max_degenerate_fraction`` of them (the message says to raise it), or
+    all of them, raise ``DegenerateReplicatesError``; a cap outside [0, 1]
+    raises ``ValueError``.  ``t_sd`` is NaN when one replicate is kept.
     """
     _check_degenerate_fraction(max_degenerate_fraction)
     if mu is None:
         mu = population_mean(g, rho, motif, n_mc=n_mc, seed=seed).value
 
-    block = _stack_block(n)
-    blocks = (motif_counts_block(sample_graph_block(g, n, rho, [
-        substream_seed(seed, "mc-truth", k) for k in range(k0, min(k0 + block, n_mc))]), motif)
+    block = max(1, _PAIR_CHUNK // max(1, n * (n - 1) // 2))
+    blocks = (motif_counts_block(sample_graph_block(
+        g, n, rho, _substream_seeds(seed, "mc-truth", k0, min(k0 + block, n_mc))), motif)
         for k0 in range(0, n_mc, block))
     try:
         F = _studentized(n_mc, n, blocks, motif, mu, max_degenerate_fraction, "truth")
@@ -243,7 +246,7 @@ def monte_carlo_true_cdf(g: Graphon, rho: float, motif: Motif, n: int,
             n_dropped=exc.n_dropped, n_total=exc.n_total) from exc
     return TrueCdf(grid=DEFAULT_GRID, values=F.evaluate(DEFAULT_GRID), n_total=n_mc,
                    n_degenerate=F.n_dropped, t_mean=float(F.samples.mean()),
-                   t_sd=float(F.samples.std(ddof=1)))
+                   t_sd=float(F.samples.std(ddof=1)) if F.samples.size > 1 else math.nan)
 
 
 def _bootstrap(method: str, A: AdjacencyMatrix, cfg: ExperimentConfig, seed: int):

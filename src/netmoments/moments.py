@@ -436,10 +436,10 @@ def _multiplicity_counts(A: AdjacencyMatrix, motif: Motif, mult: np.ndarray,
     return d * (d - 1) // 2 + _round_int(adj(m * d.astype(m.dtype))) - d - 2 * tri
 
 
-# Stacks of replicate graphs (Monte-Carlo truths, gathered bootstrap
-# replicates) are counted in blocks of about this many adjacency entries
-# (b * n^2), which keeps a block's float64 temporaries within a few
-# hundred kB.
+# Stacks of gathered bootstrap replicates are counted in blocks of about
+# this many adjacency entries (b * n^2), and the graphon sampler draws
+# edge uniforms and probabilities in chunks of about this many pairs,
+# which keeps their float64 temporaries within a few hundred kB.
 _BLOCK_ELEMENTS = 1 << 15
 
 

@@ -12,6 +12,14 @@ keyed by its own labels (never by its position in a block or a thread),
 and :class:`KeyedStreams` re-keys one reusable generator to exactly the
 state :func:`stream` would build, so batched and one-at-a-time code
 draw identical numbers.
+
+Batched code hashes each key once, and shares what keys have in common:
+the keys ``(seed, label, b)`` of a run of ``b`` (a bootstrap's replicate
+streams, a Monte-Carlo truth's network seeds) continue copies of one
+hash of their ``(seed, label)`` prefix (:func:`_prefixed_digests`), and
+:meth:`KeyedStreams.uniforms` keys the stream ``(seed, label)`` of each
+of a block's seeds with one BLAKE2b call.  BLAKE2b reads its input as
+one byte string however it is fed, so these are :func:`_digest`'s keys.
 """
 
 from __future__ import annotations
@@ -56,6 +64,20 @@ def _digest(seed: int, labels: tuple) -> bytes:
     return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
 
 
+def _prefixed_digests(seed: int, label: str, b0: int, b1: int):
+    """The key digests ``_digest(seed, (label, b))`` for ``b = b0 .. b1-1``, in order.
+
+    The ``(seed, label)`` prefix is hashed once, and each digest continues
+    a copy of that hash with its ``b``: one BLAKE2b copy, update and
+    digest per row in place of hashing the whole key.
+    """
+    prefix = hashlib.blake2b(_seed_bytes(seed) + _str_label(label), digest_size=16)
+    for b in range(b0, b1):
+        h = prefix.copy()
+        h.update(b"i" + b.to_bytes(16, "little", signed=True))
+        yield h.digest()
+
+
 def stream(seed: int, *labels) -> np.random.Generator:
     """Return a Philox generator keyed by ``hash(seed, *labels)``."""
     key = int.from_bytes(_digest(seed, labels), "little")
@@ -65,6 +87,13 @@ def stream(seed: int, *labels) -> np.random.Generator:
 def substream_seed(seed: int, *labels) -> int:
     """Derive a 63-bit integer seed for handing to seeded operations."""
     return int.from_bytes(_digest(seed, labels)[:8], "little") >> 1
+
+
+def _substream_seeds(seed: int, label: str, b0: int, b1: int) -> list[int]:
+    """``[substream_seed(seed, label, b) for b in range(b0, b1)]``, keyed by
+    :func:`_prefixed_digests`."""
+    return [int.from_bytes(digest[:8], "little") >> 1
+            for digest in _prefixed_digests(seed, label, b0, b1)]
 
 
 class KeyedStreams:
@@ -100,18 +129,33 @@ class KeyedStreams:
         for ``b = b0 .. b1-1``, as a uint64 array ``(b1 - b0, k)``: row b is
         ``stream(seed, label, b).bit_generator.random_raw(k)``.
 
-        The ``(seed, label)`` part of the key is hashed once and each row's
-        hash continues a copy of it, which halves the keying cost of a row.
+        The rows are keyed by :func:`_prefixed_digests`, which halves the
+        keying cost of a row.
         """
-        prefix = hashlib.blake2b(_seed_bytes(seed) + _str_label(label), digest_size=16)
         bitgen, keyed, state = self._bitgen, self._keyed, self._state
         out = np.empty((b1 - b0, k), dtype=np.uint64)
-        for row, b in enumerate(range(b0, b1)):
-            h = prefix.copy()
-            h.update(b"i" + b.to_bytes(16, "little", signed=True))
-            keyed["key"] = struct.unpack("<2Q", h.digest())
+        for row, digest in enumerate(_prefixed_digests(seed, label, b0, b1)):
+            keyed["key"] = struct.unpack("<2Q", digest)
             bitgen.state = state
             out[row] = bitgen.random_raw(k)
+        return out
+
+    def uniforms(self, seeds, label: str, m: int) -> np.ndarray:
+        """``m`` uniforms from each stream ``(seed, label)`` for ``seed`` in
+        ``seeds``, as a float64 array ``(len(seeds), m)``: row k is
+        ``stream(seeds[k], label).random(m)``.
+
+        The label's bytes are looked up once, and each row is keyed by one
+        BLAKE2b call on its seed's bytes and them.
+        """
+        tail = _str_label(label)
+        bitgen, keyed, state, generator = self._bitgen, self._keyed, self._state, self._generator
+        out = np.empty((len(seeds), m))
+        for row, seed in enumerate(seeds):
+            keyed["key"] = struct.unpack(
+                "<2Q", hashlib.blake2b(_seed_bytes(seed) + tail, digest_size=16).digest())
+            bitgen.state = state
+            generator.random(out=out[row])
         return out
 
 

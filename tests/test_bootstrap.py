@@ -10,7 +10,7 @@ from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix,
                         DegenerateReplicatesError, EmpiricalCdf, compute_stats, from_edges,
                         motif_counts, pair_projection, resample_distribution, sample_graph,
                         sample_moment, stream, subsample_distribution)
-from netmoments import bootstrap, moments
+from netmoments import bootstrap, graphon, harness, moments
 from netmoments.bootstrap import MAX_DROP_FRACTION
 from netmoments.harness import monte_carlo_true_cdf
 from netmoments.rng import KeyedStreams
@@ -207,9 +207,10 @@ class TestReplicateEngine:
 
     @pytest.mark.parametrize("elements", [1, 1 << 30])
     def test_block_size_invariance(self, monkeypatch, elements):
-        # One replicate per block, and every replicate in one block: stacked
-        # blocks (truths, the three-star) and multiplicity-route chunks (the
-        # edge, triangle and V-shape) alike.
+        # One replicate per block, and every replicate in one block: truth
+        # blocks (sized by the edge uniforms of their networks) and their
+        # sampler chunks, stacked blocks (the three-star) and
+        # multiplicity-route chunks (the edge, triangle and V-shape) alike.
         bm = paper_block_model()
         A = sample_graph(bm, 40, 1.0, seed=40)
 
@@ -227,7 +228,8 @@ class TestReplicateEngine:
 
         expected = fingerprint()
         counter = moments._replicate_counter
-        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(harness, "_PAIR_CHUNK", elements)
+        monkeypatch.setattr(graphon, "_BLOCK_ELEMENTS", elements)
         monkeypatch.setattr(moments, "_replicate_counter",
                             lambda *args: (elements, counter(*args)[1]))
         assert fingerprint() == expected

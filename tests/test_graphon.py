@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import block_diag
 
 from netmoments import (EDGE, TRIANGLE, DegeneracyError, Graphon, LatentSample,
                         block_model, builtin_graphon, custom_graphon, graphon_from_config,
@@ -16,8 +17,8 @@ from netmoments import (EDGE, TRIANGLE, DegeneracyError, Graphon, LatentSample,
                         population_moment, probability_matrix, sample_adjacency,
                         sample_graph, sample_graph_block, sample_latent, smooth_graphon,
                         stream, substream_seed)
-from netmoments.graphon import _bernoulli_adjacency, _block_labels, _edge_probabilities
-from netmoments.rng import KeyedStreams, _digest, thread_streams
+from netmoments.graphon import _block_labels, _mirrored, _pair_probabilities
+from netmoments.rng import KeyedStreams, _digest, _substream_seeds, thread_streams
 
 from conftest import expected_h, paper_block_model
 
@@ -119,8 +120,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", ["blockmodel", "smoothgraphon", "nonsmoothgraphon"])
     def test_block_rows_equal_single_samples(self, name):
-        # n = 2 and 3 have one and three pairs; n = 181 is the last size
-        # whose network fits in a truth block's 2^15 entries.
+        # n = 2 and 3 have one and three pairs; at n = 181 and 182 a
+        # sampler chunk of 2^15 pairs holds two networks and one.
         g = builtin_graphon(name)
         seeds = [3, 99, 2 ** 62 + 5, 0, 17]
         for n in (2, 3, 13, 181, 182):
@@ -131,7 +132,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("shape", [(7, 7), (3, 7, 7), (2, 2)], ids=["one", "stack", "n2"])
     def test_adjacency_reads_only_upper_triangle(self, shape):
-        # Below and on the diagonal, W holds the value that flips each
+        # Below and on the diagonal, f holds the value that flips each
         # pair's draw (and would put a loop on every node); the graph must
         # come from the strict upper triangle alone.
         n = shape[-1]
@@ -144,8 +145,15 @@ class TestSampling:
                 expected[idx + (i, j)] = expected[idx + (j, i)] = u[idx + (p,)] < upper[idx + (i, j)]
         flipped = np.where(np.swapaxes(expected, -1, -2) == 1, 0.0, 1.0)
         W = upper + np.tril(flipped)
+        # Node k of the stack sits at position k, where f reads row k of
+        # the block-diagonal matrix of the stack's W.
+        pos = np.arange(math.prod(shape[:-1]), dtype=np.float64).reshape(shape[:-1])
         for given in (W, upper + np.swapaxes(upper, -1, -2)):
-            a = _bernoulli_adjacency(given, u)
+            table = block_diag(*given.reshape(-1, n, n))
+            g = custom_graphon(lambda x, y: table[x.astype(np.intp), y.astype(np.intp)])
+            edges = np.zeros(shape[:-2] + (u.shape[-1] + 1,), dtype=bool)
+            edges[..., :-1] = u < _pair_probabilities(g, pos, 1.0)
+            a = _mirrored(edges, n)
             assert a.dtype == np.int8 and not a.flags.writeable
             assert a.tobytes() == expected.tobytes()
 
@@ -184,9 +192,16 @@ def blocks_graphon(pi, B) -> Graphon:
                    kind="BlockModel", pi=pi, B=B)
 
 
+def upper_triangle(W: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of each matrix of a stack (..., n, n), row by row."""
+    i, j = np.triu_indices(W.shape[-1], 1)
+    return W[..., i, j]
+
+
 class TestBlockProbabilities:
-    """A block model's probabilities are one-hot labels times ``rho * B``;
-    they must have the bytes of ``rho`` times its evaluator."""
+    """A block model's pair probabilities are read from ``rho * B`` at the
+    labels' codes; they must have the bytes of ``rho`` times its evaluator
+    and of the one-hot product, above the diagonal."""
 
     B4 = [[0.71, 0.13, 0.29, 0.05], [0.13, 0.47, 0.61, 1 / 3],
           [0.29, 0.61, 0.0, 0.9], [0.05, 1 / 3, 0.9, 0.17]]
@@ -208,10 +223,31 @@ class TestBlockProbabilities:
         x[0, cuts.size] = 0.0
         x[1, :cuts.size] = np.nextafter(cuts, 0.0)  # and just below
         for pos in (x, x[0]):
-            expected = rho * g.evaluate(pos[..., :, None], pos[..., None, :])
-            got = _edge_probabilities(g, pos, rho)
+            expected = upper_triangle(rho * g.evaluate(pos[..., :, None], pos[..., None, :]))
+            got = _pair_probabilities(g, pos, rho)
             assert got.dtype == np.float64 and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 12])
+    @pytest.mark.parametrize("rho", [0.3, 30 ** -0.5], ids=["0.3", "n^-1/2"])
+    def test_equal_one_hot_product_bytes(self, K, rho):
+        # K = 12 has 144 codes, past int8: the codes must not wrap.
+        rng = stream(12, "one-hot", K)
+        pi = rng.random(K)
+        pi /= pi.sum()
+        B = rng.random((K, K))
+        g = block_model(pi, (B + B.T) / 2)
+        x = rng.random((5, 30))
+        x[0, :K - 1] = np.cumsum(g.pi)[:-1]  # latents exactly on every cut
+        table = rho * g.B
+        for pos in (x, x[0]):
+            onehot = (_block_labels(g.pi, pos)[..., None] == np.arange(K)).astype(np.float64)
+            expected = upper_triangle(onehot @ table @ np.swapaxes(onehot, -1, -2))
+            got = _pair_probabilities(g, pos, rho)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        if K == 12:
+            assert len(np.unique(_block_labels(g.pi, x))) == 12
 
     def test_labels_on_cuts(self):
         # Block k holds [sum(pi[:k]), sum(pi[:k+1])): a latent on a cut
@@ -227,8 +263,8 @@ class TestBlockProbabilities:
             sample_graph(bad, 10, 1.0, 1)
         # At rho = 0.5 every value is a probability, and the evaluator agrees.
         x = sample_latent(10, 1).positions
-        assert (_edge_probabilities(bad, x, 0.5).tobytes()
-                == (0.5 * bad.evaluate(x[:, None], x[None, :])).tobytes())
+        assert (_pair_probabilities(bad, x, 0.5).tobytes()
+                == upper_triangle(0.5 * bad.evaluate(x[:, None], x[None, :])).tobytes())
 
     def test_nan_is_not_a_probability(self, unchecked):
         nan_block = blocks_graphon([0.5, 0.5], [[0.6, np.nan], [np.nan, 0.2]])
@@ -298,13 +334,33 @@ class TestKeyedStreams:
         assert streams(5, "edges").random(3).tobytes() == stream(5, "edges").random(3).tobytes()
         assert streams.words(1, "x", 4, 4, 3).shape == (0, 3)
 
+    @pytest.mark.parametrize("seed", [0, -7, -3, 2 ** 127 - 1])
+    def test_prefixed_seeds_are_substream_seeds(self, seed):
+        for label, b0, b1 in (("mc-truth", 0, 5), ("mc-truth", 997, 1003), ("x", 12, 13)):
+            assert _substream_seeds(seed, label, b0, b1) == [
+                substream_seed(seed, label, b) for b in range(b0, b1)]
+        assert _substream_seeds(seed, "mc-truth", 4, 4) == []
+
+    def test_uniforms_are_each_streams_draws(self):
+        streams = KeyedStreams()
+        seeds = [0, -7, 2 ** 127 - 1, np.int64(2 ** 62 + 5), 6692503853973153916]
+        for label, m in (("latent", 1), ("edges", 45), ("x", 7)):
+            got = streams.uniforms(seeds, label, m)
+            assert got.dtype == np.float64 and got.shape == (len(seeds), m)
+            for row, seed in enumerate(seeds):
+                assert got[row].tobytes() == stream(seed, label).random(m).tobytes()
+        assert streams(5, "edges").random(3).tobytes() == stream(5, "edges").random(3).tobytes()
+        assert streams.uniforms([], "edges", 3).shape == (0, 3)
+
     @pytest.mark.parametrize("seed", [2 ** 127, 2 ** 128, -2 ** 127 - 1])
     def test_out_of_range_seed(self, seed):
         message = re.escape(f"seed must lie in the signed 128-bit range [-2**127, 2**127), "
                             f"got {seed}")
         for draw in (lambda: stream(seed, "edges"), lambda: substream_seed(seed),
                      lambda: KeyedStreams()(seed, "x", 1),
-                     lambda: KeyedStreams().words(seed, "x", 0, 2, 1)):
+                     lambda: KeyedStreams().words(seed, "x", 0, 2, 1),
+                     lambda: KeyedStreams().uniforms([1, seed], "x", 2),
+                     lambda: _substream_seeds(seed, "x", 0, 0)):
             with pytest.raises(ValueError, match=message):
                 draw()
         with pytest.raises(ValueError, match=message):

@@ -18,7 +18,7 @@ from netmoments.bootstrap import MAX_DROP_FRACTION
 from netmoments.cli import main
 from netmoments.harness import (ExperimentRecord,
                                 effective_sample_size_check, summarize_coverage)
-from netmoments.moments import _BLOCK_ELEMENTS
+from netmoments.moments import _PAIR_CHUNK
 from conftest import paper_block_model
 
 
@@ -211,10 +211,11 @@ class TestTrueCdf:
     def test_blocks_equal_per_network_oracle(self, graphon, motif):
         # The truth, network by network: sample_graph on each replicate's
         # seed, count, studentize, tabulate.  The blocked truth must give
-        # the same bytes, with n_mc spanning a partial last block.
+        # the same bytes, with n_mc spanning two full blocks and a partial
+        # one (a block holds the networks of _PAIR_CHUNK edge uniforms).
         g = builtin_graphon(graphon)
         n, rho, seed, mu = 9, 0.8, 13, 0.25
-        n_mc = 2 * (_BLOCK_ELEMENTS // (n * n)) + 37
+        n_mc = 2 * (_PAIR_CHUNK // (n * (n - 1) // 2)) + 37
         r = motif.r
         t_vals, degenerate = [], 0
         for k in range(n_mc):
@@ -260,6 +261,18 @@ class TestTrueCdf:
             monte_carlo_true_cdf(bm, 0.01, TRIANGLE, n=5, n_mc=1_000, seed=1,
                                  max_degenerate_fraction=1.0)
         assert (exc.value.n_dropped, exc.value.n_total) == (1_000, 1_000)
+
+    def test_one_kept_network_has_no_sd(self, bm):
+        # One network, or one left after the rest are dropped under a lifted
+        # cap: t_sd is NaN, with no degrees-of-freedom RuntimeWarning (an
+        # error in this suite).
+        single = monte_carlo_true_cdf(bm, 1.0, EDGE, n=10, n_mc=1, seed=1, mu=0.1)
+        lone = monte_carlo_true_cdf(bm, 0.3, TRIANGLE, n=5, n_mc=20, seed=3, mu=0.01,
+                                    max_degenerate_fraction=1.0)
+        assert (single.n_degenerate, lone.n_degenerate) == (0, 19)
+        for truth in (single, lone):
+            assert math.isnan(truth.t_sd) and math.isfinite(truth.t_mean)
+            assert set(truth.values.tolist()) <= {0.0, 1.0}
 
 
 class TestPopulationMean:
