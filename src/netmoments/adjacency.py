@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import io
 import operator
 from pathlib import Path
 
@@ -82,25 +83,13 @@ class AdjacencyMatrix:
     def _nonzeros(self):
         """``(rows, cols, indptr)``: the nonzeros of ``a`` in row-major order, as CSR.
 
-        Built on first use: from the edge keys, sorted, and copied without
-        their repeats only if a key equals the one before it (np.unique took
-        10x longer at 5k edges), or else from the bytes of ``a``.  A key
-        splits as ``keys // n`` and ``keys - rows * n`` (np.divmod took 2.5x
-        as long at 10k keys).
+        Built on first use by :func:`_csr`: from the edge keys, sorted as
+        int32 while n <= 46340 (:func:`_sorted_keys`), or else from the bytes
+        of ``a``.  ``rows`` and ``cols`` are intp either way, the index dtype
+        numpy takes without a cast.
         """
-        n = self.n
-        if self._keys is None:
-            keys = _byte_keys(self.a)
-        else:
-            keys = np.sort(self._keys)
-            repeat = keys[1:] == keys[:-1]
-            if repeat.any():
-                keys = np.delete(keys, repeat.nonzero()[0] + 1)
-        rows = keys // n
-        cols = keys - rows * n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return rows, cols, indptr
+        keys = _byte_keys(self.a) if self._keys is None else _sorted_keys(self.n, self._keys)
+        return _csr(self.n, keys)
 
     @functools.cached_property
     def _triangles(self):
@@ -187,6 +176,35 @@ def _built(n: int, pairs) -> AdjacencyMatrix:
     return AdjacencyMatrix._trusted(a, keys)
 
 
+def _sorted_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """Flat keys on ``n`` nodes sorted, and copied without their repeats only
+    if a key equals the one before it (np.unique took 10x longer at 5k edges).
+
+    Sorted as int32 while every key fits, n^2 <= 2^31 - 1 (n <= 46340):
+    sort, dedupe and split took 62 us against 92 us in int64 at 10k keys.
+    """
+    keys = np.sort(keys.astype(np.int32) if n * n <= np.iinfo(np.int32).max else keys)
+    repeat = keys[1:] == keys[:-1]
+    return np.delete(keys, repeat.nonzero()[0] + 1) if repeat.any() else keys
+
+
+def _csr(n: int, keys: np.ndarray):
+    """``(rows, cols, indptr)`` of sorted, repeat-free flat keys ``i*n + j``
+    (int32 or intp) on ``n`` nodes.
+
+    A key splits as ``keys // n`` and ``keys - rows * n`` (np.divmod took
+    2.5x as long at 10k keys), in the keys' dtype.  ``rows`` and ``cols``
+    are returned as intp whatever that dtype: numpy casts a non-intp index
+    on every take (13.6 against 10.1 us per take at 14k int32 indices).
+    """
+    rows = keys // n
+    cols = (keys - rows * n).astype(np.intp, copy=False)
+    rows = rows.astype(np.intp, copy=False)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return rows, cols, indptr
+
+
 def _byte_keys(a: np.ndarray) -> np.ndarray:
     """Flat indices of the nonzeros of an int8 adjacency, read as bool: 5x faster."""
     return np.flatnonzero(a.view(np.bool_))
@@ -240,17 +258,26 @@ def load_edge_list(path) -> AdjacencyMatrix:
     whitespace or a comma; lines starting with ``#`` are comments.
     Duplicate edges are ignored; self-loops are rejected.  The node
     count is the largest id seen.  Errors name the file and line.  The
-    file is read once; valid edges in plain text (digits, blanks, commas,
-    newlines) are parsed in one vectorised pass over its bytes
-    (:func:`_plain_pairs`), anything else by the line parser.  Either
-    parser has checked its pairs (ids at least 1, no self-loop, n the
-    largest id), so :func:`_built` takes them without the checks of
+    file's bytes are read once; valid edges in plain text (digits,
+    blanks, commas, line ends) are parsed in one vectorised pass over
+    them (:func:`_plain_pairs`), anything else by :func:`_line_parsed`,
+    on the text ``Path.read_text`` gives (the same decoder and newline
+    translation, through ``io.TextIOWrapper``).  Either parser has
+    checked its pairs (ids at least 1, no self-loop, n the largest id),
+    so :func:`_built` takes them without the checks of
     :func:`from_edges` and never re-validates the matrix it builds.
     """
-    text = Path(path).read_text()
-    pairs = _plain_pairs(text)
+    raw = Path(path).read_bytes()
+    pairs = _plain_pairs(raw)
     if pairs is not None:
         return _built(int(pairs.max()), pairs - 1)
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None)).read()
+    return _line_parsed(path, text)
+
+
+def _line_parsed(path, text: str) -> AdjacencyMatrix:
+    """The graph of the edge list ``text`` (read from ``path``), parsed line
+    by line: any text :func:`load_edge_list` accepts, and every message."""
     edges = []
     max_id = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -275,23 +302,29 @@ def load_edge_list(path) -> AdjacencyMatrix:
     return _built(max_id, edges)
 
 
-def _plain_pairs(text: str) -> np.ndarray | None:
-    """The ``(m, 2)`` int64 1-based edges of a plain, valid edge list, else None.
+def _plain_pairs(raw: bytes) -> np.ndarray | None:
+    """The ``(m, 2)`` 1-based edges of a plain, valid edge list's bytes, else None.
 
     One vectorised pass over the bytes (np.loadtxt took twice as long): the
     digit runs are cut at their boundaries, each id is summed from its
     digits by place value, and the runs are counted per line from where the
-    newlines fall.  None (use the line parser) for another character, no
+    newlines fall.  CRLF and a lone CR end a line as a newline does, as in
+    the text ``read_text`` gives.  Ids of up to 9 digits are summed
+    in int32 (they fit below 2^31), longer ones in int64.  None (use the
+    line parser) for another byte (``translate`` refuses non-ASCII too), no
     digit, an id of more than 18 digits (18 always fit int64), a line of
     other than two ids or none, comma text with a line that holds no edge
     (the line parser refuses a line of commas), an id below 1 or a
     self-loop.
     """
-    raw = text.encode()
-    if not text.isascii() or raw.translate(None, b"0123456789 \t,\n"):
+    if raw.translate(None, b"0123456789 \t,\n\r"):
         return None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     z = np.frombuffer(b" " + raw + b" ", dtype=np.uint8) - np.uint8(48)
     digit = z < 10  # blanks, commas and newlines wrap past 200
+    # Copied: as strided views, starts slowed each np.maximum of the place
+    # loop below (~10 us more per parse at 10k runs).
     starts, ends = (digit[1:] != digit[:-1]).nonzero()[0].reshape(-1, 2).T.copy()
     width = int((ends - starts).max(initial=0))
     if starts.size % 2 or not 0 < width <= 18:
@@ -302,15 +335,16 @@ def _plain_pairs(text: str) -> np.ndarray | None:
     marks[starts] = True
     runs = (z[1:][marks.nonzero()[0]] != 218).nonzero()[0]  # event index of each run
     gap = runs[1:] - runs[:-1]
-    if gap[0::2].max(initial=1) > 1 or gap[1::2].min(initial=2) < 2 or "," in text \
-            and starts.size != 2 * (text.count("\n") + (not text.endswith("\n"))):
+    if gap[0::2].max(initial=1) > 1 or gap[1::2].min(initial=2) < 2 or b"," in raw \
+            and starts.size != 2 * (raw.count(b"\n") + (not raw.endswith(b"\n"))):
         return None
     # Each id from the last ``width`` places of its run, z[ends] the units;
     # a shorter run reads z[starts], the 0 before it, for its missing ones.
     # One place per step: a (width, runs) table made every request refault
     # ~200 pages in some processes (the heap top was trimmed after it).
     z *= digit
-    ids, at = np.zeros(starts.size, dtype=np.int64), ends + (1 - width)
+    ids = np.zeros(starts.size, dtype=np.int32 if width <= 9 else np.int64)
+    at = ends + (1 - width)
     for _ in range(width):
         ids *= 10
         ids += z.take(np.maximum(at, starts))

@@ -3,6 +3,7 @@
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from netmoments import (EDGE, THREESTAR, TRIANGLE, VSHAPE, AdjacencyMatrix, compute_stats,
                         from_edges, load_edge_list)
-from netmoments import moments
+from netmoments import adjacency, moments
 
 
 def line_parser(path):
@@ -136,9 +137,61 @@ def test_matches_line_parser(edge_file, text):
     "1 2\n,\n2 3\n",  # a comma-only line
     "1\t2\n2\t\t3\n",  # tab-only separators
     "1 2\n3\n4 5\n",  # a line holding a single id
+    # Around the widest id summed in int32 (9 digits) and the int32 maximum:
+    # the matrix build refuses each, with n in its message.
+    "1 999999999\n",
+    "1 1000000000\n",
+    "1 2147483647\n",
+    "1 2147483648\n",
 ])
 def test_explicit_cases_match_line_parser(edge_file, text):
     assert_same_as_line_parser(edge_file, text)
+
+
+@pytest.mark.parametrize("text, dtype", [
+    (b"1 2\n999999999 3\n", np.int32),
+    (b"1 2\n1000000000 3\n", np.int64),
+    (b"1 2\n2147483647 3\n", np.int64),
+    (b"1 2\n2147483648 3\n", np.int64),
+])
+def test_ids_summed_in_int32_up_to_nine_digits(text, dtype):
+    pairs = adjacency._plain_pairs(text)
+    assert pairs.dtype == dtype
+    assert pairs.tolist() == [[int(x) for x in line.split()] for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("text", [
+    b"1 2\r\n2 3\r\n3 1\r\n",
+    b"1 2\r2 3\r3 1",
+    b"1,2\r\n2,3\r\n3,4\r\n",
+    b"1 2\r\n\r\n2 3\r3 4\n\r\r\n4 1",
+])
+def test_cr_line_ends_take_the_vectorised_parser(edge_file, text, monkeypatch):
+    # read_text turns CRLF and lone CR into newlines; the byte parser does the same.
+    edge_file.write_bytes(text)
+    want = outcome(line_parser, edge_file)
+    lines = mock.Mock(wraps=adjacency._line_parsed)
+    monkeypatch.setattr(adjacency, "_line_parsed", lines)
+    assert outcome(load_edge_list, edge_file) == want
+    assert lines.call_count == 0 and isinstance(want[0], int)
+
+
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_keys_list_the_bytes_across_the_int32_bound(n):
+    # The largest n whose keys i*n + j all fit int32 is 46340; the listing
+    # from the edge keys must equal the one from the bytes (flat indices
+    # of the nonzeros: sorted, repeat-free, intp) on both sides of it,
+    # with no n x n matrix.
+    rng = np.random.default_rng(n)
+    i = np.concatenate([rng.integers(0, n, 500), [n - 1, n - 2, 0, n - 1, 0]])
+    j = np.concatenate([rng.integers(0, n, 500), [n - 2, n - 1, n - 1, 0, 1]])
+    i, j = i[i != j], j[i != j]
+    keys = np.concatenate([i * n + j, j * n + i, i[:50] * n + j[:50]])  # some repeated
+    listed = adjacency._sorted_keys(n, keys)
+    assert listed.dtype == (np.int32 if n == 46340 else np.intp)
+    assert int(keys.max()) > np.iinfo(np.int32).max or n == 46340
+    for x, y in zip(adjacency._csr(n, listed), adjacency._csr(n, np.unique(keys)), strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("n, pairs", [

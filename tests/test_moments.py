@@ -275,6 +275,38 @@ class TestComputeStats:
             assert stats.s_hat_sq == pytest.approx(
                 r * r * stats.xi1_hat_sq / n, abs=1e-15)
 
+    @pytest.mark.parametrize("motif", [EDGE, TRIANGLE, THREESTAR], ids=lambda m: f"r{m.r}")
+    @pytest.mark.parametrize("n", [13, 61, 203, 1001])
+    @pytest.mark.parametrize("top", ["5", "n-1", "n", "3n"])
+    def test_cubes_equal_the_direct_power(self, motif, n, top):
+        # Below n, g1^3 is gathered from the cubes of 0 .. top; at n and above
+        # it is g1 ** 3.  Either way the record has the bytes of the direct form.
+        rng = np.random.default_rng([n, motif.r, len(top)])
+        top = {"5": 5, "n-1": n - 1, "n": n, "3n": 3 * n}[top]
+        per = rng.integers(0, top + 1, n)
+        per[rng.integers(n)] = top
+        sums = rng.integers(0, 50 * n, n)
+        with mock.patch.object(moments, "_graph_counts",
+                               return_value=(per, lambda: sums, None)):
+            got = compute_stats(from_edges(n, []), motif)
+        want = _direct_record(n, motif, per, sums)
+        assert repr(got) == repr(want) and got.g1_hat.tobytes() == want.g1_hat.tobytes()
+
+
+def _direct_record(n, motif, per, sums):
+    """``compute_stats``' record from the counts ``per`` and the sums
+    ``inner @ per``, with ``E[g1^3]`` from ``np.sum(g1 ** 3)``."""
+    r = motif.r
+    total, per = moments._totals(per, r)
+    u_hat, g1, s_hat_sq, degenerate = studentize(total, per, n, r)
+    u_hat = float(u_hat)
+    y = sums / math.comb(n - 1, r - 1) - u_hat * (r - 1) * per
+    s1, s2, s3 = np.sum(g1), np.sum(g1 * g1), np.sum(g1 ** 3)
+    q = np.sum(g1 * y) / math.comb(n - 2, r - 2) - u_hat * (s1 * s1 - s2) - 2.0 * (s1 * s2 - s3)
+    return MomentStats(n=n, motif=motif, u_hat=u_hat, s_hat_sq=s_hat_sq, g1_hat=g1,
+                       xi1_hat_sq=float(s2 / n), e_g1_cubed=float(s3 / n),
+                       e_g1g1g2=float(q / (2.0 * math.comb(n, 2))), degenerate=bool(degenerate))
+
 
 def assert_fast_paths_equal_brute_force(motifs):
     rng = np.random.default_rng(8)
